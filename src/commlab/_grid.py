@@ -10,9 +10,15 @@ assignment grid become numpy gather operations.  Two output modes:
   cells exactly when the element values are equal.  This avoids interning
   the (potentially huge) set of top-level f-images when only the equality
   pattern of a cube matters.
+
+Id arrays smaller than the full grid are memoized per grid, keyed by
+(term, m), so a subterm shared by many terms is evaluated once.  Cached
+arrays are read-only; their ids stay valid because interning only appends.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,10 +42,10 @@ class SymbolicGrid:
         self._u_cache: dict[int, int] = {}
         self._upqr_caches: dict[tuple[Element, Element, Element], dict[int, int]] = {}
         self._f_cache: dict[tuple[int, ...], int] = {}
+        self._memo: dict[tuple[terms.Term, int], np.ndarray] = {}
         n = params.n
         self._a_ids = [self.intern(elements.AGen(i, 0)) for i in range(1, n + 1)]
         self._b_ids = [self.intern(elements.BGen(i, 0)) for i in range(1, n + 1)]
-        self._d_ids = [self.intern(elements.DConst(k)) for k in range(1, params.d_count + 1)]
 
     def intern(self, e: Element) -> int:
         i = self._ids.get(e)
@@ -72,6 +78,16 @@ class SymbolicGrid:
 
     def eval_ids(self, t: terms.Term, m: int) -> np.ndarray:
         """Interned ids of t over the m-axis domain grid (broadcast shape)."""
+        key = (t, m)
+        ids = self._memo.get(key)
+        if ids is None:
+            ids = self._eval_ids(t, m)
+            if ids.size < len(self.domain) ** m:
+                ids.flags.writeable = False
+                self._memo[key] = ids
+        return ids
+
+    def _eval_ids(self, t: terms.Term, m: int) -> np.ndarray:
         p = self.params
         if isinstance(t, terms.Var):
             return self._var_axis(t.idx, m)
@@ -97,8 +113,7 @@ class SymbolicGrid:
             )
         rows, inverse = np.unique(flat, axis=0, return_inverse=True)
         out_ids = np.empty(rows.shape[0], dtype=np.int64)
-        for pos in range(rows.shape[0]):
-            key = tuple(int(x) for x in rows[pos])
+        for pos, key in enumerate(map(tuple, rows.tolist())):
             v = self._f_cache.get(key)
             if v is None:
                 v = self.intern(elements.eval_f([self._elems[i] for i in key], p))
@@ -112,28 +127,35 @@ class SymbolicGrid:
             t = t.arg  # injective wrappers preserve the equality pattern
         if not isinstance(t, terms.FApp):
             return self.eval_ids(t, m)
+        # Children keep their broadcast shapes; only the combined code and
+        # the final selection span the full grid.
         children = [self.eval_ids(a, m) for a in t.args]
-        children = np.broadcast_arrays(*children)
         base = len(self._elems)
-        code = np.zeros_like(children[0])
-        for c in children:
-            code = code * base + c
-        code = code + base
-        in_dmn = np.ones(children[0].shape, dtype=bool)
+        if base ** len(children) <= 2**63:
+            code = children[0]
+            for c in children[1:]:
+                code = code * base + c
+        else:
+            # The positional pack would wrap int64; number the distinct
+            # argument tuples instead.
+            full = np.broadcast_arrays(*children)
+            flat = np.stack([c.ravel() for c in full], axis=1)
+            _, code = np.unique(flat, axis=0, return_inverse=True)
+            code = code.reshape(full[0].shape)
+        # Cells whose arguments lie in f0's domain take a d-value; off the
+        # domain f tags its argument tuple, so the d-values get negative
+        # codes, apart from every nonnegative argument code.
+        in_dmn = True
         bits = []
         for pos, c in enumerate(children):
-            is_a = c == self._a_ids[pos]
             is_b = c == self._b_ids[pos]
-            in_dmn &= is_a | is_b
+            in_dmn = in_dmn & ((c == self._a_ids[pos]) | is_b)
             bits.append(is_b)
-        if in_dmn.any():
-            k = np.zeros(children[0].shape, dtype=np.int64)
+        if np.any(in_dmn):
+            k = 0
             for bit in bits[:-1]:
                 k = (k << 1) + bit
-            all_b = np.ones(children[0].shape, dtype=bool)
-            for bit in bits:
-                all_b &= bit
+            all_b = functools.reduce(np.logical_and, bits)
             d_index = np.where(all_b, 2 ** (self.params.n - 1), k)
-            d_table = np.array(self._d_ids, dtype=np.int64)
-            code = np.where(in_dmn, d_table[d_index], code)
+            code = np.where(in_dmn, -1 - d_index, code)
         return code

@@ -18,7 +18,7 @@ import numpy as np
 from . import terms as terms_mod
 from ._grid import SymbolicGrid
 from .elements import Element, Params, element_to_text
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CommlabError
 from .terms import Term, enumerate_terms, eval_term, free_vars, term_to_text
 
 NAIVE_SPACE_CAP = 2 * 10**6
@@ -177,22 +177,32 @@ def _grid_term_has_witness(grid: SymbolicGrid, t: Term, m: int) -> bool:
     raise BudgetExceededError(f"grid search strategy not available for dimension {m}")
 
 
-def _canonical_labels(row: np.ndarray) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    out = []
-    for v in row.tolist():
-        lab = seen.get(v)
-        if lab is None:
-            lab = len(seen)
-            seen[v] = lab
-        out.append(lab)
-    return tuple(out)
+def _first_occurrence(rows: np.ndarray) -> np.ndarray:
+    """Canonical partition labels: each entry becomes the index of the first
+    entry of its row that is equal to it."""
+    k, d = rows.shape
+    order = np.argsort(rows, axis=1, kind="stable")
+    srt = np.take_along_axis(rows, order, axis=1)
+    run_start = np.ones((k, d), dtype=bool)
+    run_start[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    run = np.where(run_start, np.arange(d), 0)
+    np.maximum.accumulate(run, axis=1, out=run)
+    labels = np.empty_like(order)
+    np.put_along_axis(labels, order, np.take_along_axis(order, run, axis=1), axis=1)
+    return labels
+
+
+# Bound on the pair-by-partition comparison block built at once.
+_PAIR_BLOCK_CELLS = 2**22
 
 
 def _grid_dim3_has_witness(codes: np.ndarray, d: int) -> bool:
     # Cells are (x1, x2); the fiber of a cell is its value row over x3.
-    # H[cell] for a block-3 pair (p3, q3) is "fiber equal at p3 and q3";
-    # a witness exists iff some H contains the 2x2 pattern [[1,1],[1,0]].
+    # H[cell] for a block-3 pair p3 != q3 is "fiber equal at p3 and q3";
+    # a witness exists iff some H contains the 2x2 pattern [[1,1],[1,0]],
+    # i.e. iff two distinct nonempty row supports of H share a column.
+    if d < 2:
+        return False
     fibers = codes.reshape(d * d, d)
     srt = np.sort(fibers, axis=1)
     injective = (np.diff(srt, axis=1) != 0).all(axis=1)
@@ -201,47 +211,32 @@ def _grid_dim3_has_witness(codes: np.ndarray, d: int) -> bool:
 
     # Signature 0: injective fiber (equal only on the diagonal).
     # Signature 1: constant fiber (always equal).  Further signatures are
-    # the canonical partitions of the remaining fibers.
-    sig_ids = np.where(injective, 0, 1)
-    partitions: list[tuple[int, ...]] = []
-    part_index: dict[tuple[int, ...], int] = {}
-    for cell in np.nonzero(other)[0]:
-        lab = _canonical_labels(fibers[cell])
-        sid = part_index.get(lab)
-        if sid is None:
-            sid = 2 + len(partitions)
-            part_index[lab] = sid
-            partitions.append(lab)
-        sig_ids[cell] = sid
+    # the distinct canonical partitions of the remaining fibers.
+    partitions, part_sig = np.unique(
+        _first_occurrence(fibers[other]), axis=0, return_inverse=True
+    )
+    sig = np.where(injective, 0, 1)
+    sig[other] = 2 + part_sig.reshape(-1)
+    sig_rows = np.unique(sig.reshape(d, d), axis=0)
 
-    # Group x3 values behaving identically across all partition signatures.
-    joint: dict[tuple[int, ...], list[int]] = {}
-    for x3 in range(d):
-        key = tuple(lab[x3] for lab in partitions)
-        joint.setdefault(key, []).append(x3)
-    classes = list(joint.values())
-
-    n_sigs = 2 + len(partitions)
-    sig_ids_flat = sig_ids
-    for ci in range(len(classes)):
-        for cj in range(len(classes)):
-            if ci == cj and len(classes[ci]) < 2:
-                continue  # needs p3 != q3
-            p3 = classes[ci][0]
-            q3 = classes[cj][0] if ci != cj else classes[cj][1]
-            b = np.zeros(n_sigs, dtype=bool)
-            b[0] = False  # injective fibers never equal off-diagonal
-            b[1] = True
-            for s, lab in enumerate(partitions):
-                b[2 + s] = lab[p3] == lab[q3]
-            h = b[sig_ids_flat].reshape(d, d)
-            if h.all() or not h.any():
-                continue
-            hf = h.astype(np.float32)
-            common = (hf @ hf.T) > 0.5
-            excl = (hf @ (1.0 - hf).T) > 0.5
-            if bool((common & excl).any()):
-                return True
+    # b[s] for a pair (p3, q3) says whether signature s is equal at p3 and
+    # q3.  It depends only on the classes of x3 values that every partition
+    # labels alike, is symmetric, and is all-true on partitions for the
+    # pairs inside one class.
+    classes = np.unique(partitions.T, axis=0)
+    n_classes, n_parts = classes.shape
+    pair_bs = [np.ones((int(n_classes < d), n_parts), dtype=bool)]
+    ci, cj = np.triu_indices(n_classes, 1)
+    step = max(1, _PAIR_BLOCK_CELLS // max(n_parts, 1))
+    for s in range(0, ci.size, step):
+        eq = classes[ci[s : s + step]] == classes[cj[s : s + step]]
+        pair_bs.append(np.unique(eq, axis=0))
+    for part_b in np.unique(np.concatenate(pair_bs), axis=0):
+        b = np.concatenate(([False, True], part_b))
+        supports = np.unique(b[sig_rows], axis=0)
+        supports = supports[supports.any(axis=1)]
+        if (supports.sum(axis=0) > 1).any():
+            return True
     return False
 
 
@@ -268,7 +263,11 @@ def _scan_chunk(
         if grid is not None:
             if _grid_term_has_witness(grid, t, m):
                 w = _scan_term_naive(t, m, block_len, domain, params, stats)
-                assert w is not None, "grid strategy claimed a witness the scan cannot find"
+                if w is None:
+                    raise CommlabError(
+                        f"grid strategy claimed a witness for {term_to_text(t)} "
+                        "that the scan cannot find"
+                    )
                 return idx, w, stats.terms_scanned, stats.assignments_scanned
             stats.assignments_scanned += space
         else:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import commlab.cubes as cubes_mod
 from commlab._grid import SymbolicGrid
 from commlab.cubes import (
     BlockAssignment,
@@ -12,6 +13,7 @@ from commlab.cubes import (
     TCWitness,
     _grid_dim3_has_witness,
     _grid_term_has_witness,
+    _scan_chunk,
     _scan_term_naive,
     _uses_all_blocks,
     adjacent_vertices,
@@ -21,7 +23,7 @@ from commlab.cubes import (
     vertex_assignment,
 )
 from commlab.elements import AGen, BGen, CConst, DConst, Params
-from commlab.errors import BudgetExceededError
+from commlab.errors import BudgetExceededError, CommlabError
 from commlab.terms import (
     FApp,
     UApp,
@@ -123,6 +125,59 @@ def test_grid_dim3_against_brute_force():
                 expected = True
                 break
         assert _grid_dim3_has_witness(codes, d) == expected
+
+
+def _dim3_witness_brute(codes):
+    d = codes.shape[0]
+    p1, q1, p2, q2, p3, q3 = np.ix_(*[np.arange(d)] * 6)
+
+    def edge(x1, x2):
+        return codes[x1, x2, p3] == codes[x1, x2, q3]
+
+    return bool((edge(p1, p2) & edge(p1, q2) & edge(q1, p2) & ~edge(q1, q2)).any())
+
+
+def _structured_codes(rng, d):
+    # Fibers over x3 drawn from a few partitions of range(d), mixed with
+    # injective and constant fibers and relabelled with fresh values per
+    # cell.  The fiber shape depends on x1 only, on x2 only (both leave no
+    # witness) or on both cell coordinates.
+    partitions = [[rng.randrange(3) for _ in range(d)] for _ in range(rng.choice((1, 2, 3)))]
+    shapes = [list(range(d)), [0] * d, *partitions]
+    depends = rng.choice(("x1", "x2", "both"))
+    shape_of = {}
+    codes = np.empty((d, d, d), dtype=np.int64)
+    fresh = itertools.count()
+    for x1, x2 in itertools.product(range(d), repeat=2):
+        key = {"x1": x1, "x2": x2, "both": (x1, x2)}[depends]
+        labels = shape_of.setdefault(key, rng.choice(shapes))
+        values = {lab: next(fresh) for lab in labels}
+        codes[x1, x2] = [values[lab] for lab in labels]
+    return codes
+
+
+@pytest.mark.parametrize(
+    "pair_block", [cubes_mod._PAIR_BLOCK_CELLS, 1], ids=["one-block", "pair-per-block"]
+)
+def test_grid_dim3_structured_codes_against_brute_force(monkeypatch, pair_block):
+    monkeypatch.setattr(cubes_mod, "_PAIR_BLOCK_CELLS", pair_block)
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(150):
+        d = rng.choice((2, 3, 4, 5))
+        codes = _structured_codes(rng, d)
+        expected = _dim3_witness_brute(codes)
+        assert _grid_dim3_has_witness(codes, d) == expected
+        verdicts.add((d, expected))
+    # both verdicts occur, at the largest size too
+    assert {(5, True), (5, False)} <= verdicts
+
+
+def test_scan_chunk_rejects_a_witness_the_replay_cannot_find(monkeypatch):
+    monkeypatch.setattr(cubes_mod, "_grid_term_has_witness", lambda grid, t, m: True)
+    chunk = [(0, FApp((Var(0), Var(1))))]
+    with pytest.raises(CommlabError, match="cannot find"):
+        _scan_chunk(chunk, 2, 1, [DConst(1), DConst(2)], P2, "grid")
 
 
 def test_search_first_witness_is_canonical():
