@@ -90,12 +90,6 @@ def vertex_assignment(m: int, i: int) -> tuple[int, ...]:
     return tuple((i - 1) >> (m - j) & 1 for j in range(1, m + 1))
 
 
-def adjacent_vertices(m: int, i: int) -> set[int]:
-    if not 1 <= i <= 2**m:
-        raise IndexError(f"vertex index {i} out of range for dimension {m}")
-    return {((i - 1) ^ (1 << b)) + 1 for b in range(m)}
-
-
 def term_cube(t: Term, blocks: BlockAssignment, m: int, params: Params) -> Cube:
     if len(blocks.blocks) != m:
         raise ValueError(f"expected {m} blocks, got {len(blocks.blocks)}")
@@ -164,17 +158,40 @@ def _scan_term_naive(
     return None
 
 
-def _grid_term_has_witness(grid: SymbolicGrid, t: Term, m: int) -> bool:
+def _grid_term_has_witness(
+    grid: SymbolicGrid, t: Term, m: int
+) -> Optional[tuple[int, ...]]:
+    """Canonically first witness assignment of t as domain indices
+    (p1, q1, ..., pm, qm), or None when t has none."""
     d = len(grid.domain)
     codes = np.broadcast_to(grid.eval_codes(t, m), (d,) * m)
     if m == 2:
-        eq = codes[:, :, None] == codes[:, None, :]
-        any_eq = eq.any(axis=0)
-        any_neq = (~eq).any(axis=0)
-        return bool((any_eq & any_neq).any())
+        return _grid_dim2_witness(codes)
     if m == 3:
-        return _grid_dim3_has_witness(codes, d)
+        return _grid_dim3_witness(codes, d)
     raise BudgetExceededError(f"grid search strategy not available for dimension {m}")
+
+
+def _first_index(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Index tuple of the first true cell of mask in C order, or None."""
+    cells = mask.reshape(-1)
+    flat = int(np.argmax(cells))
+    if not cells[flat]:
+        return None
+    return tuple(int(x) for x in np.unravel_index(flat, mask.shape))
+
+
+def _grid_dim2_witness(codes: np.ndarray) -> Optional[tuple[int, ...]]:
+    # eq[x1, p2, q2]: the row of x1 is equal at p2 and q2.  A witness has
+    # eq[p1, p2, q2] and not eq[q1, p2, q2].
+    eq = codes[:, :, None] == codes[:, None, :]
+    any_neq = (~eq).any(axis=0)
+    first = _first_index((eq & any_neq).any(axis=(1, 2)))
+    if first is None:
+        return None
+    p1 = first[0]
+    q1, p2, q2 = _first_index(eq[p1] & ~eq)
+    return p1, q1, p2, q2
 
 
 def _first_occurrence(rows: np.ndarray) -> np.ndarray:
@@ -196,13 +213,13 @@ def _first_occurrence(rows: np.ndarray) -> np.ndarray:
 _PAIR_BLOCK_CELLS = 2**22
 
 
-def _grid_dim3_has_witness(codes: np.ndarray, d: int) -> bool:
+def _grid_dim3_witness(codes: np.ndarray, d: int) -> Optional[tuple[int, ...]]:
     # Cells are (x1, x2); the fiber of a cell is its value row over x3.
     # H[cell] for a block-3 pair p3 != q3 is "fiber equal at p3 and q3";
     # a witness exists iff some H contains the 2x2 pattern [[1,1],[1,0]],
     # i.e. iff two distinct nonempty row supports of H share a column.
     if d < 2:
-        return False
+        return None
     fibers = codes.reshape(d * d, d)
     srt = np.sort(fibers, axis=1)
     injective = (np.diff(srt, axis=1) != 0).all(axis=1)
@@ -217,12 +234,13 @@ def _grid_dim3_has_witness(codes: np.ndarray, d: int) -> bool:
     )
     sig = np.where(injective, 0, 1)
     sig[other] = 2 + part_sig.reshape(-1)
-    sig_rows = np.unique(sig.reshape(d, d), axis=0)
+    sig = sig.reshape(d, d)
+    sig_rows = np.unique(sig, axis=0)
 
     # b[s] for a pair (p3, q3) says whether signature s is equal at p3 and
-    # q3.  It depends only on the classes of x3 values that every partition
-    # labels alike, is symmetric, and is all-true on partitions for the
-    # pairs inside one class.
+    # q3, so that H = b[sig].  It depends only on the classes of x3 values
+    # that every partition labels alike, is symmetric, and is all-true on
+    # partitions for the pairs inside one class.
     classes = np.unique(partitions.T, axis=0)
     n_classes, n_parts = classes.shape
     pair_bs = [np.ones((int(n_classes < d), n_parts), dtype=bool)]
@@ -231,13 +249,66 @@ def _grid_dim3_has_witness(codes: np.ndarray, d: int) -> bool:
     for s in range(0, ci.size, step):
         eq = classes[ci[s : s + step]] == classes[cj[s : s + step]]
         pair_bs.append(np.unique(eq, axis=0))
+    hits = []
     for part_b in np.unique(np.concatenate(pair_bs), axis=0):
         b = np.concatenate(([False, True], part_b))
         supports = np.unique(b[sig_rows], axis=0)
         supports = supports[supports.any(axis=1)]
         if (supports.sum(axis=0) > 1).any():
-            return True
-    return False
+            hits.append(b)
+    if not hits:
+        return None
+    return _locate_dim3(codes, sig, np.array(hits))
+
+
+def _locate_dim3(
+    codes: np.ndarray, sig: np.ndarray, bs: np.ndarray
+) -> tuple[int, ...]:
+    """Canonically first witness, given the signature grid and every b whose
+    H = b[sig] holds one: each stage takes the least coordinate that some
+    H still completes."""
+    d = sig.shape[0]
+    # (p1, q1): some H has a column p2 in rows p1 and q1 and a column q2 in
+    # row p1 only.
+    pairs = np.zeros((d, d), dtype=bool)
+    step = max(1, _PAIR_BLOCK_CELLS // (d * d))
+    for s in range(0, len(bs), step):
+        h = bs[s : s + step][:, sig].astype(np.float32)
+        ht = h.transpose(0, 2, 1)
+        pairs |= ((h @ ht > 0) & (h @ (1 - ht) > 0)).any(axis=0)
+    p1, q1 = _first_index(pairs)
+    # p2 and q2 from rows p1 and q1 of every H.
+    row_p, row_q = bs[:, sig[p1]], bs[:, sig[q1]]
+    shared, only_p = row_p & row_q, row_p & ~row_q
+    live = shared.any(axis=1) & only_p.any(axis=1)
+    p2 = int(np.argmax(shared[live].any(axis=0)))
+    live &= shared[:, p2]
+    q2 = int(np.argmax(only_p[live].any(axis=0)))
+
+    def equal(x1: int, x2: int) -> np.ndarray:
+        fiber = codes[x1, x2]
+        return fiber[:, None] == fiber[None, :]
+
+    p3, q3 = _first_index(equal(p1, p2) & equal(p1, q2) & equal(q1, p2) & ~equal(q1, q2))
+    return p1, q1, p2, q2, p3, q3
+
+
+def _grid_witness(
+    t: Term, m: int, hit: tuple[int, ...], domain: list[Element], params: Params
+) -> TCWitness:
+    """The witness at a kernel's domain-index tuple, re-evaluated with the
+    term evaluator; a tuple that does not fail the term condition is an
+    error, never a silent verdict."""
+    blocks = BlockAssignment(
+        tuple(((domain[hit[2 * j]],), (domain[hit[2 * j + 1]],)) for j in range(m))
+    )
+    cube = term_cube(t, blocks, m, params)
+    if not is_tc_failure(cube):
+        raise CommlabError(
+            f"grid strategy located a witness for {term_to_text(t)} at {hit} "
+            "that the term evaluator rejects"
+        )
+    return TCWitness(t, blocks, cube, m)
 
 
 def _full_space(domain_size: int, m: int, block_len: int) -> int:
@@ -261,13 +332,15 @@ def _scan_chunk(
             stats.assignments_scanned += space
             continue
         if grid is not None:
-            if _grid_term_has_witness(grid, t, m):
-                w = _scan_term_naive(t, m, block_len, domain, params, stats)
-                if w is None:
-                    raise CommlabError(
-                        f"grid strategy claimed a witness for {term_to_text(t)} "
-                        "that the scan cannot find"
-                    )
+            hit = _grid_term_has_witness(grid, t, m)
+            if hit is not None:
+                w = _grid_witness(t, m, hit, domain, params)
+                # The naive scan counts every assignment up to and
+                # including the witness in lexicographic order.
+                rank = 0
+                for x in hit:
+                    rank = rank * len(domain) + x
+                stats.assignments_scanned += rank + 1
                 return idx, w, stats.terms_scanned, stats.assignments_scanned
             stats.assignments_scanned += space
         else:

@@ -124,10 +124,6 @@ class Congruence:
                 cm[x] = i
         return cm
 
-    def relates(self, x: int, y: int) -> bool:
-        cm = self.class_map()
-        return cm[x] == cm[y]
-
     def related_pairs(self) -> list[tuple[int, int]]:
         out = []
         for b in self.blocks:
@@ -147,25 +143,6 @@ class Congruence:
     @property
     def is_full(self) -> bool:
         return len(self.blocks) == 1
-
-
-def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> bool:
-    """Every operation applied to related argument tuples gives related values."""
-    cm = cong.class_map()
-    for op in alg.operations:
-        if op.arity == 0:
-            continue
-        for args in itertools.product(range(alg.size), repeat=op.arity):
-            v = alg.apply(op, args)
-            for pos in range(op.arity):
-                x = args[pos]
-                for y in cong.blocks[cm[x]]:
-                    if y == x:
-                        continue
-                    alt = args[:pos] + (y,) + args[pos + 1 :]
-                    if cm[alg.apply(op, alt)] != cm[v]:
-                        return False
-    return True
 
 
 def cg(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:

@@ -25,11 +25,13 @@ from .cubes import (
     Cube,
     SearchStats,
     TCWitness,
+    _first_index,
     is_tc_failure,
     search_tc_witness,
     term_cube,
 )
 from .elements import Element, Params, element_to_text, sort_key
+from .finengine import UnionFind
 from .terms import (
     FApp,
     Term,
@@ -123,8 +125,31 @@ def _corner_violation(
 ) -> Optional[tuple[int, ...]]:
     """First assignment (domain indices p1,q1,...,pm,qm) where vertex 1
     equals all adjacent vertices but the cube is not constant."""
-    d = len(grid.domain)
-    codes = np.broadcast_to(grid.eval_codes(t, m), (d,) * m)
+    return corner_violation_in(grid.eval_codes(t, m))
+
+
+def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
+    """``_corner_violation`` on an array of codes in broadcast shape: one
+    axis per block, of size 1 where the term ignores the block.
+
+    The dense vertex scan runs on the used blocks only.  A block the term
+    ignores leaves every vertex value unchanged, so the violations form a
+    cylinder over it and the first one has p_j = q_j = 0 there."""
+    m = codes.ndim
+    used = [j for j in range(m) if codes.shape[j] > 1]
+    if not used:
+        return None
+    hit = _dense_corner_violation(codes.reshape([codes.shape[j] for j in used]))
+    if hit is None:
+        return None
+    out = [0] * (2 * m)
+    for k, j in enumerate(used):
+        out[2 * j], out[2 * j + 1] = hit[2 * k], hit[2 * k + 1]
+    return tuple(out)
+
+
+def _dense_corner_violation(codes: np.ndarray) -> Optional[tuple[int, ...]]:
+    m, d = codes.ndim, codes.shape[0]
     axes = []
     for k in range(2 * m):
         shape = [1] * (2 * m)
@@ -143,11 +168,7 @@ def _corner_violation(
     nonconst = np.zeros(v0.shape, dtype=bool)
     for v in verts[1:]:
         nonconst = nonconst | (v != v0)
-    viol = premise & nonconst
-    if not viol.any():
-        return None
-    flat = int(np.argmax(viol.reshape(-1)))
-    return tuple(int(x) for x in np.unravel_index(flat, viol.shape))
+    return _first_index(premise & nonconst)
 
 
 def check_corner_lemma(
@@ -534,17 +555,10 @@ def verify_chain(chain: MalcevChain, params: Params) -> bool:
 
     pairs = [(node(x), node(y)) for x, y in established]
     tx, ty = (node(chain.target[0]), node(chain.target[1]))
-    parent = list(range(len(index)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(len(index))
     for a, c in pairs:
-        parent[find(a)] = find(c)
-    return find(tx) == find(ty)
+        uf.union(a, c)
+    return uf.find(tx) == uf.find(ty)
 
 
 def run_chain_roundtrips(

@@ -1,9 +1,10 @@
-"""Brute-force oracles used to validate the finite engine.
+"""Brute-force oracles used to validate the engines.
 
 Everything here is deliberately naive: congruence generation by filtering
-all partitions of the universe, and commutators by enumerating bounded-depth
-term-operation tables and applying the term condition definition directly.
-Only feasible for tiny algebras, which is the point.
+all partitions of the universe, commutators by enumerating bounded-depth
+term-operation tables and applying the term condition definition directly,
+and the corner lemma by visiting every assignment of a code array.  Only
+feasible for tiny inputs, which is the point.
 """
 
 from __future__ import annotations
@@ -30,6 +31,38 @@ def all_partitions(s: int) -> list[tuple[int, ...]]:
 
     extend([], 0)
     return out
+
+
+def adjacent_vertices(m: int, i: int) -> set[int]:
+    """The 1-based cube vertices one block flip away from vertex i."""
+    if not 1 <= i <= 2**m:
+        raise IndexError(f"vertex index {i} out of range for dimension {m}")
+    return {((i - 1) ^ (1 << b)) + 1 for b in range(m)}
+
+
+def corner_violation_brute(codes: np.ndarray, m: int) -> Optional[tuple[int, ...]]:
+    """First assignment (p1, q1, ..., pm, qm) in lexicographic order where
+    vertex 1 of the m-cube over the (d,)*m code array equals every
+    adjacent vertex but not every vertex, or None."""
+    d = codes.shape[0]
+    for flat in itertools.product(range(d), repeat=2 * m):
+        verts = [
+            codes[tuple(flat[2 * j + bit] for j, bit in enumerate(bits))]
+            for bits in itertools.product((0, 1), repeat=m)
+        ]
+        adjacent = [verts[i - 1] for i in adjacent_vertices(m, 1)]
+        if all(v == verts[0] for v in adjacent) and any(v != verts[0] for v in verts):
+            return flat
+    return None
+
+
+def relates(cong: Congruence, x: int, y: int) -> bool:
+    return cong.class_map()[x] == cong.class_map()[y]
+
+
+def is_compatible(alg: FiniteAlgebra, cong: Congruence) -> bool:
+    """Every operation applied to related argument tuples gives related values."""
+    return _compatible(alg, cong.class_map())
 
 
 def _compatible(alg: FiniteAlgebra, cm: Sequence[int]) -> bool:

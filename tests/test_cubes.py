@@ -1,28 +1,26 @@
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
 import commlab.cubes as cubes_mod
-from commlab._grid import SymbolicGrid
 from commlab.cubes import (
     BlockAssignment,
     Cube,
     SearchStats,
     TCWitness,
-    _grid_dim3_has_witness,
-    _grid_term_has_witness,
+    _grid_dim2_witness,
+    _grid_dim3_witness,
     _scan_chunk,
-    _scan_term_naive,
     _uses_all_blocks,
-    adjacent_vertices,
     is_tc_failure,
     search_tc_witness,
     term_cube,
     vertex_assignment,
 )
-from commlab.elements import AGen, BGen, CConst, DConst, Params
+from commlab.elements import AGen, BGen, CConst, DConst, Params, bounded_subuniverse
 from commlab.errors import BudgetExceededError, CommlabError
 from commlab.terms import (
     FApp,
@@ -31,6 +29,7 @@ from commlab.terms import (
     default_triple_pool,
     enumerate_terms,
 )
+from commlab.verifier import search_control
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -46,13 +45,6 @@ def test_vertex_assignment_convention():
     assert vertex_assignment(3, 8) == (1, 1, 1)
     with pytest.raises(IndexError):
         vertex_assignment(2, 5)
-
-
-def test_adjacent_vertices():
-    assert adjacent_vertices(3, 1) == {2, 3, 5}
-    assert adjacent_vertices(2, 4) == {2, 3}
-    with pytest.raises(IndexError):
-        adjacent_vertices(2, 0)
 
 
 def test_cube_vertex_count():
@@ -98,12 +90,41 @@ def test_uses_all_blocks():
 
 
 def test_grid_agrees_with_naive_per_term():
-    grid = SymbolicGrid(P2, list(ATOMS))
-    for t in enumerate_terms(2, 1, POOL2, P2):
-        if not _uses_all_blocks(t, 2, 1):
-            continue
-        naive = _scan_term_naive(t, 2, 1, ATOMS, P2, SearchStats())
-        assert _grid_term_has_witness(grid, t, 2) == (naive is not None)
+    # Same witness and the same assignment count as the lexicographic scan.
+    hits = 0
+    for idx, t in enumerate(enumerate_terms(2, 1, POOL2, P2)):
+        chunk = [(idx, t)]
+        g_idx, g_w, g_terms, g_count = _scan_chunk(chunk, 2, 1, list(ATOMS), P2, "grid")
+        n_idx, n_w, n_terms, n_count = _scan_chunk(chunk, 2, 1, list(ATOMS), P2, "naive")
+        assert (g_idx, g_terms, g_count) == (n_idx, n_terms, n_count)
+        assert (g_w is None) == (n_w is None)
+        if g_w is not None:
+            assert g_w.to_record() == n_w.to_record()
+            hits += 1
+    assert hits > 0
+
+
+def _dim2_witness_brute(codes):
+    d = codes.shape[0]
+    for p1, q1, p2, q2 in itertools.product(range(d), repeat=4):
+        if codes[p1, p2] == codes[p1, q2] and codes[q1, p2] != codes[q1, q2]:
+            return p1, q1, p2, q2
+    return None
+
+
+def test_grid_dim2_locates_the_first_witness():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(200):
+        d = rng.choice((1, 2, 3, 4, 5))
+        vals = rng.choice((1, 2, 3, 6))
+        codes = np.array(
+            [rng.randrange(vals) for _ in range(d**2)], dtype=np.int64
+        ).reshape(d, d)
+        expected = _dim2_witness_brute(codes)
+        assert _grid_dim2_witness(codes) == expected
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
 
 
 def test_grid_dim3_against_brute_force():
@@ -114,7 +135,7 @@ def test_grid_dim3_against_brute_force():
         codes = np.array(
             [rng.randrange(vals) for _ in range(d**3)], dtype=np.int64
         ).reshape(d, d, d)
-        expected = False
+        expected = None
         for p1, q1, p2, q2, p3, q3 in itertools.product(range(d), repeat=6):
             v = [codes[p1, p2, p3], codes[p1, p2, q3],
                  codes[p1, q2, p3], codes[p1, q2, q3],
@@ -122,19 +143,22 @@ def test_grid_dim3_against_brute_force():
                  codes[q1, q2, p3], codes[q1, q2, q3]]
             if (v[0] == v[1] and v[2] == v[3] and v[4] == v[5]
                     and v[6] != v[7]):
-                expected = True
+                expected = (p1, q1, p2, q2, p3, q3)
                 break
-        assert _grid_dim3_has_witness(codes, d) == expected
+        assert _grid_dim3_witness(codes, d) == expected
 
 
 def _dim3_witness_brute(codes):
+    """The lexicographically first witness (p1, q1, p2, q2, p3, q3) of the
+    (d, d, d) code array, or None."""
     d = codes.shape[0]
     p1, q1, p2, q2, p3, q3 = np.ix_(*[np.arange(d)] * 6)
 
     def edge(x1, x2):
         return codes[x1, x2, p3] == codes[x1, x2, q3]
 
-    return bool((edge(p1, p2) & edge(p1, q2) & edge(q1, p2) & ~edge(q1, q2)).any())
+    hits = np.argwhere(edge(p1, p2) & edge(p1, q2) & edge(q1, p2) & ~edge(q1, q2))
+    return tuple(int(x) for x in hits[0]) if len(hits) else None
 
 
 def _structured_codes(rng, d):
@@ -167,17 +191,38 @@ def test_grid_dim3_structured_codes_against_brute_force(monkeypatch, pair_block)
         d = rng.choice((2, 3, 4, 5))
         codes = _structured_codes(rng, d)
         expected = _dim3_witness_brute(codes)
-        assert _grid_dim3_has_witness(codes, d) == expected
-        verdicts.add((d, expected))
+        assert _grid_dim3_witness(codes, d) == expected
+        verdicts.add((d, expected is not None))
     # both verdicts occur, at the largest size too
     assert {(5, True), (5, False)} <= verdicts
 
 
-def test_scan_chunk_rejects_a_witness_the_replay_cannot_find(monkeypatch):
-    monkeypatch.setattr(cubes_mod, "_grid_term_has_witness", lambda grid, t, m: True)
+def test_scan_chunk_rejects_a_located_non_witness(monkeypatch):
+    # p1 = q1 gives the cube two equal halves, which never fail the term
+    # condition: the located cube is rechecked before it is reported.
+    monkeypatch.setattr(
+        cubes_mod, "_grid_term_has_witness", lambda grid, t, m: (0, 0, 0, 1)
+    )
     chunk = [(0, FApp((Var(0), Var(1))))]
-    with pytest.raises(CommlabError, match="cannot find"):
+    with pytest.raises(CommlabError, match="rejects"):
         _scan_chunk(chunk, 2, 1, [DConst(1), DConst(2)], P2, "grid")
+
+
+def test_control_search_at_the_n3_defaults():
+    # The counts and witness the lexicographic replay produced before the
+    # dimension-3 kernel located witnesses itself.
+    p3 = Params(3)
+    rep = search_control(
+        p3, bounded_subuniverse(p3, 0, 0), 1, 1, default_triple_pool(p3)
+    )
+    assert rep.passed
+    assert rep.counts["terms_scanned"] == 372
+    assert rep.counts["assignments_scanned"] == 1107864606
+    witness = json.loads(rep.counts["witness"])
+    assert witness["term"] == "f(x0,x1,x2)"
+    assert witness["blocks"] == [
+        {"p": [f"a({i},0)"], "q": [f"b({i},0)"]} for i in (1, 2, 3)
+    ]
 
 
 def test_search_first_witness_is_canonical():

@@ -1,5 +1,7 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
 from commlab.elements import (
@@ -19,6 +21,7 @@ from commlab.verifier import (
     check_corner_lemma,
     check_nfequal,
     check_term_lemma,
+    corner_violation_in,
     expected_top_cube,
     run_chain_roundtrips,
     search_control,
@@ -27,6 +30,8 @@ from commlab.verifier import (
     verify_chain,
     verify_top_commutator,
 )
+
+from oracles import corner_violation_brute
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -60,6 +65,27 @@ def test_corner_lemma_passes():
     rep = check_corner_lemma(P2, 2, ATOMS, 1, POOL2)
     assert rep.passed
     assert rep.counts["terms_scanned"] == 56
+
+
+def test_corner_scan_on_used_axes_matches_brute_force():
+    rng = random.Random(3)
+    verdicts = set()
+    ignored_block_hits = 0
+    for _ in range(300):
+        m = rng.choice((2, 3))
+        d = rng.choice((2, 3, 4))
+        shape = tuple(rng.choice((1, d)) for _ in range(m))
+        size = int(np.prod(shape))
+        codes = np.array(
+            [rng.randrange(rng.choice((2, 3))) for _ in range(size)], dtype=np.int64
+        ).reshape(shape)
+        expected = corner_violation_brute(np.broadcast_to(codes, (d,) * m), m)
+        assert corner_violation_in(codes) == expected
+        verdicts.add((m, expected is not None))
+        if expected is not None and 1 in shape:
+            ignored_block_hits += 1
+    assert verdicts == {(m, v) for m in (2, 3) for v in (True, False)}
+    assert ignored_block_hits > 0
 
 
 def test_term_lemma_passes():
