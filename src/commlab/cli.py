@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/parse/resource
-errors.  The COMMLAB_BUDGET environment variable overrides resource caps.
+errors.  The COMMLAB_BUDGET environment variable overrides resource caps:
+the element cap of paper-verify and the cube cap of the fin commands.
 """
 
 from __future__ import annotations
@@ -149,15 +150,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _cube_cap() -> int:
+    env = os.environ.get("COMMLAB_BUDGET")
+    return int(env) if env else finengine.DEFAULT_CUBE_CAP
+
+
 def cmd_fin(args) -> int:
     alg = load_algebra(args.algebra)
+    cap = _cube_cap()
     if args.fin_command == "commutator":
         cong = finengine.higher_commutator(
-            alg, [finengine.Congruence.full(alg.size)] * args.m
+            alg, [finengine.Congruence.full(alg.size)] * args.m, cap=cap
         )
         print(f"term-condition commutator (m={args.m}): {_congruence_text(cong)}")
     elif args.fin_command == "series":
-        series = finengine.central_series(alg, args.max_m)
+        series = finengine.central_series(alg, args.max_m, cap=cap)
         for m, theta in enumerate(series, start=2):
             print(f"theta_{m} = {_congruence_text(theta)}")
     elif args.fin_command == "simple":
@@ -168,7 +175,7 @@ def cmd_fin(args) -> int:
             delta = finengine.Congruence(alg.size, tuple(sorted(blocks, key=lambda b: b[0])))
         else:
             delta = finengine.Congruence.identity(alg.size)
-        holds = finengine.tc_holds(alg, args.m, delta)
+        holds = finengine.tc_holds(alg, args.m, delta, cap=cap)
         print(f"{args.m}-dimensional term condition relative to "
               f"{_congruence_text(delta)}: {'holds' if holds else 'fails'}")
     return EXIT_OK

@@ -56,6 +56,59 @@ def corner_violation_brute(codes: np.ndarray, m: int) -> Optional[tuple[int, ...
     return None
 
 
+def cube_subpower_naive(
+    alg: FiniteAlgebra, alphas: Sequence[Congruence]
+) -> list[tuple[int, ...]]:
+    """Sorted closure of the block-edge cubes under every operation, by
+    applying each operation to every argument tuple of cubes found so far
+    and keeping the tuples that hold a cube of the previous round."""
+    s = alg.size
+    m = len(alphas)
+    nverts = 2**m
+
+    def apply(table, args):
+        idx = 0
+        for a in args:
+            idx = idx * s + a
+        return table[idx]
+
+    gens: set[tuple[int, ...]] = set()
+    for j, alpha in enumerate(alphas):
+        for block in alpha.blocks:
+            for a in block:
+                for b in block:
+                    gens.add(tuple(
+                        b if (i >> (m - 1 - j)) & 1 else a for i in range(nverts)
+                    ))
+    seen = set(gens)
+    frontier = list(gens)
+    while frontier:
+        new: set[tuple[int, ...]] = set()
+        current = list(seen)
+        frontier_set = set(frontier)
+        for op in alg.operations:
+            if op.arity == 0:
+                cube = (op.table[0],) * nverts
+                if cube not in seen:
+                    new.add(cube)
+                continue
+            for combo in itertools.product(current, repeat=op.arity):
+                if not any(c in frontier_set for c in combo):
+                    continue
+                cube = tuple(
+                    apply(op.table, [c[i] for c in combo]) for i in range(nverts)
+                )
+                if cube not in seen:
+                    new.add(cube)
+        seen |= new
+        frontier = list(new)
+    return sorted(seen)
+
+
+def related_pairs(cong: Congruence) -> list[tuple[int, int]]:
+    return [(x, y) for b in cong.blocks for x in b for y in b]
+
+
 def relates(cong: Congruence, x: int, y: int) -> bool:
     return cong.class_map()[x] == cong.class_map()[y]
 

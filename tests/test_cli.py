@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from commlab import finengine
 from commlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -13,6 +14,7 @@ from commlab.cli import (
 )
 from commlab.elements import AGen, CConst, DConst, Tagged
 from commlab.errors import ParseError
+from commlab.finengine import Congruence
 from commlab.textio import parse_element, parse_term
 
 
@@ -156,6 +158,36 @@ def test_fin_series_and_tc(tmp_path, capsys):
         "fin", "tc", semi, "--m", "2", "--delta", "[[0,1]]",
     ]) == EXIT_OK
     assert "holds" in capsys.readouterr().out
+
+
+def test_fin_honours_the_budget_as_cube_cap(tmp_path, capsys, monkeypatch):
+    z4 = write_algebra(
+        tmp_path, "z4.json", 4,
+        [("add", 2, [(i + j) % 4 for i in range(4) for j in range(4)])],
+    )
+    monkeypatch.setenv("COMMLAB_BUDGET", "5")
+    for argv in (
+        ["fin", "commutator", z4, "--m", "2"],
+        ["fin", "series", z4, "--max-m", "2"],
+        ["fin", "tc", z4, "--m", "2"],
+    ):
+        assert main(argv) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert "cap of 5 cubes" in captured.err
+        assert captured.out == ""
+    monkeypatch.setenv("COMMLAB_BUDGET", "64")
+    assert main(["fin", "commutator", z4, "--m", "2"]) == EXIT_OK
+
+
+def test_fin_series_that_fails_to_descend_exits_2(tmp_path, capsys, monkeypatch):
+    def rising(alg, alphas, cap):
+        size = alg.size
+        return Congruence.full(size) if len(alphas) > 2 else Congruence.identity(size)
+
+    monkeypatch.setattr(finengine, "higher_commutator", rising)
+    z2 = write_algebra(tmp_path, "z2.json", 2, [("add", 2, [0, 1, 1, 0])])
+    assert main(["fin", "series", z2, "--max-m", "3"]) == EXIT_RESOURCE
+    assert "failed to descend" in capsys.readouterr().err
 
 
 def test_fin_missing_file(capsys):

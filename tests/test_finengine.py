@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commlab.errors import BudgetExceededError
+from commlab import finengine
+from commlab.errors import BudgetExceededError, CommlabError
 from commlab.finengine import (
     Congruence,
     FiniteAlgebra,
@@ -16,12 +18,14 @@ from commlab.finengine import (
     tc_holds,
 )
 from oracles import (
+    cube_subpower_naive,
     is_compatible,
     oracle_cg,
     oracle_commutator_m2,
     oracle_congruences,
     oracle_higher_commutator,
     random_algebra,
+    related_pairs,
     relates,
 )
 
@@ -111,6 +115,136 @@ def test_cube_subpower_cap():
         cube_subpower(Z4, [full(Z4)] * 2, cap=5)
 
 
+@pytest.fixture(params=["bitmap", "code-set"])
+def membership(request, monkeypatch):
+    """Run a test once per membership path; the code-set run lowers the
+    bitmap bound so that every closure takes the sparse path."""
+    if request.param == "code-set":
+        monkeypatch.setattr(finengine, "_BITMAP_MAX_CODES", 1)
+    return request.param
+
+
+def sweep_algebra(rng: random.Random, size: int):
+    """One or two operations of arity 0, 1 or 2 with uniform tables."""
+    ops = []
+    for i in range(rng.choice((1, 2))):
+        arity = rng.choice((0, 1, 2, 2))
+        ops.append((f"g{i}", arity, [rng.randrange(size) for _ in range(size**arity)]))
+    return FiniteAlgebra.from_tables(size, ops)
+
+
+def random_partition(rng: random.Random, size: int) -> Congruence:
+    return Congruence.from_pairs(
+        size, [(rng.randrange(size), rng.randrange(size)) for _ in range(size - 1)]
+    )
+
+
+SWEEP_CASES = [(size, m) for size in (2, 3) for m in (1, 2)] + [(2, 3)]
+
+
+def sweep_algebras() -> list[tuple[FiniteAlgebra, int]]:
+    rng = random.Random(4)
+    return [
+        (sweep_algebra(rng, size), m)
+        for size, m in SWEEP_CASES
+        for _ in range(10 if m < 3 else 4)
+    ]
+
+
+NO_OPS = FiniteAlgebra.from_tables(3, [])
+
+
+def test_cube_subpower_cap_boundary(membership):
+    cases = [
+        (Z4, [full(Z4)] * 2),
+        (SEMILATTICE, [full(SEMILATTICE)] * 3),
+        # already closed: constant cubes of identity congruences and zero
+        (Z2, [Congruence.identity(2)] * 2),
+        # no operations: the generators are the closure
+        (NO_OPS, [full(NO_OPS)] * 2),
+    ]
+    for alg, alphas in cases:
+        cubes = cube_subpower(alg, alphas)
+        assert cube_subpower(alg, alphas, cap=len(cubes)) == cubes
+        with pytest.raises(BudgetExceededError):
+            cube_subpower(alg, alphas, cap=len(cubes) - 1)
+
+
+def test_cube_subpower_matches_naive_oracle(membership):
+    algebras = sweep_algebras()
+    assert any(op.arity == 0 for alg, _ in algebras for op in alg.operations)
+    rng = random.Random(9)
+    for alg, m in algebras:
+        s = alg.size
+        for alphas in (
+            [Congruence.full(s)] * m,
+            [Congruence.identity(s)] * m,
+            [Congruence.full(s)] + [Congruence.identity(s)] * (m - 1),
+            [random_partition(rng, s) for _ in range(m)],
+        ):
+            assert cube_subpower(alg, alphas) == cube_subpower_naive(alg, alphas), (
+                s, m, [(op.arity, op.table) for op in alg.operations],
+                [a.blocks for a in alphas],
+            )
+
+
+def test_cg_matches_partition_oracle_on_sweep_algebras():
+    for alg, _ in sweep_algebras():
+        for x in range(alg.size):
+            for y in range(x + 1, alg.size):
+                assert cg(alg, [(x, y)]).blocks == oracle_cg(alg, [(x, y)]).blocks
+
+
+def test_cube_subpower_above_the_bitmap_bound():
+    # 2^(2^5) codes: past the bitmap, inside one int64 word
+    alphas = [full(Z2)] * 5
+    assert 2**32 > finengine._BITMAP_MAX_CODES
+    cubes = cube_subpower(Z2, alphas)
+    assert len(cubes) == 2**6
+    assert cubes == cube_subpower_naive(Z2, alphas)
+
+
+def test_cube_subpower_codes_past_int64_do_not_wrap():
+    # 2^64 and 4^32 codes: two packed words per cube
+    z2_cases = [[full(Z2)] * 6, [full(Z2)] + [Congruence.identity(2)] * 5]
+    for alphas in z2_cases:
+        cubes = cube_subpower(Z2, alphas)
+        assert cubes == cube_subpower_naive(Z2, alphas)
+    assert len(cube_subpower(Z2, z2_cases[0])) == 2**7
+    four = FiniteAlgebra.from_tables(
+        4, [("g", 2, [(3 * i + j) % 4 for i in range(4) for j in range(4)]), ("one", 0, [1])]
+    )
+    alphas = [Congruence.identity(4)] * 5
+    cubes = cube_subpower(four, alphas)
+    assert cubes == cube_subpower_naive(four, alphas)
+    assert cubes == [(v,) * 32 for v in range(4)]
+
+
+def test_three_element_binary_algebra_closes_at_dimension_3():
+    rng = random.Random(3)
+    alg = FiniteAlgebra.from_tables(3, [("g", 2, [rng.randrange(3) for _ in range(9)])])
+    cubes = cube_subpower(alg, [full(alg)] * 3)
+    assert len(cubes) == 3**8 == len(set(cubes))
+    rows = np.array(cubes)
+    weights = 3 ** np.arange(7, -1, -1)
+    member = np.zeros(3**8, dtype=bool)
+    member[rows @ weights] = True
+    table = np.array(alg.operations[0].table)
+    for lo in range(0, len(rows), 32):
+        images = table[rows[lo : lo + 32, None, :] * 3 + rows[None, :, :]]
+        assert member[images @ weights].all()
+
+
+def test_central_series_reports_a_rising_series(monkeypatch):
+    def rising(alg, alphas, cap):
+        size = alg.size
+        return Congruence.full(size) if len(alphas) > 2 else Congruence.identity(size)
+
+    monkeypatch.setattr(finengine, "higher_commutator", rising)
+    with pytest.raises(CommlabError, match="failed to descend"):
+        central_series(Z2, 3)
+
+
 def test_ground_truth_commutators():
     assert higher_commutator(Z2, [full(Z2)] * 2).is_identity
     assert higher_commutator(SEMILATTICE, [full(SEMILATTICE)] * 2).is_full
@@ -177,7 +311,7 @@ def test_cg_is_a_closure_operator(alg_seed, pair_seed):
     assert is_compatible(alg, cong)
     assert all(relates(cong, a, b) for a, b in pairs)
     # idempotence
-    assert cg(alg, cong.related_pairs()).blocks == cong.blocks
+    assert cg(alg, related_pairs(cong)).blocks == cong.blocks
     # monotonicity
     wider = cg(alg, pairs + [(0, alg.size - 1)])
     assert cong.refines(wider)

@@ -3,7 +3,7 @@
 import pytest
 
 from commlab.finengine import Congruence, FiniteAlgebra
-from oracles import adjacent_vertices, is_compatible, relates
+from oracles import adjacent_vertices, is_compatible, related_pairs, relates
 
 Z4 = FiniteAlgebra.from_tables(
     4, [("add", 2, [(i + j) % 4 for i in range(4) for j in range(4)])]
@@ -23,3 +23,4 @@ def test_is_compatible_and_relates():
     assert is_compatible(Z4, cosets)
     assert not is_compatible(Z4, halves)
     assert relates(cosets, 0, 2) and not relates(cosets, 0, 1)
+    assert related_pairs(cosets) == [(0, 0), (0, 2), (2, 0), (2, 2), (1, 1), (1, 3), (3, 1), (3, 3)]
