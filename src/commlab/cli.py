@@ -32,7 +32,6 @@ class RunConfig:
     j_max: Optional[int] = None
     closure_depth: Optional[int] = None
     max_depth: Optional[int] = None
-    block_len: int = 1
     budget: Optional[int] = None
     seed: int = 0
     jobs: int = 1
@@ -85,12 +84,10 @@ def run_paper_verify(config: RunConfig):
         verifier.check_term_lemma(params, atom_domain, lemma_depth, pool),
         verifier.verify_top_commutator(params),
         verifier.search_np1_failure(
-            params, search_domain, config.max_depth, config.block_len, pool,
-            jobs=config.jobs,
+            params, search_domain, config.max_depth, 1, pool, jobs=config.jobs
         ),
         verifier.search_control(
-            params, search_domain, config.max_depth, config.block_len, pool,
-            jobs=config.jobs,
+            params, search_domain, config.max_depth, 1, pool, jobs=config.jobs
         ),
         verifier.run_chain_roundtrips(params, search_domain, count=50, seed=config.seed),
     ]
@@ -124,7 +121,7 @@ def _congruence_text(cong: finengine.Congruence) -> str:
 def cmd_paper_verify(args) -> int:
     config = RunConfig(
         n=args.n, j_max=args.j_max, closure_depth=args.closure_depth,
-        max_depth=args.max_depth, block_len=args.block_len, budget=args.budget,
+        max_depth=args.max_depth, budget=args.budget,
         seed=args.seed, jobs=args.jobs, fmt=args.format, out=args.out,
         include_timing=not args.no_timing,
     )
@@ -194,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--j-max", type=int, default=None, dest="j_max")
     pv.add_argument("--closure-depth", type=int, default=None, dest="closure_depth")
     pv.add_argument("--max-depth", type=int, default=None, dest="max_depth")
-    pv.add_argument("--block-len", type=int, default=1, dest="block_len")
     pv.add_argument("--budget", type=int, default=None)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--jobs", type=int, default=1)

@@ -8,7 +8,6 @@ final pair (r_{2^m - 1}, r_{2^m}).
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,7 +20,6 @@ from .elements import Element, Params, element_to_text
 from .errors import BudgetExceededError, CommlabError
 from .terms import Term, enumerate_terms, eval_term, free_vars, term_to_text
 
-NAIVE_SPACE_CAP = 2 * 10**6
 GRID_CELL_CAP = 2 * 10**7
 
 
@@ -50,6 +48,24 @@ class BlockAssignment:
             if len(p) != len(q):
                 raise ValueError("p and q tuples of a block must have equal length")
 
+    @classmethod
+    def from_indices(
+        cls, hit: Sequence[int], domain: Sequence[Element]
+    ) -> "BlockAssignment":
+        """One variable per block, from domain indices (p1, q1, ..., pm, qm)."""
+        return cls(
+            tuple(
+                ((domain[hit[2 * j]],), (domain[hit[2 * j + 1]],))
+                for j in range(len(hit) // 2)
+            )
+        )
+
+    def to_record(self) -> list[dict]:
+        return [
+            {"p": [element_to_text(e) for e in p], "q": [element_to_text(e) for e in q]}
+            for p, q in self.blocks
+        ]
+
     def assignment(self, bits: Sequence[int]) -> dict[int, Element]:
         out: dict[int, Element] = {}
         var = 0
@@ -71,13 +87,7 @@ class TCWitness:
     def to_record(self) -> dict:
         return {
             "term": term_to_text(self.term),
-            "blocks": [
-                {
-                    "p": [element_to_text(e) for e in p],
-                    "q": [element_to_text(e) for e in q],
-                }
-                for p, q in self.blocks.blocks
-            ],
+            "blocks": self.blocks.to_record(),
             "cube": [element_to_text(v) for v in self.cube.vertices],
             "dim": self.dim,
         }
@@ -115,47 +125,11 @@ class SearchStats:
     assignments_scanned: int = 0
 
 
-def _uses_all_blocks(t: Term, m: int, block_len: int) -> bool:
-    # A witness term must use a variable of every block: a term ignoring
+def _uses_all_blocks(t: Term, m: int) -> bool:
+    # A witness term must use the variable of every block: a term ignoring
     # block m has an equal critical edge outright, and one ignoring block
     # j < m maps the critical edge onto a matched edge by flipping bit j.
-    fv = free_vars(t)
-    blocks = {v // block_len for v in fv}
-    return len(blocks) == m and max(fv, default=-1) < m * block_len
-
-
-def _assignment_iter(domain: Sequence[Element], m: int, block_len: int):
-    for flat in itertools.product(domain, repeat=2 * m * block_len):
-        blocks = []
-        for j in range(m):
-            base = 2 * j * block_len
-            p = flat[base : base + block_len]
-            q = flat[base + block_len : base + 2 * block_len]
-            blocks.append((p, q))
-        yield BlockAssignment(tuple(blocks))
-
-
-def _scan_term_naive(
-    t: Term,
-    m: int,
-    block_len: int,
-    domain: Sequence[Element],
-    params: Params,
-    stats: SearchStats,
-) -> Optional[TCWitness]:
-    for blocks in _assignment_iter(domain, m, block_len):
-        stats.assignments_scanned += 1
-        ok = True
-        verts = []
-        for i in range(1, 2**m + 1):
-            a = blocks.assignment(vertex_assignment(m, i))
-            verts.append(eval_term(t, a, params))
-            if i % 2 == 0 and i < 2**m and verts[i - 2] != verts[i - 1]:
-                ok = False
-                break
-        if ok and verts[-2] != verts[-1]:
-            return TCWitness(t, blocks, Cube(m, tuple(verts)), m)
-    return None
+    return free_vars(t) == frozenset(range(m))
 
 
 def _grid_term_has_witness(
@@ -167,9 +141,7 @@ def _grid_term_has_witness(
     codes = np.broadcast_to(grid.eval_codes(t, m), (d,) * m)
     if m == 2:
         return _grid_dim2_witness(codes)
-    if m == 3:
-        return _grid_dim3_witness(codes, d)
-    raise BudgetExceededError(f"grid search strategy not available for dimension {m}")
+    return _grid_dim3_witness(codes, d)
 
 
 def _first_index(mask: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -299,55 +271,37 @@ def _grid_witness(
     """The witness at a kernel's domain-index tuple, re-evaluated with the
     term evaluator; a tuple that does not fail the term condition is an
     error, never a silent verdict."""
-    blocks = BlockAssignment(
-        tuple(((domain[hit[2 * j]],), (domain[hit[2 * j + 1]],)) for j in range(m))
-    )
+    blocks = BlockAssignment.from_indices(hit, domain)
     cube = term_cube(t, blocks, m, params)
     if not is_tc_failure(cube):
         raise CommlabError(
-            f"grid strategy located a witness for {term_to_text(t)} at {hit} "
+            f"grid kernel located a witness for {term_to_text(t)} at {hit} "
             "that the term evaluator rejects"
         )
     return TCWitness(t, blocks, cube, m)
 
 
-def _full_space(domain_size: int, m: int, block_len: int) -> int:
-    return domain_size ** (2 * m * block_len)
-
-
 def _scan_chunk(
-    chunk: list[tuple[int, Term]],
-    m: int,
-    block_len: int,
-    domain: list[Element],
-    params: Params,
-    strategy: str,
-) -> tuple[Optional[int], Optional[TCWitness], int, int]:
+    chunk: list[Term], m: int, domain: list[Element], params: Params
+) -> tuple[Optional[TCWitness], SearchStats]:
+    """First witness among the chunk's terms, with the counts of a
+    lexicographic scan over every (p1, q1, ..., pm, qm) up to it."""
     stats = SearchStats()
-    grid = SymbolicGrid(params, domain) if strategy == "grid" else None
-    space = _full_space(len(domain), m, block_len)
-    for idx, t in chunk:
+    grid = SymbolicGrid(params, domain)
+    space = len(domain) ** (2 * m)
+    for t in chunk:
         stats.terms_scanned += 1
-        if not _uses_all_blocks(t, m, block_len):
+        hit = _grid_term_has_witness(grid, t, m) if _uses_all_blocks(t, m) else None
+        if hit is None:
             stats.assignments_scanned += space
             continue
-        if grid is not None:
-            hit = _grid_term_has_witness(grid, t, m)
-            if hit is not None:
-                w = _grid_witness(t, m, hit, domain, params)
-                # The naive scan counts every assignment up to and
-                # including the witness in lexicographic order.
-                rank = 0
-                for x in hit:
-                    rank = rank * len(domain) + x
-                stats.assignments_scanned += rank + 1
-                return idx, w, stats.terms_scanned, stats.assignments_scanned
-            stats.assignments_scanned += space
-        else:
-            w = _scan_term_naive(t, m, block_len, domain, params, stats)
-            if w is not None:
-                return idx, w, stats.terms_scanned, stats.assignments_scanned
-    return None, None, stats.terms_scanned, stats.assignments_scanned
+        w = _grid_witness(t, m, hit, domain, params)
+        rank = 0
+        for x in hit:
+            rank = rank * len(domain) + x
+        stats.assignments_scanned += rank + 1
+        return w, stats
+    return None, stats
 
 
 def search_tc_witness(
@@ -363,49 +317,43 @@ def search_tc_witness(
 ) -> Optional[TCWitness]:
     """First (canonical term order, then lexicographic block assignment)
     term-condition failure witness in the bounded space, or None after
-    exhausting it."""
+    exhausting it.  The grid kernels decide every term, so only one
+    variable per block at dimension 2 or 3 is searchable."""
     if m < 1 or block_len < 1:
         raise ValueError("dimension and block length must be >= 1")
     if not domain:
         raise ValueError("domain must be nonempty")
     domain = list(domain)
-    num_vars = m * block_len
-    space = _full_space(len(domain), m, block_len)
-    if space <= NAIVE_SPACE_CAP:
-        strategy = "naive"
-    elif block_len == 1 and m in (2, 3) and len(domain) ** m <= GRID_CELL_CAP:
-        strategy = "grid"
-    else:
+    if m not in (2, 3) or block_len != 1 or len(domain) ** m > GRID_CELL_CAP:
         raise BudgetExceededError(
-            f"assignment space of {space} per term is beyond the configured strategies"
+            f"no exact search for dimension {m}, block length {block_len} "
+            f"and {len(domain)} elements: the grid kernels cover dimensions 2 "
+            f"and 3, block length 1 and at most {GRID_CELL_CAP} grid cells"
         )
-    term_list = list(enumerate_terms(num_vars, max_depth, triple_pool, params, cap=term_cap))
-    indexed = list(enumerate(term_list))
+    term_list = list(enumerate_terms(m, max_depth, triple_pool, params, cap=term_cap))
     if stats is None:
         stats = SearchStats()
 
-    if jobs <= 1 or len(indexed) < 2 * jobs:
-        chunks = [indexed]
+    if jobs <= 1 or len(term_list) < 2 * jobs:
+        chunks = [term_list]
     else:
-        size = (len(indexed) + jobs - 1) // jobs
-        chunks = [indexed[i : i + size] for i in range(0, len(indexed), size)]
+        size = (len(term_list) + jobs - 1) // jobs
+        chunks = [term_list[i : i + size] for i in range(0, len(term_list), size)]
 
-    results = []
     if len(chunks) == 1:
-        results.append(_scan_chunk(chunks[0], m, block_len, domain, params, strategy))
+        results = [_scan_chunk(chunks[0], m, domain, params)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_scan_chunk, ch, m, block_len, domain, params, strategy)
-                for ch in chunks
+                pool.submit(_scan_chunk, ch, m, domain, params) for ch in chunks
             ]
             results = [f.result() for f in futures]
 
     # Merge in canonical order: counts accumulate up to and including the
     # first chunk that found a witness, so totals match a sequential run.
-    for idx, witness, terms_scanned, assignments in results:
-        stats.terms_scanned += terms_scanned
-        stats.assignments_scanned += assignments
+    for witness, chunk_stats in results:
+        stats.terms_scanned += chunk_stats.terms_scanned
+        stats.assignments_scanned += chunk_stats.assignments_scanned
         if witness is not None:
             return witness
     return None

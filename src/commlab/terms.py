@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from . import elements
 from .elements import Element, Params, sort_key, validate_triple
@@ -161,50 +161,6 @@ def enumerate_terms(
             yield t
         by_depth.append(layer)
         cumulative.extend(layer)
-
-
-def count_terms(
-    num_vars: int,
-    max_depth: int,
-    pool_size: int,
-    params: Params,
-) -> int:
-    """Closed-form companion of enumerate_terms (used as an independent
-    completeness check)."""
-    exact = [num_vars]
-    for d in range(1, max_depth + 1):
-        cum = sum(exact)
-        cum_prev = cum - exact[-1]
-        layer = exact[-1] * (1 + pool_size) + (cum**params.n - cum_prev**params.n)
-        exact.append(layer)
-    return sum(exact)
-
-
-def u_power(x: Element, m: int, params: Params) -> Element:
-    for _ in range(m):
-        x = elements.eval_u(x, params)
-    return x
-
-
-def is_power_of_u_on(
-    t: Term,
-    samples: Sequence[Assignment],
-    max_power: int,
-    params: Params,
-) -> Optional[tuple[int, int]]:
-    """Least (variable index, exponent) such that t evaluates as that power
-    of u applied to that variable on every sample; None if no such pair."""
-    if not samples:
-        raise ValueError("need at least one sample assignment")
-    indices = set(samples[0].keys())
-    for a in samples[1:]:
-        indices &= set(a.keys())
-    values = [eval_term(t, a, params) for a in samples]
-    for i in sorted(indices):
-        for m in range(max_power + 1):
-            if all(u_power(a[i], m, params) == v for a, v in zip(samples, values)):
-                return (i, m)
-    return None
 
 
 def term_to_text(t: Term) -> str:

@@ -16,15 +16,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import cubes as cubes_mod
 from . import elements as el
-from . import terms as terms_mod
 from ._grid import SymbolicGrid
 from .cubes import (
     BlockAssignment,
-    Cube,
     SearchStats,
-    TCWitness,
     _first_index,
     is_tc_failure,
     search_tc_witness,
@@ -191,24 +187,15 @@ def check_corner_lemma(
             assignments += d ** (2 * m)
             hit = _corner_violation(grid, t, m)
             if hit is not None:
-                blocks = tuple(
-                    ((domain[hit[2 * j]],), (domain[hit[2 * j + 1]],)) for j in range(m)
-                )
-                ba = BlockAssignment(blocks)
-                cube = term_cube(t, ba, m, params)
+                blocks = BlockAssignment.from_indices(hit, domain)
+                cube = term_cube(t, blocks, m, params)
                 return VerificationReport(
                     "corner_lemma",
                     {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth},
                     "fail",
                     counterexample={
                         "term": term_to_text(t),
-                        "blocks": [
-                            {
-                                "p": [element_to_text(e) for e in p],
-                                "q": [element_to_text(e) for e in q],
-                            }
-                            for p, q in blocks
-                        ],
+                        "blocks": blocks.to_record(),
                         "cube": [element_to_text(v) for v in cube.vertices],
                     },
                     counts={
@@ -224,6 +211,30 @@ def check_corner_lemma(
         )
 
     return _timed(run)
+
+
+def _u_powers(grid: SymbolicGrid, params: Params) -> list[np.ndarray]:
+    """Ids of u^k applied to every domain element, for k = 0..2n+1."""
+    powers = []
+    cur = list(grid.domain)
+    for _ in range(2 * params.n + 2):
+        powers.append(np.array([grid.intern(e) for e in cur], dtype=np.int64))
+        cur = [el.eval_u(e, params) for e in cur]
+    return powers
+
+
+def _u_power_of(
+    ids: np.ndarray, powers: Sequence[np.ndarray]
+) -> Optional[tuple[int, int]]:
+    """Least (variable, k) such that the id array holds u^k of that variable
+    on every cell, or None; powers[k] holds the ids of u^k over the domain."""
+    for i in range(ids.ndim):
+        shape = [1] * ids.ndim
+        shape[i] = ids.shape[i]
+        for k, power in enumerate(powers):
+            if bool((ids == power.reshape(shape)).all()):
+                return i, k
+    return None
 
 
 def check_term_lemma(
@@ -245,13 +256,7 @@ def check_term_lemma(
             c_ids.add(grid.intern(el.AGen(i, 0)))
             c_ids.add(grid.intern(el.BGen(i, 0)))
         c_id_arr = np.array(sorted(c_ids), dtype=np.int64)
-        max_power = 2 * n + 1
-        # u^k applied to every domain element, as id vectors
-        powers = []
-        cur = list(domain)
-        for _ in range(max_power + 1):
-            powers.append(np.array([grid.intern(e) for e in cur], dtype=np.int64))
-            cur = [el.eval_u(e, params) for e in cur]
+        powers = _u_powers(grid, params)
         terms_scanned = 0
         checked = 0
         for t in enumerate_terms(num_vars, max_depth, triple_pool, params):
@@ -264,18 +269,7 @@ def check_term_lemma(
             if len(c_values) < 2:
                 continue
             checked += 1
-            ok = False
-            for i in range(num_vars):
-                shape = [1] * num_vars
-                shape[i] = d
-                for k in range(max_power + 1):
-                    expected = powers[k].reshape(shape)
-                    if bool((ids == expected).all()):
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
+            if _u_power_of(ids, powers) is None:
                 cells = np.argwhere(in_c)
                 first = cells[0]
                 second = None
@@ -353,25 +347,30 @@ def verify_top_commutator(params: Params) -> VerificationReport:
     return _timed(run)
 
 
-def search_np1_failure(
+def _search_report(
+    name: str,
+    m: int,
+    expect_witness: bool,
     params: Params,
     domain: Sequence[Element],
     max_depth: int,
     block_len: int,
     triple_pool: Sequence[tuple[Element, Element, Element]],
-    jobs: int = 1,
+    jobs: int,
 ) -> VerificationReport:
-    """Exhaustive (n+1)-dimensional witness search; pass iff empty."""
+    """Exhaustive dimension-m witness search.  A witness is the
+    counterexample when none is expected, and is recorded among the counts
+    when one is."""
 
     def run() -> VerificationReport:
         stats = SearchStats()
         witness = search_tc_witness(
-            params.n + 1, max_depth, block_len, domain, triple_pool, params,
+            m, max_depth, block_len, domain, triple_pool, params,
             stats=stats, jobs=jobs,
         )
         report_params = {
             "n": params.n,
-            "dimension": params.n + 1,
+            "dimension": m,
             "domain_size": len(domain),
             "max_depth": max_depth,
             "block_len": block_len,
@@ -381,14 +380,30 @@ def search_np1_failure(
             "terms_scanned": stats.terms_scanned,
             "assignments_scanned": stats.assignments_scanned,
         }
-        if witness is None:
-            return VerificationReport("np1_no_failure", report_params, "pass", counts=counts)
-        return VerificationReport(
-            "np1_no_failure", report_params, "fail",
-            counterexample=witness.to_record(), counts=counts,
-        )
+        counterexample = None
+        if witness is not None and expect_witness:
+            counts["witness"] = json.dumps(witness.to_record(), sort_keys=True)
+        elif witness is not None:
+            counterexample = witness.to_record()
+        outcome = "pass" if (witness is not None) == expect_witness else "fail"
+        return VerificationReport(name, report_params, outcome, counterexample, counts)
 
     return _timed(run)
+
+
+def search_np1_failure(
+    params: Params,
+    domain: Sequence[Element],
+    max_depth: int,
+    block_len: int,
+    triple_pool: Sequence[tuple[Element, Element, Element]],
+    jobs: int = 1,
+) -> VerificationReport:
+    """Exhaustive (n+1)-dimensional witness search; pass iff empty."""
+    return _search_report(
+        "np1_no_failure", params.n + 1, False,
+        params, domain, max_depth, block_len, triple_pool, jobs,
+    )
 
 
 def search_control(
@@ -401,34 +416,10 @@ def search_control(
 ) -> VerificationReport:
     """Control run at dimension n on the same space: the searcher must find
     a witness there, or the negative result above means nothing."""
-
-    def run() -> VerificationReport:
-        stats = SearchStats()
-        witness = search_tc_witness(
-            params.n, max_depth, block_len, domain, triple_pool, params,
-            stats=stats, jobs=jobs,
-        )
-        report_params = {
-            "n": params.n,
-            "dimension": params.n,
-            "domain_size": len(domain),
-            "max_depth": max_depth,
-            "block_len": block_len,
-            "triple_pool_size": len(triple_pool),
-        }
-        counts = {
-            "terms_scanned": stats.terms_scanned,
-            "assignments_scanned": stats.assignments_scanned,
-        }
-        if witness is None:
-            return VerificationReport("control_search", report_params, "fail", counts=counts)
-        rec = witness.to_record()
-        return VerificationReport(
-            "control_search", report_params, "pass",
-            counterexample=None, counts={**counts, "witness": json.dumps(rec, sort_keys=True)},
-        )
-
-    return _timed(run)
+    return _search_report(
+        "control_search", params.n, True,
+        params, domain, max_depth, block_len, triple_pool, jobs,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: congruence generation by filtering
 all partitions of the universe, commutators by enumerating bounded-depth
 term-operation tables and applying the term condition definition directly,
-and the corner lemma by visiting every assignment of a code array.  Only
-feasible for tiny inputs, which is the point.
+the corner lemma by visiting every assignment of a code array, and the
+witness search of the constructed algebra by evaluating every term on
+every assignment.  Only feasible for tiny inputs, which is the point.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from commlab.elements import eval_u
 from commlab.finengine import Congruence, FiniteAlgebra
+from commlab.terms import eval_term
 
 
 def all_partitions(s: int) -> list[tuple[int, ...]]:
@@ -53,6 +56,72 @@ def corner_violation_brute(codes: np.ndarray, m: int) -> Optional[tuple[int, ...
         adjacent = [verts[i - 1] for i in adjacent_vertices(m, 1)]
         if all(v == verts[0] for v in adjacent) and any(v != verts[0] for v in verts):
             return flat
+    return None
+
+
+def scan_terms_naive(terms, m: int, domain: Sequence, params):
+    """First term-condition failure over the terms in order, one variable
+    per block, visiting every assignment (p1, q1, ..., pm, qm) of domain
+    elements in lexicographic order with the vertex convention of
+    ``commlab.cubes`` (the last block varies fastest).
+
+    Returns (witness, terms_scanned, assignments_scanned), the witness as
+    (term, blocks, cube) with blocks ((p1,), (q1,)), ... and cube the vertex
+    values, or None."""
+    terms_scanned = assignments = 0
+    vertices = list(itertools.product((0, 1), repeat=m))
+    for t in terms:
+        terms_scanned += 1
+        for flat in itertools.product(domain, repeat=2 * m):
+            assignments += 1
+            cube = []
+            for bits in vertices:
+                cube.append(eval_term(
+                    t, {j: flat[2 * j + bit] for j, bit in enumerate(bits)}, params
+                ))
+                # every edge but the last must be matched
+                if len(cube) % 2 == 0 and len(cube) < 2**m and cube[-2] != cube[-1]:
+                    break
+            else:
+                if cube[-2] != cube[-1]:
+                    blocks = tuple(((flat[2 * j],), (flat[2 * j + 1],)) for j in range(m))
+                    return (t, blocks, tuple(cube)), terms_scanned, assignments
+    return None, terms_scanned, assignments
+
+
+def count_terms(num_vars: int, max_depth: int, pool_size: int, params) -> int:
+    """Closed-form count of the terms ``enumerate_terms`` emits: per layer,
+    the unary applications of the previous layer plus the f-applications
+    with at least one child from it."""
+    exact = [num_vars]
+    for d in range(1, max_depth + 1):
+        cum = sum(exact)
+        cum_prev = cum - exact[-1]
+        layer = exact[-1] * (1 + pool_size) + (cum**params.n - cum_prev**params.n)
+        exact.append(layer)
+    return sum(exact)
+
+
+def u_power(x, k: int, params):
+    for _ in range(k):
+        x = eval_u(x, params)
+    return x
+
+
+def is_power_of_u_on(t, samples: Sequence[dict], max_power: int, params):
+    """Least (variable index, exponent) such that t evaluates as that power
+    of u applied to that variable on every sample assignment; None if no
+    such pair."""
+    if not samples:
+        raise ValueError("need at least one sample assignment")
+    indices = set(samples[0].keys())
+    for a in samples[1:]:
+        indices &= set(a.keys())
+    values = [eval_term(t, a, params) for a in samples]
+    for i in sorted(indices):
+        for k in range(max_power + 1):
+            if all(u_power(a[i], k, params) == v for a, v in zip(samples, values)):
+                return (i, k)
     return None
 
 

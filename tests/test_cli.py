@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -8,8 +9,10 @@ from commlab.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     RunConfig,
+    console_main,
     load_algebra,
     main,
+    paper_verify_entry,
     run_paper_verify,
 )
 from commlab.elements import AGen, CConst, DConst, Tagged
@@ -221,3 +224,38 @@ def test_paper_verify_text_output(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 7
     assert "[FAIL]" not in out
+
+
+def test_paper_verify_small_domain_at_depth_two():
+    # 8 elements: every search runs on the grid kernels, where a
+    # lexicographic scan took seconds per term that uses all three blocks.
+    reports = run_paper_verify(RunConfig(n=2, j_max=0, closure_depth=0, max_depth=2))
+    assert all(r.passed for r in reports)
+    np1 = next(r for r in reports if r.name == "np1_no_failure")
+    assert np1.counts == {
+        "terms_scanned": 9747,
+        "assignments_scanned": 9747 * 8**6,
+    }
+    assert 9747 * 8**6 == 2555117568
+
+
+def test_block_len_flag_is_gone(capsys):
+    assert main(["paper-verify", "--block-len", "1"]) == EXIT_RESOURCE
+    assert "--block-len" in capsys.readouterr().err
+
+
+def test_console_entry_points(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["commlab", "eval", "f(a(1,0),b(2,0))"])
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.strip() == "d(1)"
+    monkeypatch.setattr(sys, "argv", [
+        "paper-verify", "--n", "2", "--j-max", "0", "--closure-depth", "0",
+        "--max-depth", "1", "--format", "json", "--no-timing",
+    ])
+    with pytest.raises(SystemExit) as exc:
+        paper_verify_entry()
+    assert exc.value.code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["outcome"] for line in lines] == ["pass"] * 7

@@ -20,7 +20,15 @@ from commlab.cubes import (
     term_cube,
     vertex_assignment,
 )
-from commlab.elements import AGen, BGen, CConst, DConst, Params, bounded_subuniverse
+from commlab.elements import (
+    AGen,
+    BGen,
+    CConst,
+    DConst,
+    Params,
+    bounded_subuniverse,
+    element_to_text,
+)
 from commlab.errors import BudgetExceededError, CommlabError
 from commlab.terms import (
     FApp,
@@ -28,8 +36,11 @@ from commlab.terms import (
     Var,
     default_triple_pool,
     enumerate_terms,
+    term_to_text,
 )
 from commlab.verifier import search_control
+
+from oracles import scan_terms_naive
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -81,27 +92,54 @@ def test_is_tc_failure_cases():
 
 
 def test_uses_all_blocks():
-    assert _uses_all_blocks(FApp((Var(0), Var(1))), 2, 1)
-    assert not _uses_all_blocks(UApp(Var(0)), 2, 1)
-    assert not _uses_all_blocks(FApp((Var(0), Var(0))), 2, 1)
-    assert _uses_all_blocks(FApp((Var(1), Var(2))), 2, 2)
+    assert _uses_all_blocks(FApp((Var(0), Var(1))), 2)
+    assert not _uses_all_blocks(UApp(Var(0)), 2)
+    assert not _uses_all_blocks(FApp((Var(0), Var(0))), 2)
     # variables beyond the declared blocks disqualify a term
-    assert not _uses_all_blocks(FApp((Var(0), Var(2))), 2, 1)
+    assert not _uses_all_blocks(FApp((Var(0), Var(2))), 2)
 
 
-def test_grid_agrees_with_naive_per_term():
-    # Same witness and the same assignment count as the lexicographic scan.
+def _oracle_record(term, blocks, cube, m):
+    return {
+        "term": term_to_text(term),
+        "blocks": [
+            {"p": [element_to_text(e) for e in p], "q": [element_to_text(e) for e in q]}
+            for p, q in blocks
+        ],
+        "cube": [element_to_text(v) for v in cube],
+        "dim": m,
+    }
+
+
+P3 = Params(3)
+# f(x0,x1,x2) has a witness only where every a(i,0) and b(i,0) is in the
+# domain: each matched edge must stay inside the base table, and p_i = q_i
+# collapses the critical edge onto a matched one.
+N3_GENERATORS = [g(i, 0) for g in (AGen, BGen) for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "params,m,domain,all_blocks_only",
+    [(P2, 2, ATOMS, False), (P3, 3, N3_GENERATORS, True)],
+    ids=["dim2-n2-atoms", "dim3-n3-generators"],
+)
+def test_scan_chunk_agrees_with_the_oracle_scan(params, m, domain, all_blocks_only):
+    # The grid kernels give the witness and the counts of a scan that
+    # evaluates every term on every assignment in lexicographic order.
+    pool = default_triple_pool(params)
+    terms = list(enumerate_terms(m, 1, pool, params))
+    if all_blocks_only:
+        terms = [t for t in terms if _uses_all_blocks(t, m)]
     hits = 0
-    for idx, t in enumerate(enumerate_terms(2, 1, POOL2, P2)):
-        chunk = [(idx, t)]
-        g_idx, g_w, g_terms, g_count = _scan_chunk(chunk, 2, 1, list(ATOMS), P2, "grid")
-        n_idx, n_w, n_terms, n_count = _scan_chunk(chunk, 2, 1, list(ATOMS), P2, "naive")
-        assert (g_idx, g_terms, g_count) == (n_idx, n_terms, n_count)
-        assert (g_w is None) == (n_w is None)
-        if g_w is not None:
-            assert g_w.to_record() == n_w.to_record()
+    for t in terms:
+        w, stats = _scan_chunk([t], m, list(domain), params)
+        o_w, o_terms, o_count = scan_terms_naive([t], m, domain, params)
+        assert (stats.terms_scanned, stats.assignments_scanned) == (o_terms, o_count)
+        assert (w is None) == (o_w is None)
+        if w is not None:
+            assert w.to_record() == _oracle_record(*o_w, m)
             hits += 1
-    assert hits > 0
+    assert 0 < hits < len(terms)
 
 
 def _dim2_witness_brute(codes):
@@ -203,9 +241,8 @@ def test_scan_chunk_rejects_a_located_non_witness(monkeypatch):
     monkeypatch.setattr(
         cubes_mod, "_grid_term_has_witness", lambda grid, t, m: (0, 0, 0, 1)
     )
-    chunk = [(0, FApp((Var(0), Var(1))))]
     with pytest.raises(CommlabError, match="rejects"):
-        _scan_chunk(chunk, 2, 1, [DConst(1), DConst(2)], P2, "grid")
+        _scan_chunk([FApp((Var(0), Var(1)))], 2, [DConst(1), DConst(2)], P2)
 
 
 def test_control_search_at_the_n3_defaults():
@@ -260,6 +297,14 @@ def test_search_rejects_oversized_space():
     domain = P2.base_atoms(3)
     with pytest.raises(BudgetExceededError):
         search_tc_witness(4, 1, 2, domain, POOL2, P2)
+
+
+@pytest.mark.parametrize("m,block_len", [(1, 1), (4, 1), (2, 2)])
+def test_search_without_a_grid_kernel_raises(m, block_len):
+    # The grid kernels cover one variable per block at dimensions 2 and 3;
+    # any other shape is out of budget, however small the domain.
+    with pytest.raises(BudgetExceededError, match="no exact search"):
+        search_tc_witness(m, 1, block_len, [DConst(1), DConst(2), CConst()], POOL2, P2)
 
 
 def test_search_argument_validation():

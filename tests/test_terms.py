@@ -9,17 +9,16 @@ from commlab.terms import (
     UnaryPolynomial,
     UPQRApp,
     Var,
-    count_terms,
     default_triple_pool,
     depth,
     enumerate_terms,
     eval_poly,
     eval_term,
     free_vars,
-    is_power_of_u_on,
     term_to_text,
-    u_power,
 )
+
+from oracles import count_terms, is_power_of_u_on, u_power
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)

@@ -13,11 +13,21 @@ from commlab.elements import (
     Tagged,
     bounded_subuniverse,
 )
-from commlab.terms import UnaryPolynomial, UApp, Var, default_triple_pool
+from commlab._grid import SymbolicGrid
+from commlab.terms import (
+    UnaryPolynomial,
+    UApp,
+    Var,
+    default_triple_pool,
+    enumerate_terms,
+    eval_term,
+)
 from commlab.verifier import (
     ChainStep,
     MalcevChain,
     VerificationReport,
+    _u_power_of,
+    _u_powers,
     check_corner_lemma,
     check_nfequal,
     check_term_lemma,
@@ -31,7 +41,7 @@ from commlab.verifier import (
     verify_top_commutator,
 )
 
-from oracles import corner_violation_brute
+from oracles import corner_violation_brute, is_power_of_u_on
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -92,6 +102,25 @@ def test_term_lemma_passes():
     rep = check_term_lemma(P2, ATOMS, 1, POOL2)
     assert rep.passed
     assert rep.counts["premise_terms"] > 0
+
+
+def test_term_lemma_power_of_u_agrees_with_the_oracle():
+    # The term lemma's premise: two distinct values among the letters
+    # a(i,0), b(i,0) that u moves.
+    grid = SymbolicGrid(P2, list(ATOMS))
+    powers = _u_powers(grid, P2)
+    moving = {g(i, 0) for g in (AGen, BGen) for i in (1, 2)}
+    samples = [{0: x, 1: y} for x in ATOMS for y in ATOMS]
+    premise_terms = 0
+    for t in enumerate_terms(2, 1, POOL2, P2):
+        ids = np.broadcast_to(grid.eval_ids(t, 2), (len(ATOMS),) * 2)
+        expected = is_power_of_u_on(t, samples, 2 * P2.n + 1, P2)
+        assert _u_power_of(ids, powers) == expected
+        if len({eval_term(t, a, P2) for a in samples} & moving) >= 2:
+            premise_terms += 1
+            assert expected is not None
+    rep = check_term_lemma(P2, ATOMS, 1, POOL2)
+    assert premise_terms == rep.counts["premise_terms"] == 4
 
 
 def test_expected_top_cube_values():
