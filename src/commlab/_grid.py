@@ -19,6 +19,7 @@ arrays are read-only; their ids stay valid because interning only appends.
 from __future__ import annotations
 
 import functools
+from typing import Optional
 
 import numpy as np
 
@@ -123,8 +124,7 @@ class SymbolicGrid:
 
     def eval_codes(self, t: terms.Term, m: int) -> np.ndarray:
         """Equality codes of t over the grid: code equality iff value equality."""
-        while isinstance(t, (terms.UApp, terms.UPQRApp)):
-            t = t.arg  # injective wrappers preserve the equality pattern
+        t = _strip_wrappers(t)
         if not isinstance(t, terms.FApp):
             return self.eval_ids(t, m)
         # Children keep their broadcast shapes; only the combined code and
@@ -159,3 +159,38 @@ class SymbolicGrid:
             d_index = np.where(all_b, 2 ** (self.params.n - 1), k)
             code = np.where(in_dmn, -1 - d_index, code)
         return code
+
+    def pattern_key(self, t: terms.Term, m: int) -> Optional[tuple]:
+        """A key such that terms with equal keys have equal eval_codes
+        equality patterns, or None when the unwrapped root is not an
+        f-application.
+
+        Off f0's domain f is injective on argument tuples, and a d-value
+        depends only on which arguments are the a/b generators of their
+        position.  So the key is each argument's id array in its broadcast
+        shape, relabelled by first occurrence with that position's a and b
+        ids pinned to labels 0 and 1."""
+        t = _strip_wrappers(t)
+        if not isinstance(t, terms.FApp):
+            return None
+        key = []
+        for pos, arg in enumerate(t.args):
+            ids = self.eval_ids(arg, m)
+            # Prepending the position's a and b ids pins them to labels 0
+            # and 1; the other ids are numbered by first occurrence.
+            pinned = [self._a_ids[pos], self._b_ids[pos]]
+            uniq, first, inverse = np.unique(
+                np.concatenate((pinned, ids.ravel())),
+                return_index=True,
+                return_inverse=True,
+            )
+            labels = np.empty(uniq.size, dtype=np.min_scalar_type(uniq.size - 1))
+            labels[np.argsort(first)] = np.arange(uniq.size)
+            key.append((ids.shape, labels[inverse[2:]].tobytes()))
+        return tuple(key)
+
+
+def _strip_wrappers(t: terms.Term) -> terms.Term:
+    while isinstance(t, (terms.UApp, terms.UPQRApp)):
+        t = t.arg  # injective wrappers preserve the equality pattern
+    return t

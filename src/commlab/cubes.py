@@ -285,13 +285,24 @@ def _scan_chunk(
     chunk: list[Term], m: int, domain: list[Element], params: Params
 ) -> tuple[Optional[TCWitness], SearchStats]:
     """First witness among the chunk's terms, with the counts of a
-    lexicographic scan over every (p1, q1, ..., pm, qm) up to it."""
+    lexicographic scan over every (p1, q1, ..., pm, qm) up to it.
+
+    The kernel's verdict and witness depend only on the equality pattern
+    of the term's codes, so the kernel runs once per pattern key; the scan
+    stops at its first witness, so only "no witness" keys are kept."""
     stats = SearchStats()
     grid = SymbolicGrid(params, domain)
     space = len(domain) ** (2 * m)
+    no_witness: set[tuple] = set()
     for t in chunk:
         stats.terms_scanned += 1
-        hit = _grid_term_has_witness(grid, t, m) if _uses_all_blocks(t, m) else None
+        hit = None
+        if _uses_all_blocks(t, m):
+            key = grid.pattern_key(t, m)
+            if key is None or key not in no_witness:
+                hit = _grid_term_has_witness(grid, t, m)
+                if hit is None and key is not None:
+                    no_witness.add(key)
         if hit is None:
             stats.assignments_scanned += space
             continue

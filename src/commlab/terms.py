@@ -129,21 +129,31 @@ def enumerate_terms(
     depth <= max_depth, each exactly once, in canonical order."""
     if num_vars < 1:
         raise ValueError("need at least one variable")
-    emitted = 0
+    by_depth: list[list[Term]] = []
+    cumulative: list[Term] = []
 
-    def bump():
-        nonlocal emitted
-        emitted += 1
-        if emitted > cap:
-            raise BudgetExceededError(f"term enumeration exceeded cap of {cap}")
+    def check_cap(size: int) -> None:
+        # Every layer is sized before it is built, so a cap that the next
+        # layer would pass raises without allocating it.
+        if len(cumulative) + size > cap:
+            raise BudgetExceededError(
+                f"term enumeration exceeded cap of {cap}: "
+                f"{len(cumulative)} terms emitted and the next layer holds {size}"
+            )
 
-    by_depth: list[list[Term]] = [[Var(i) for i in range(num_vars)]]
-    cumulative: list[Term] = list(by_depth[0])
-    for t in by_depth[0]:
-        bump()
-        yield t
+    check_cap(num_vars)
+    by_depth.append([Var(i) for i in range(num_vars)])
+    cumulative.extend(by_depth[0])
+    yield from by_depth[0]
     for d in range(1, max_depth + 1):
         prev_cum_len = len(cumulative) - len(by_depth[d - 1])
+        # The unary applications of the previous layer plus the
+        # f-applications with at least one child from it.
+        check_cap(
+            len(by_depth[d - 1]) * (1 + len(triple_pool))
+            + len(cumulative) ** params.n
+            - prev_cum_len**params.n
+        )
         layer: list[Term] = []
         for t in by_depth[d - 1]:
             layer.append(UApp(t))
@@ -156,9 +166,7 @@ def enumerate_terms(
             if max(combo) < prev_cum_len:
                 continue
             layer.append(FApp(tuple(cumulative[i] for i in combo)))
-        for t in layer:
-            bump()
-            yield t
+        yield from layer
         by_depth.append(layer)
         cumulative.extend(layer)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import commlab.cubes as cubes_mod
+from commlab._grid import SymbolicGrid
 from commlab.cubes import (
     BlockAssignment,
     Cube,
@@ -140,6 +141,49 @@ def test_scan_chunk_agrees_with_the_oracle_scan(params, m, domain, all_blocks_on
             assert w.to_record() == _oracle_record(*o_w, m)
             hits += 1
     assert 0 < hits < len(terms)
+
+
+def _scan_every_term(terms, m, domain, params):
+    # The scan without the pattern-key cache: the kernel runs on every
+    # term that uses all blocks.
+    grid = SymbolicGrid(params, domain)
+    space = len(domain) ** (2 * m)
+    for i, t in enumerate(terms):
+        if not _uses_all_blocks(t, m):
+            continue
+        hit = cubes_mod._grid_term_has_witness(grid, t, m)
+        if hit is not None:
+            w = cubes_mod._grid_witness(t, m, hit, domain, params)
+            rank = int(np.ravel_multi_index(hit, (len(domain),) * (2 * m)))
+            return w.to_record(), i + 1, i * space + rank + 1
+    return None, len(terms), len(terms) * space
+
+
+@pytest.mark.parametrize(
+    "m,domain,has_witness",
+    [
+        (3, ATOMS, False),
+        (2, [AGen(2, 0), BGen(2, 0), CConst()], True),
+    ],
+    ids=["dim3-n2-atoms-none", "dim2-later-witness"],
+)
+def test_cached_scan_matches_the_per_term_kernel(monkeypatch, m, domain, has_witness):
+    terms = list(enumerate_terms(m, 2, POOL2, P2))
+    expected = _scan_every_term(terms, m, domain, P2)
+    calls = []
+    kernel = cubes_mod._grid_term_has_witness
+    monkeypatch.setattr(
+        cubes_mod,
+        "_grid_term_has_witness",
+        lambda grid, t, m: calls.append(t) or kernel(grid, t, m),
+    )
+    w, stats = _scan_chunk(terms, m, list(domain), P2)
+    record = None if w is None else w.to_record()
+    assert (record, stats.terms_scanned, stats.assignments_scanned) == expected
+    assert (record is not None) == has_witness
+    # some terms were decided by their class, without the kernel
+    scanned = [t for t in terms[: stats.terms_scanned] if _uses_all_blocks(t, m)]
+    assert 1 < len(calls) < len(scanned)
 
 
 def _dim2_witness_brute(codes):

@@ -5,7 +5,15 @@ import pytest
 
 from commlab._grid import SymbolicGrid
 from commlab.elements import AGen, CConst, DConst, Params
-from commlab.terms import FApp, UPQRApp, Var, default_triple_pool, enumerate_terms
+from commlab.terms import (
+    FApp,
+    UApp,
+    UPQRApp,
+    Var,
+    default_triple_pool,
+    enumerate_terms,
+    free_vars,
+)
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -74,3 +82,36 @@ def test_eval_codes_equality_pattern_survives_a_wide_intern_table():
     ids = np.broadcast_to(grid.eval_ids(t, 4), (2,) * 4).ravel()
     assert len(set(ids.tolist())) == ids.size
     assert ((codes[:, None] == codes[None, :]) == (ids[:, None] == ids[None, :])).all()
+
+
+def _first_occurrence_relabel(codes):
+    # Each value becomes the number of distinct values met before its first
+    # occurrence in C order.
+    labels = {}
+    return [labels.setdefault(v, len(labels)) for v in codes.ravel().tolist()]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_equal_pattern_keys_give_equal_equality_patterns(m):
+    grid = SymbolicGrid(P2, ATOMS)
+    d = len(ATOMS)
+    classes = {}
+    for t in enumerate_terms(m, 2, POOL2, P2):
+        if free_vars(t) != frozenset(range(m)):
+            continue
+        key = grid.pattern_key(t, m)
+        assert key is not None
+        codes = np.broadcast_to(grid.eval_codes(t, m), (d,) * m)
+        classes.setdefault(key, []).append(_first_occurrence_relabel(codes))
+    for patterns in classes.values():
+        assert all(p == patterns[0] for p in patterns[1:])
+    # the key merges terms, so the check above compares something
+    assert len(classes) < sum(len(p) for p in classes.values())
+
+
+def test_pattern_key_is_none_for_a_variable_root():
+    grid = SymbolicGrid(P2, ATOMS)
+    assert grid.pattern_key(UApp(Var(1)), 2) is None
+    assert grid.pattern_key(UApp(FApp((Var(0), Var(1)))), 2) == grid.pattern_key(
+        FApp((Var(0), Var(1))), 2
+    )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from commlab.elements import AGen, BGen, CConst, DConst, Params, Tagged
@@ -98,6 +100,30 @@ def test_enumeration_order_and_depth_layers():
 def test_enumeration_cap():
     with pytest.raises(BudgetExceededError):
         list(enumerate_terms(2, 2, POOL2, P2, cap=100))
+
+
+def test_enumeration_cap_is_exact_at_a_layer_boundary():
+    # Layers are sized before they are built: the 56 terms of depth <= 1
+    # fit a cap of 56, and a cap of 55 raises before the depth-1 layer.
+    assert len(list(enumerate_terms(2, 1, POOL2, P2, cap=56))) == 56
+    terms = enumerate_terms(2, 1, POOL2, P2, cap=55)
+    assert [next(terms), next(terms)] == [Var(0), Var(1)]
+    with pytest.raises(BudgetExceededError, match="cap of 55"):
+        next(terms)
+
+
+def test_enumeration_raises_before_an_oversized_layer():
+    # At n = 3 the depth-2 layer over four variables holds about 1.7e8
+    # f-applications; the cap must stop it before any is built.
+    p3 = Params(3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="168262852"):
+            list(enumerate_terms(4, 2, default_triple_pool(p3), p3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
 
 
 def test_u_power_and_recognition():
