@@ -6,10 +6,10 @@ assignment grid become numpy gather operations.  Two output modes:
 - id arrays: every value is a real interned id (needed when values are
   inspected, e.g. membership in C);
 - equality codes: injective unary wrappers are stripped and a root
-  f-application is encoded as a composite integer that is equal for two
-  cells exactly when the element values are equal.  This avoids interning
-  the (potentially huge) set of top-level f-images when only the equality
-  pattern of a cube matters.
+  f-application is encoded, from the pattern labels of its arguments, as
+  an integer that is equal for two cells exactly when the element values
+  are equal.  This avoids interning the (potentially huge) set of
+  top-level f-images when only the equality pattern of a cube matters.
 
 Id arrays smaller than the full grid are memoized per grid, keyed by
 (term, m), so a subterm shared by many terms is evaluated once.  Cached
@@ -19,7 +19,7 @@ arrays are read-only; their ids stay valid because interning only appends.
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -123,71 +123,79 @@ class SymbolicGrid:
         return out_ids[inverse].reshape(shape)
 
     def eval_codes(self, t: terms.Term, m: int) -> np.ndarray:
-        """Equality codes of t over the grid: code equality iff value equality."""
-        t = _strip_wrappers(t)
-        if not isinstance(t, terms.FApp):
-            return self.eval_ids(t, m)
-        # Children keep their broadcast shapes; only the combined code and
-        # the final selection span the full grid.
-        children = [self.eval_ids(a, m) for a in t.args]
-        base = len(self._elems)
-        if base ** len(children) <= 2**63:
-            code = children[0]
-            for c in children[1:]:
-                code = code * base + c
+        """Equality codes of t over the grid: code equality iff value
+        equality.  They depend on the pattern labels alone."""
+        labels = self.pattern_labels(t, m)
+        if len(labels) == 1:  # a variable root; f has arity n >= 2
+            return labels[0]
+        base = max(int(lab.max()) for lab in labels) + 1
+        if base ** len(labels) <= 2**63:
+            code = labels[0].astype(np.int64)
+            for lab in labels[1:]:
+                code = code * base + lab
         else:
             # The positional pack would wrap int64; number the distinct
-            # argument tuples instead.
-            full = np.broadcast_arrays(*children)
+            # label tuples instead.
+            full = np.broadcast_arrays(*labels)
             flat = np.stack([c.ravel() for c in full], axis=1)
             _, code = np.unique(flat, axis=0, return_inverse=True)
             code = code.reshape(full[0].shape)
-        # Cells whose arguments lie in f0's domain take a d-value; off the
-        # domain f tags its argument tuple, so the d-values get negative
-        # codes, apart from every nonnegative argument code.
-        in_dmn = True
-        bits = []
-        for pos, c in enumerate(children):
-            is_b = c == self._b_ids[pos]
-            in_dmn = in_dmn & ((c == self._a_ids[pos]) | is_b)
-            bits.append(is_b)
+        # Cells whose arguments lie in f0's domain (labels 0 and 1) take a
+        # d-value; off the domain f tags its argument tuple, so the d-values
+        # get negative codes, apart from every nonnegative label code.
+        in_dmn = functools.reduce(np.logical_and, [lab <= 1 for lab in labels])
         if np.any(in_dmn):
             k = 0
-            for bit in bits[:-1]:
-                k = (k << 1) + bit
-            all_b = functools.reduce(np.logical_and, bits)
-            d_index = np.where(all_b, 2 ** (self.params.n - 1), k)
+            for lab in labels[:-1]:
+                k = 2 * k + (lab == 1)
+            # the last argument counts only when all the others are b's
+            d_index = k + ((k == 2 ** (len(labels) - 1) - 1) & (labels[-1] == 1))
             code = np.where(in_dmn, -1 - d_index, code)
         return code
 
-    def pattern_key(self, t: terms.Term, m: int) -> Optional[tuple]:
-        """A key such that terms with equal keys have equal eval_codes
-        equality patterns, or None when the unwrapped root is not an
-        f-application.
+    def pattern_labels(self, t: terms.Term, m: int) -> list[np.ndarray]:
+        """Arrays in broadcast shape that fix the equality pattern of t.
 
-        Off f0's domain f is injective on argument tuples, and a d-value
-        depends only on which arguments are the a/b generators of their
-        position.  So the key is each argument's id array in its broadcast
-        shape, relabelled by first occurrence with that position's a and b
-        ids pinned to labels 0 and 1."""
+        A variable root (wrappers stripped) is labelled by its own ids.  Off
+        f0's domain f is injective on argument tuples, and a d-value depends
+        only on which arguments are the a/b generators of their position.
+        So each argument of an f-root is labelled by its ids, renumbered by
+        first occurrence with the position's a and b ids pinned to 0 and 1."""
         t = _strip_wrappers(t)
         if not isinstance(t, terms.FApp):
-            return None
-        key = []
+            return [self.eval_ids(t, m)]
+        labels = []
         for pos, arg in enumerate(t.args):
             ids = self.eval_ids(arg, m)
-            # Prepending the position's a and b ids pins them to labels 0
-            # and 1; the other ids are numbered by first occurrence.
             pinned = [self._a_ids[pos], self._b_ids[pos]]
             uniq, first, inverse = np.unique(
-                np.concatenate((pinned, ids.ravel())),
-                return_index=True,
-                return_inverse=True,
+                np.concatenate((pinned, ids.ravel())), return_index=True, return_inverse=True
             )
-            labels = np.empty(uniq.size, dtype=np.min_scalar_type(uniq.size - 1))
-            labels[np.argsort(first)] = np.arange(uniq.size)
-            key.append((ids.shape, labels[inverse[2:]].tobytes()))
-        return tuple(key)
+            relabel = np.empty(uniq.size, dtype=np.min_scalar_type(uniq.size - 1))
+            relabel[np.argsort(first)] = np.arange(uniq.size)
+            labels.append(relabel[inverse[2:]].reshape(ids.shape))
+        return labels
+
+    def pattern_key(self, t: terms.Term, m: int) -> tuple:
+        """Shapes and bytes of the pattern labels: equal keys, equal codes."""
+        return tuple((lab.shape, lab.tobytes()) for lab in self.pattern_labels(t, m))
+
+    def first_hit(
+        self, indexed_terms: Iterable[tuple[int, terms.Term]], m: int, decide: Callable
+    ) -> Optional[tuple[int, terms.Term, tuple]]:
+        """First (index, term, hit) whose hit ``decide(self, t, m)`` is not
+        None, or None.  ``decide`` must depend on ``eval_codes`` only, so it
+        runs once per pattern key; only keys without a hit are kept."""
+        no_hit: set[tuple] = set()
+        for i, t in indexed_terms:
+            key = self.pattern_key(t, m)
+            if key in no_hit:
+                continue
+            hit = decide(self, t, m)
+            if hit is not None:
+                return i, t, hit
+            no_hit.add(key)
+        return None
 
 
 def _strip_wrappers(t: terms.Term) -> terms.Term:

@@ -102,16 +102,43 @@ def load_algebra(path: str) -> finengine.FiniteAlgebra:
             data = json.load(fh)
     if not isinstance(data, dict) or "size" not in data:
         raise ParseError("algebra file must be an object with a 'size' field")
-    ops = []
-    for i, op in enumerate(data.get("operations", [])):
+    size, ops = data["size"], data.get("operations", [])
+    _check(_is_int(size) and size >= 1, "'size' must be an integer >= 1")
+    _check(isinstance(ops, list), "'operations' must be a list")
+    parsed = []
+    for i, op in enumerate(ops):
+        _check(isinstance(op, dict), f"operation #{i} must be an object")
         for key in ("symbol", "arity", "table"):
-            if key not in op:
-                raise ParseError(f"operation #{i}: missing field {key!r}")
-        ops.append((op["symbol"], op["arity"], op["table"]))
+            _check(key in op, f"operation #{i}: missing field {key!r}")
+        symbol, arity, table = op["symbol"], op["arity"], op["table"]
+        _check(isinstance(symbol, str), f"operation #{i}: 'symbol' must be a string")
+        _check(_is_int(arity) and arity >= 0, f"operation #{i}: 'arity' must be an integer >= 0")
+        ints = isinstance(table, list) and all(map(_is_int, table))
+        _check(ints, f"operation #{i}: 'table' must be a list of integers")
+        parsed.append((symbol, arity, table))
     try:
-        return finengine.FiniteAlgebra.from_tables(data["size"], ops)
+        return finengine.FiniteAlgebra.from_tables(size, parsed)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _parse_delta(text: str, size: int) -> finengine.Congruence:
+    blocks = json.loads(text)
+    _check(
+        isinstance(blocks, list)
+        and all(isinstance(b, list) and b and all(map(_is_int, b)) for b in blocks),
+        "--delta must be a JSON list of nonempty lists of integers",
+    )
+    return finengine.Congruence(size, tuple(sorted(tuple(sorted(b)) for b in blocks)))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ParseError(message)
 
 
 def _congruence_text(cong: finengine.Congruence) -> str:
@@ -167,11 +194,8 @@ def cmd_fin(args) -> int:
     elif args.fin_command == "simple":
         print("simple" if finengine.is_simple(alg) else "not simple")
     elif args.fin_command == "tc":
-        if args.delta:
-            blocks = tuple(tuple(sorted(b)) for b in json.loads(args.delta))
-            delta = finengine.Congruence(alg.size, tuple(sorted(blocks, key=lambda b: b[0])))
-        else:
-            delta = finengine.Congruence.identity(alg.size)
+        identity = finengine.Congruence.identity(alg.size)
+        delta = _parse_delta(args.delta, alg.size) if args.delta else identity
         holds = finengine.tc_holds(alg, args.m, delta, cap=cap)
         print(f"{args.m}-dimensional term condition relative to "
               f"{_congruence_text(delta)}: {'holds' if holds else 'fails'}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,14 +83,13 @@ class TCWitness:
     term: Term
     blocks: BlockAssignment
     cube: Cube
-    dim: int
 
     def to_record(self) -> dict:
         return {
             "term": term_to_text(self.term),
             "blocks": self.blocks.to_record(),
             "cube": [element_to_text(v) for v in self.cube.vertices],
-            "dim": self.dim,
+            "dim": self.cube.dim,
         }
 
 
@@ -278,41 +278,44 @@ def _grid_witness(
             f"grid kernel located a witness for {term_to_text(t)} at {hit} "
             "that the term evaluator rejects"
         )
-    return TCWitness(t, blocks, cube, m)
+    return TCWitness(t, blocks, cube)
 
 
-def _scan_chunk(
-    chunk: list[Term], m: int, domain: list[Element], params: Params
-) -> tuple[Optional[TCWitness], SearchStats]:
-    """First witness among the chunk's terms, with the counts of a
-    lexicographic scan over every (p1, q1, ..., pm, qm) up to it.
+def _first_witness(
+    chunk: list[tuple[int, Term]], m: int, domain: list[Element], params: Params
+) -> Optional[tuple[int, Term, tuple[int, ...]]]:
+    """First (index, term, kernel hit) among the chunk's indexed terms."""
+    return SymbolicGrid(params, domain).first_hit(chunk, m, _grid_term_has_witness)
 
-    The kernel's verdict and witness depend only on the equality pattern
-    of the term's codes, so the kernel runs once per pattern key; the scan
-    stops at its first witness, so only "no witness" keys are kept."""
-    stats = SearchStats()
-    grid = SymbolicGrid(params, domain)
+
+def _scan_terms(
+    term_list: list[Term], m: int, domain: list[Element], params: Params,
+    stats: SearchStats, jobs: int = 1,
+) -> Optional[TCWitness]:
+    """First witness among the terms, adding to stats the counts of a
+    lexicographic scan over every (p1, q1, ..., pm, qm) up to it.  Only the
+    terms that use all blocks reach a kernel; ``jobs`` workers take
+    contiguous chunks of them, and the first chunk with a hit holds the
+    first witness."""
+    candidates = [(i, t) for i, t in enumerate(term_list) if _uses_all_blocks(t, m)]
+    if jobs <= 1 or len(candidates) < 2 * jobs:
+        first = _first_witness(candidates, m, domain, params)
+    else:
+        size = -(-len(candidates) // jobs)
+        chunks = [candidates[s : s + size] for s in range(0, len(candidates), size)]
+        args = (chunks, repeat(m), repeat(domain), repeat(params))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            first = next((r for r in pool.map(_first_witness, *args) if r is not None), None)
     space = len(domain) ** (2 * m)
-    no_witness: set[tuple] = set()
-    for t in chunk:
-        stats.terms_scanned += 1
-        hit = None
-        if _uses_all_blocks(t, m):
-            key = grid.pattern_key(t, m)
-            if key is None or key not in no_witness:
-                hit = _grid_term_has_witness(grid, t, m)
-                if hit is None and key is not None:
-                    no_witness.add(key)
-        if hit is None:
-            stats.assignments_scanned += space
-            continue
-        w = _grid_witness(t, m, hit, domain, params)
-        rank = 0
-        for x in hit:
-            rank = rank * len(domain) + x
-        stats.assignments_scanned += rank + 1
-        return w, stats
-    return None, stats
+    if first is None:
+        stats.terms_scanned += len(term_list)
+        stats.assignments_scanned += len(term_list) * space
+        return None
+    i, t, hit = first
+    rank = int(np.ravel_multi_index(hit, (len(domain),) * (2 * m)))
+    stats.terms_scanned += i + 1
+    stats.assignments_scanned += i * space + rank + 1
+    return _grid_witness(t, m, hit, domain, params)
 
 
 def search_tc_witness(
@@ -342,29 +345,4 @@ def search_tc_witness(
             f"and 3, block length 1 and at most {GRID_CELL_CAP} grid cells"
         )
     term_list = list(enumerate_terms(m, max_depth, triple_pool, params, cap=term_cap))
-    if stats is None:
-        stats = SearchStats()
-
-    if jobs <= 1 or len(term_list) < 2 * jobs:
-        chunks = [term_list]
-    else:
-        size = (len(term_list) + jobs - 1) // jobs
-        chunks = [term_list[i : i + size] for i in range(0, len(term_list), size)]
-
-    if len(chunks) == 1:
-        results = [_scan_chunk(chunks[0], m, domain, params)]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_scan_chunk, ch, m, domain, params) for ch in chunks
-            ]
-            results = [f.result() for f in futures]
-
-    # Merge in canonical order: counts accumulate up to and including the
-    # first chunk that found a witness, so totals match a sequential run.
-    for witness, chunk_stats in results:
-        stats.terms_scanned += chunk_stats.terms_scanned
-        stats.assignments_scanned += chunk_stats.assignments_scanned
-        if witness is not None:
-            return witness
-    return None
+    return _scan_terms(term_list, m, domain, params, stats or SearchStats(), jobs)

@@ -180,34 +180,23 @@ def check_corner_lemma(
     def run() -> VerificationReport:
         grid = SymbolicGrid(params, list(domain))
         d = len(domain)
-        terms_scanned = 0
-        assignments = 0
-        for t in enumerate_terms(m, max_depth, triple_pool, params):
-            terms_scanned += 1
-            assignments += d ** (2 * m)
-            hit = _corner_violation(grid, t, m)
-            if hit is not None:
-                blocks = BlockAssignment.from_indices(hit, domain)
-                cube = term_cube(t, blocks, m, params)
-                return VerificationReport(
-                    "corner_lemma",
-                    {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth},
-                    "fail",
-                    counterexample={
-                        "term": term_to_text(t),
-                        "blocks": blocks.to_record(),
-                        "cube": [element_to_text(v) for v in cube.vertices],
-                    },
-                    counts={
-                        "terms_scanned": terms_scanned,
-                        "assignments_scanned": assignments,
-                    },
-                )
+        report_params = {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth}
+        term_list = list(enumerate_terms(m, max_depth, triple_pool, params))
+        first = grid.first_hit(enumerate(term_list), m, _corner_violation)
+        scanned = len(term_list) if first is None else first[0] + 1
+        counts = {"terms_scanned": scanned, "assignments_scanned": scanned * d ** (2 * m)}
+        if first is None:
+            return VerificationReport("corner_lemma", report_params, "pass", counts=counts)
+        _, t, hit = first
+        blocks = BlockAssignment.from_indices(hit, domain)
+        cube = term_cube(t, blocks, m, params)
+        counterexample = {
+            "term": term_to_text(t),
+            "blocks": blocks.to_record(),
+            "cube": [element_to_text(v) for v in cube.vertices],
+        }
         return VerificationReport(
-            "corner_lemma",
-            {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth},
-            "pass",
-            counts={"terms_scanned": terms_scanned, "assignments_scanned": assignments},
+            "corner_lemma", report_params, "fail", counterexample, counts
         )
 
     return _timed(run)

@@ -129,6 +129,40 @@ def test_load_algebra_errors(tmp_path):
         load_algebra(str(bad))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"size": 2, "operations": [1]},
+        {"size": "2", "operations": []},
+        {"size": True, "operations": []},
+        {"size": 0, "operations": []},
+        {"size": 2, "operations": {"symbol": "f"}},
+        {"size": 2, "operations": [{"symbol": "f", "arity": 1, "table": 5}]},
+        {"size": 2, "operations": [{"symbol": "f", "arity": "1", "table": [0, 1]}]},
+        {"size": 2, "operations": [{"symbol": 7, "arity": 1, "table": [0, 1]}]},
+        {"size": 2, "operations": [{"symbol": "f", "arity": 1, "table": [0, "1"]}]},
+    ],
+    ids=[
+        "operation-not-object", "size-str", "size-bool", "size-zero",
+        "operations-not-list", "table-int", "arity-str", "symbol-int", "table-entry-str",
+    ],
+)
+def test_fin_rejects_malformed_algebra_files(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        load_algebra(str(path))
+    assert main(["fin", "simple", str(path)]) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("delta", ["[1]", "[[]]", "[[0], [true]]", '{"0": [0, 1]}', "[[0], [0, 1]]"])
+def test_fin_tc_rejects_a_malformed_delta(tmp_path, capsys, delta):
+    semi = write_algebra(tmp_path, "semi.json", 2, [("meet", 2, [0, 0, 0, 1])])
+    assert main(["fin", "tc", semi, "--delta", delta]) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_fin_commutator_and_simple(tmp_path, capsys):
     semi = write_algebra(tmp_path, "semi.json", 2, [("meet", 2, [0, 0, 0, 1])])
     assert main(["fin", "commutator", semi, "--m", "2"]) == EXIT_OK

@@ -14,7 +14,7 @@ from commlab.cubes import (
     TCWitness,
     _grid_dim2_witness,
     _grid_dim3_witness,
-    _scan_chunk,
+    _scan_terms,
     _uses_all_blocks,
     is_tc_failure,
     search_tc_witness,
@@ -133,7 +133,8 @@ def test_scan_chunk_agrees_with_the_oracle_scan(params, m, domain, all_blocks_on
         terms = [t for t in terms if _uses_all_blocks(t, m)]
     hits = 0
     for t in terms:
-        w, stats = _scan_chunk([t], m, list(domain), params)
+        stats = SearchStats()
+        w = _scan_terms([t], m, list(domain), params, stats)
         o_w, o_terms, o_count = scan_terms_naive([t], m, domain, params)
         assert (stats.terms_scanned, stats.assignments_scanned) == (o_terms, o_count)
         assert (w is None) == (o_w is None)
@@ -177,13 +178,38 @@ def test_cached_scan_matches_the_per_term_kernel(monkeypatch, m, domain, has_wit
         "_grid_term_has_witness",
         lambda grid, t, m: calls.append(t) or kernel(grid, t, m),
     )
-    w, stats = _scan_chunk(terms, m, list(domain), P2)
+    stats = SearchStats()
+    w = _scan_terms(terms, m, list(domain), P2, stats)
     record = None if w is None else w.to_record()
     assert (record, stats.terms_scanned, stats.assignments_scanned) == expected
     assert (record is not None) == has_witness
     # some terms were decided by their class, without the kernel
     scanned = [t for t in terms[: stats.terms_scanned] if _uses_all_blocks(t, m)]
     assert 1 < len(calls) < len(scanned)
+
+
+@pytest.mark.parametrize(
+    "domain,candidates,hits",
+    [([AGen(2, 0), BGen(2, 0), CConst()], 150, [False, True]), (ATOMS, None, [True, True])],
+    ids=["hit-in-the-second-chunk", "hits-in-both-chunks"],
+)
+def test_parallel_scan_takes_the_first_chunk_with_a_hit(domain, candidates, hits):
+    # Two workers split the all-block terms into halves; the canonically
+    # first witness and its counts come from the first half with a hit.
+    terms = list(enumerate_terms(2, 2, POOL2, P2))
+    indexed = [(i, t) for i, t in enumerate(terms) if _uses_all_blocks(t, 2)]
+    if candidates is not None:
+        indexed = indexed[:candidates]
+        terms = terms[: indexed[-1][0] + 1]
+    half = -(-len(indexed) // 2)
+    chunks = [indexed[:half], indexed[half:]]
+    assert [cubes_mod._first_witness(c, 2, domain, P2) is not None for c in chunks] == hits
+    seq, par = SearchStats(), SearchStats()
+    w_seq = _scan_terms(terms, 2, domain, P2, seq)
+    w_par = _scan_terms(terms, 2, domain, P2, par, jobs=2)
+    assert w_par.to_record() == w_seq.to_record()
+    assert (par.terms_scanned, par.assignments_scanned) == (
+        seq.terms_scanned, seq.assignments_scanned)
 
 
 def _dim2_witness_brute(codes):
@@ -286,7 +312,7 @@ def test_scan_chunk_rejects_a_located_non_witness(monkeypatch):
         cubes_mod, "_grid_term_has_witness", lambda grid, t, m: (0, 0, 0, 1)
     )
     with pytest.raises(CommlabError, match="rejects"):
-        _scan_chunk([FApp((Var(0), Var(1)))], 2, [DConst(1), DConst(2)], P2)
+        _scan_terms([FApp((Var(0), Var(1)))], 2, [DConst(1), DConst(2)], P2, SearchStats())
 
 
 def test_control_search_at_the_n3_defaults():

@@ -6,13 +6,13 @@ import pytest
 from commlab._grid import SymbolicGrid
 from commlab.elements import AGen, CConst, DConst, Params
 from commlab.terms import (
+    Const,
     FApp,
     UApp,
     UPQRApp,
     Var,
     default_triple_pool,
     enumerate_terms,
-    free_vars,
 )
 
 P2 = Params(2)
@@ -84,6 +84,24 @@ def test_eval_codes_equality_pattern_survives_a_wide_intern_table():
     assert ((codes[:, None] == codes[None, :]) == (ids[:, None] == ids[None, :])).all()
 
 
+def test_eval_codes_falls_back_when_the_label_pack_would_wrap():
+    # x0 ranges over 131,070 elements, so with the pinned a/b labels its
+    # position has 2**17 labels and base**4 = 2**68 > 2**63.  Cells 8192
+    # apart differ by 8192 * base**3 = 2**64 in the positional pack, so a
+    # wrapping pack would merge them.
+    p4 = Params(4)
+    domain = [AGen(1, j) for j in range(1, 131071)]
+    grid = SymbolicGrid(p4, domain)
+    c = Const(CConst())
+    t = FApp((Var(0), c, c, c))
+    assert max(int(lab.max()) for lab in grid.pattern_labels(t, 1)) == 2**17 - 1
+    codes = grid.eval_codes(t, 1)
+    ids = grid.eval_ids(t, 1)
+    assert codes.shape == ids.shape == (len(domain),)
+    assert np.unique(ids).size == ids.size
+    assert np.unique(codes).size == codes.size
+
+
 def _first_occurrence_relabel(codes):
     # Each value becomes the number of distinct values met before its first
     # occurrence in C order.
@@ -91,27 +109,44 @@ def _first_occurrence_relabel(codes):
     return [labels.setdefault(v, len(labels)) for v in codes.ravel().tolist()]
 
 
+def test_eval_codes_equality_is_value_equality():
+    # The codes come from the pattern labels, not from the values; on every
+    # term they must still be equal exactly where the values are.
+    grid = SymbolicGrid(P2, ATOMS)
+    full = (len(ATOMS),) * 2
+    for t in enumerate_terms(2, 2, POOL2, P2):
+        codes = np.broadcast_to(grid.eval_codes(t, 2), full)
+        ids = np.broadcast_to(grid.eval_ids(t, 2), full)
+        assert _first_occurrence_relabel(codes) == _first_occurrence_relabel(ids)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_equal_pattern_keys_give_equal_equality_patterns(m):
+    # Every term, not only those that use all blocks: the corner lemma
+    # decides each class once, and it reads the codes in broadcast shape.
     grid = SymbolicGrid(P2, ATOMS)
-    d = len(ATOMS)
     classes = {}
     for t in enumerate_terms(m, 2, POOL2, P2):
-        if free_vars(t) != frozenset(range(m)):
-            continue
-        key = grid.pattern_key(t, m)
-        assert key is not None
-        codes = np.broadcast_to(grid.eval_codes(t, m), (d,) * m)
-        classes.setdefault(key, []).append(_first_occurrence_relabel(codes))
+        codes = grid.eval_codes(t, m)
+        pattern = (codes.shape, _first_occurrence_relabel(codes))
+        classes.setdefault(grid.pattern_key(t, m), []).append(pattern)
     for patterns in classes.values():
         assert all(p == patterns[0] for p in patterns[1:])
     # the key merges terms, so the check above compares something
     assert len(classes) < sum(len(p) for p in classes.values())
 
 
-def test_pattern_key_is_none_for_a_variable_root():
+def test_a_variable_root_is_keyed_by_its_own_ids():
     grid = SymbolicGrid(P2, ATOMS)
-    assert grid.pattern_key(UApp(Var(1)), 2) is None
+    key = grid.pattern_key(Var(1), 2)
+    assert grid.pattern_key(UApp(Var(1)), 2) == key
+    assert grid.pattern_key(Var(0), 2) != key
+    f_keys = {
+        grid.pattern_key(t, 2)
+        for t in enumerate_terms(2, 2, POOL2, P2)
+        if isinstance(t, FApp)
+    }
+    assert f_keys and key not in f_keys
     assert grid.pattern_key(UApp(FApp((Var(0), Var(1)))), 2) == grid.pattern_key(
         FApp((Var(0), Var(1))), 2
     )

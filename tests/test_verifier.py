@@ -12,8 +12,11 @@ from commlab.elements import (
     Params,
     Tagged,
     bounded_subuniverse,
+    element_to_text,
 )
+import commlab.verifier as verifier_mod
 from commlab._grid import SymbolicGrid
+from commlab.cubes import BlockAssignment, term_cube
 from commlab.terms import (
     UnaryPolynomial,
     UApp,
@@ -21,6 +24,7 @@ from commlab.terms import (
     default_triple_pool,
     enumerate_terms,
     eval_term,
+    term_to_text,
 )
 from commlab.verifier import (
     ChainStep,
@@ -75,6 +79,43 @@ def test_corner_lemma_passes():
     rep = check_corner_lemma(P2, 2, ATOMS, 1, POOL2)
     assert rep.passed
     assert rep.counts["terms_scanned"] == 56
+
+
+def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
+    # Flag one equality class, that of the last term; the check reports its
+    # first member with the counts of a scan that visits every term.
+    grid = SymbolicGrid(P2, ATOMS)
+    terms = list(enumerate_terms(2, 2, POOL2, P2))
+    target = grid.eval_codes(terms[-1], 2)
+    hit = (1, 2, 3, 4)
+
+    def flag(codes):
+        return hit if codes.shape == target.shape and (codes == target).all() else None
+
+    monkeypatch.setattr(verifier_mod, "corner_violation_in", flag)
+    i = next(i for i, t in enumerate(terms) if flag(grid.eval_codes(t, 2)) is not None)
+    blocks = BlockAssignment.from_indices(hit, ATOMS)
+    cube = term_cube(terms[i], blocks, 2, P2)
+    calls = []
+    decide = verifier_mod._corner_violation
+    monkeypatch.setattr(
+        verifier_mod, "_corner_violation",
+        lambda g, t, m: calls.append(t) or decide(g, t, m),
+    )
+    rep = check_corner_lemma(P2, 2, ATOMS, 2, POOL2)
+    assert rep.outcome == "fail"
+    assert rep.counterexample == {
+        "term": term_to_text(terms[i]),
+        "blocks": blocks.to_record(),
+        "cube": [element_to_text(v) for v in cube.vertices],
+    }
+    assert rep.counts == {
+        "terms_scanned": i + 1,
+        "assignments_scanned": (i + 1) * len(ATOMS) ** 4,
+    }
+    # one call per class met up to the hit, fewer than the terms scanned
+    keys = {grid.pattern_key(t, 2) for t in terms[: i + 1]}
+    assert len(calls) == len(keys) < i + 1
 
 
 def test_corner_scan_on_used_axes_matches_brute_force():
