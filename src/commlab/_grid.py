@@ -12,13 +12,16 @@ assignment grid become numpy gather operations.  Two output modes:
   top-level f-images when only the equality pattern of a cube matters.
 
 Id arrays smaller than the full grid are memoized per grid, keyed by
-(term, m), so a subterm shared by many terms is evaluated once.  Cached
-arrays are read-only; their ids stay valid because interning only appends.
+(term, m), so a subterm shared by many terms is evaluated once.  So are the
+pattern labels of each f-argument, keyed by (argument, position, m), and the
+last-axis row classes of each distinct label array.  Cached arrays are
+read-only; their ids stay valid because interning only appends.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -44,6 +47,9 @@ class SymbolicGrid:
         self._upqr_caches: dict[tuple[Element, Element, Element], dict[int, int]] = {}
         self._f_cache: dict[tuple[int, ...], int] = {}
         self._memo: dict[tuple[terms.Term, int], np.ndarray] = {}
+        self._labels: dict[tuple[terms.Term, int, int], tuple[np.ndarray, int]] = {}
+        self._label_classes: dict[tuple[tuple, bytes], int] = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         n = params.n
         self._a_ids = [self.intern(elements.AGen(i, 0)) for i in range(1, n + 1)]
         self._b_ids = [self.intern(elements.BGen(i, 0)) for i in range(1, n + 1)]
@@ -105,53 +111,24 @@ class SymbolicGrid:
                 lambda e: elements.eval_u_pqr(t.p, t.q, t.r, e, p),
                 self.eval_ids(t.arg, m),
             )
-        children = np.broadcast_arrays(*(self.eval_ids(a, m) for a in t.args))
-        shape = children[0].shape
-        flat = np.stack([c.ravel() for c in children], axis=1)
-        if flat.shape[0] > F_NODE_CAP:
-            raise BudgetExceededError(
-                f"f-node grid of {flat.shape[0]} cells exceeds cap {F_NODE_CAP}"
-            )
-        rows, inverse = np.unique(flat, axis=0, return_inverse=True)
-        out_ids = np.empty(rows.shape[0], dtype=np.int64)
-        for pos, key in enumerate(map(tuple, rows.tolist())):
+        children = [self.eval_ids(a, m) for a in t.args]
+        cells = math.prod(np.broadcast_shapes(*(c.shape for c in children)))
+        if cells > F_NODE_CAP:
+            raise BudgetExceededError(f"f-node grid of {cells} cells exceeds cap {F_NODE_CAP}")
+        rows, inverse = _distinct_tuples(children)
+        out_ids = np.empty(rows[0].size, dtype=np.int64)
+        for pos, key in enumerate(zip(*(r.tolist() for r in rows))):
             v = self._f_cache.get(key)
             if v is None:
                 v = self.intern(elements.eval_f([self._elems[i] for i in key], p))
                 self._f_cache[key] = v
             out_ids[pos] = v
-        return out_ids[inverse].reshape(shape)
+        return out_ids[inverse]
 
     def eval_codes(self, t: terms.Term, m: int) -> np.ndarray:
         """Equality codes of t over the grid: code equality iff value
         equality.  They depend on the pattern labels alone."""
-        labels = self.pattern_labels(t, m)
-        if len(labels) == 1:  # a variable root; f has arity n >= 2
-            return labels[0]
-        base = max(int(lab.max()) for lab in labels) + 1
-        if base ** len(labels) <= 2**63:
-            code = labels[0].astype(np.int64)
-            for lab in labels[1:]:
-                code = code * base + lab
-        else:
-            # The positional pack would wrap int64; number the distinct
-            # label tuples instead.
-            full = np.broadcast_arrays(*labels)
-            flat = np.stack([c.ravel() for c in full], axis=1)
-            _, code = np.unique(flat, axis=0, return_inverse=True)
-            code = code.reshape(full[0].shape)
-        # Cells whose arguments lie in f0's domain (labels 0 and 1) take a
-        # d-value; off the domain f tags its argument tuple, so the d-values
-        # get negative codes, apart from every nonnegative label code.
-        in_dmn = functools.reduce(np.logical_and, [lab <= 1 for lab in labels])
-        if np.any(in_dmn):
-            k = 0
-            for lab in labels[:-1]:
-                k = 2 * k + (lab == 1)
-            # the last argument counts only when all the others are b's
-            d_index = k + ((k == 2 ** (len(labels) - 1) - 1) & (labels[-1] == 1))
-            code = np.where(in_dmn, -1 - d_index, code)
-        return code
+        return _codes(self.pattern_labels(t, m))
 
     def pattern_labels(self, t: terms.Term, m: int) -> list[np.ndarray]:
         """Arrays in broadcast shape that fix the equality pattern of t.
@@ -164,8 +141,14 @@ class SymbolicGrid:
         t = _strip_wrappers(t)
         if not isinstance(t, terms.FApp):
             return [self.eval_ids(t, m)]
-        labels = []
-        for pos, arg in enumerate(t.args):
+        return [self._arg_labels(arg, pos, m)[0] for pos, arg in enumerate(t.args)]
+
+    def _arg_labels(self, arg: terms.Term, pos: int, m: int) -> tuple[np.ndarray, int]:
+        """The read-only pinned labels of an f-argument at a position, and
+        the class id of that label array, memoized per (arg, pos, m)."""
+        key = (arg, pos, m)
+        hit = self._labels.get(key)
+        if hit is None:
             ids = self.eval_ids(arg, m)
             pinned = [self._a_ids[pos], self._b_ids[pos]]
             uniq, first, inverse = np.unique(
@@ -173,12 +156,51 @@ class SymbolicGrid:
             )
             relabel = np.empty(uniq.size, dtype=np.min_scalar_type(uniq.size - 1))
             relabel[np.argsort(first)] = np.arange(uniq.size)
-            labels.append(relabel[inverse[2:]].reshape(ids.shape))
-        return labels
+            labels = relabel[inverse[2:]].reshape(ids.shape)
+            labels.flags.writeable = False
+            classes = self._label_classes
+            hit = labels, classes.setdefault((labels.shape, labels.tobytes()), len(classes))
+            self._labels[key] = hit
+        return hit
 
     def pattern_key(self, t: terms.Term, m: int) -> tuple:
-        """Shapes and bytes of the pattern labels: equal keys, equal codes."""
-        return tuple((lab.shape, lab.tobytes()) for lab in self.pattern_labels(t, m))
+        """Equal keys, equal codes.  An f-root is keyed by the class ids of
+        its arguments' label arrays, a variable root by the shape and bytes
+        of its ids; the two kinds of key never meet."""
+        t = _strip_wrappers(t)
+        if not isinstance(t, terms.FApp):
+            ids = self.eval_ids(t, m)
+            return ((ids.shape, ids.tobytes()),)
+        return tuple(self._arg_labels(arg, pos, m)[1] for pos, arg in enumerate(t.args))
+
+    def fibers(self, t: terms.Term, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct fibers of t's equality codes along the last axis, as
+        a (k, d) array, and for each cell of the first m - 1 axes, in full
+        shape, the index of its fiber.  The root, wrappers stripped, must be
+        an f-application, as it is in every term that uses all m axes.
+
+        The codes within a fiber depend on each argument's row only through
+        equality, through which labels are 0 or 1 and through f0's d-index,
+        all of which the row's class keeps.  So a cell is numbered by the
+        tuple of its arguments' row classes, and only the distinct fibers
+        are built, from the classes' reduced rows."""
+        d = len(self.domain)
+        args = _strip_wrappers(t).args
+        rows = [self._arg_rows(arg, pos, m) for pos, arg in enumerate(args)]
+        classes, cell_fiber = _distinct_tuples([row_class for _, row_class in rows])
+        fibers = _codes([reduced[c] for (reduced, _), c in zip(rows, classes)])
+        return (
+            np.broadcast_to(fibers, (classes[0].size, d)),
+            np.broadcast_to(cell_fiber, (d,) * (m - 1)),
+        )
+
+    def _arg_rows(self, arg: terms.Term, pos: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_row_classes`` of an f-argument's labels, memoized per label class."""
+        labels, cls = self._arg_labels(arg, pos, m)
+        rows = self._rows.get(cls)
+        if rows is None:
+            rows = self._rows[cls] = _row_classes(labels)
+        return rows
 
     def first_hit(
         self, indexed_terms: Iterable[tuple[int, terms.Term]], m: int, decide: Callable
@@ -202,3 +224,80 @@ def _strip_wrappers(t: terms.Term) -> terms.Term:
     while isinstance(t, (terms.UApp, terms.UPQRApp)):
         t = t.arg  # injective wrappers preserve the equality pattern
     return t
+
+
+def _pack(arrays: list[np.ndarray]) -> np.ndarray:
+    """One int64 code per cell of the arrays' broadcast shape, equal where
+    the tuples of their entries are equal and ordered like those tuples.
+    The positional pack needs base**len(arrays) <= 2**63; past that the
+    distinct tuples are numbered instead, so no code wraps."""
+    base = max(int(a.max()) for a in arrays) + 1
+    if base ** len(arrays) <= 2**63:
+        code = arrays[0].astype(np.int64)
+        for a in arrays[1:]:
+            code = code * base + a
+        return code
+    full = np.broadcast_arrays(*arrays)
+    flat = np.stack([c.ravel() for c in full], axis=1)
+    _, code = np.unique(flat, axis=0, return_inverse=True)
+    return code.reshape(full[0].shape)
+
+
+def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct tuples of the arrays' entries over their broadcast shape,
+    in lexicographic order and as one 1-D array per input, and the index of
+    each cell's tuple among them, in that shape."""
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    _, first, inverse = np.unique(
+        _pack(arrays).ravel(), return_index=True, return_inverse=True
+    )
+    at = np.unravel_index(first, shape)
+    return [np.broadcast_to(a, shape)[at] for a in arrays], inverse.reshape(shape)
+
+
+def _codes(labels: list[np.ndarray]) -> np.ndarray:
+    """Equality codes from pattern labels, in their broadcast shape."""
+    if len(labels) == 1:  # a variable root; f has arity n >= 2
+        return labels[0]
+    code = _pack(labels)
+    # Cells whose arguments lie in f0's domain (labels 0 and 1) take a
+    # d-value; off the domain f tags its argument tuple, so the d-values
+    # get negative codes, apart from every nonnegative label code.
+    in_dmn = functools.reduce(np.logical_and, [lab <= 1 for lab in labels])
+    if np.any(in_dmn):
+        k = 0
+        for lab in labels[:-1]:
+            k = 2 * k + (lab == 1)
+        # the last argument counts only when all the others are b's
+        d_index = k + ((k == 2 ** (len(labels) - 1) - 1) & (labels[-1] == 1))
+        code = np.where(in_dmn, -1 - d_index, code)
+    return code
+
+
+def _first_occurrence(rows: np.ndarray) -> np.ndarray:
+    """Canonical partition labels: each entry becomes the index of the first
+    entry of its row that is equal to it."""
+    k, d = rows.shape
+    order = np.argsort(rows, axis=1, kind="stable")
+    srt = np.take_along_axis(rows, order, axis=1)
+    run_start = np.ones((k, d), dtype=bool)
+    run_start[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    run = np.where(run_start, np.arange(d), 0)
+    np.maximum.accumulate(run, axis=1, out=run)
+    labels = np.empty_like(order)
+    np.put_along_axis(labels, order, np.take_along_axis(order, run, axis=1), axis=1)
+    return labels
+
+
+def _row_classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of labels along the last axis, each reduced to its
+    pinned first-occurrence partition, and, in the shape of the leading
+    axes, the index of each row's reduced form among them.
+
+    Labels 0 and 1 stay and every other label becomes 2 plus the index of
+    its first occurrence in the row: a bijection within the row that keeps
+    which labels are 0 or 1.  A row of length 1 reduces to 0, 1 or 2."""
+    rows = labels.reshape(-1, labels.shape[-1])
+    reduced = np.where(rows <= 1, rows, 2 + _first_occurrence(rows))
+    distinct, inverse = np.unique(reduced, axis=0, return_inverse=True)
+    return distinct, inverse.reshape(labels.shape[:-1])

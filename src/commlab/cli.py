@@ -50,6 +50,11 @@ class RunConfig:
         if self.budget is None:
             env = os.environ.get("COMMLAB_BUDGET")
             self.budget = int(env) if env else el.DEFAULT_ELEMENT_CAP
+        for name, value, least in (
+            ("max_depth", self.max_depth, 0), ("jobs", self.jobs, 1), ("budget", self.budget, 1)
+        ):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         return self
 
 

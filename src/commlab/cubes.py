@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import terms as terms_mod
-from ._grid import SymbolicGrid
+from ._grid import SymbolicGrid, _first_occurrence
 from .elements import Element, Params, element_to_text
 from .errors import BudgetExceededError, CommlabError
 from .terms import Term, enumerate_terms, eval_term, free_vars, term_to_text
@@ -137,11 +137,10 @@ def _grid_term_has_witness(
 ) -> Optional[tuple[int, ...]]:
     """Canonically first witness assignment of t as domain indices
     (p1, q1, ..., pm, qm), or None when t has none."""
-    d = len(grid.domain)
-    codes = np.broadcast_to(grid.eval_codes(t, m), (d,) * m)
     if m == 2:
-        return _grid_dim2_witness(codes)
-    return _grid_dim3_witness(codes, d)
+        d = len(grid.domain)
+        return _grid_dim2_witness(np.broadcast_to(grid.eval_codes(t, m), (d, d)))
+    return _grid_dim3_witness(*grid.fibers(t, m))
 
 
 def _first_index(mask: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -166,47 +165,44 @@ def _grid_dim2_witness(codes: np.ndarray) -> Optional[tuple[int, ...]]:
     return p1, q1, p2, q2
 
 
-def _first_occurrence(rows: np.ndarray) -> np.ndarray:
-    """Canonical partition labels: each entry becomes the index of the first
-    entry of its row that is equal to it."""
-    k, d = rows.shape
-    order = np.argsort(rows, axis=1, kind="stable")
-    srt = np.take_along_axis(rows, order, axis=1)
-    run_start = np.ones((k, d), dtype=bool)
-    run_start[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    run = np.where(run_start, np.arange(d), 0)
-    np.maximum.accumulate(run, axis=1, out=run)
-    labels = np.empty_like(order)
-    np.put_along_axis(labels, order, np.take_along_axis(order, run, axis=1), axis=1)
-    return labels
-
-
 # Bound on the pair-by-partition comparison block built at once.
 _PAIR_BLOCK_CELLS = 2**22
 
 
-def _grid_dim3_witness(codes: np.ndarray, d: int) -> Optional[tuple[int, ...]]:
-    # Cells are (x1, x2); the fiber of a cell is its value row over x3.
-    # H[cell] for a block-3 pair p3 != q3 is "fiber equal at p3 and q3";
-    # a witness exists iff some H contains the 2x2 pattern [[1,1],[1,0]],
-    # i.e. iff two distinct nonempty row supports of H share a column.
-    if d < 2:
-        return None
-    fibers = codes.reshape(d * d, d)
+def _dim3_signatures(
+    fibers: np.ndarray, cell_fiber: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The signature of each cell's fiber, in the shape of cell_fiber, and
+    the distinct partitions behind signatures 2, 3, ...
+
+    Signature 0: injective fiber (equal only on the diagonal).  Signature 1:
+    constant fiber (always equal).  Further signatures are the distinct
+    canonical partitions of the remaining fibers, in lexicographic order.
+    Only the given fibers are sorted, however many cells share them."""
     srt = np.sort(fibers, axis=1)
     injective = (np.diff(srt, axis=1) != 0).all(axis=1)
     constant = srt[:, 0] == srt[:, -1]
     other = ~injective & ~constant
-
-    # Signature 0: injective fiber (equal only on the diagonal).
-    # Signature 1: constant fiber (always equal).  Further signatures are
-    # the distinct canonical partitions of the remaining fibers.
     partitions, part_sig = np.unique(
         _first_occurrence(fibers[other]), axis=0, return_inverse=True
     )
     sig = np.where(injective, 0, 1)
     sig[other] = 2 + part_sig.reshape(-1)
-    sig = sig.reshape(d, d)
+    return sig[cell_fiber], partitions
+
+
+def _grid_dim3_witness(
+    fibers: np.ndarray, cell_fiber: np.ndarray
+) -> Optional[tuple[int, ...]]:
+    """Canonically first witness of the codes whose fiber over x3 at the
+    cell (x1, x2) is ``fibers[cell_fiber[x1, x2]]``, or None."""
+    # H[cell] for a block-3 pair p3 != q3 is "fiber equal at p3 and q3";
+    # a witness exists iff some H contains the 2x2 pattern [[1,1],[1,0]],
+    # i.e. iff two distinct nonempty row supports of H share a column.
+    d = fibers.shape[1]
+    if d < 2:
+        return None
+    sig, partitions = _dim3_signatures(fibers, cell_fiber)
     sig_rows = np.unique(sig, axis=0)
 
     # b[s] for a pair (p3, q3) says whether signature s is equal at p3 and
@@ -230,11 +226,11 @@ def _grid_dim3_witness(codes: np.ndarray, d: int) -> Optional[tuple[int, ...]]:
             hits.append(b)
     if not hits:
         return None
-    return _locate_dim3(codes, sig, np.array(hits))
+    return _locate_dim3(fibers, cell_fiber, sig, np.array(hits))
 
 
 def _locate_dim3(
-    codes: np.ndarray, sig: np.ndarray, bs: np.ndarray
+    fibers: np.ndarray, cell_fiber: np.ndarray, sig: np.ndarray, bs: np.ndarray
 ) -> tuple[int, ...]:
     """Canonically first witness, given the signature grid and every b whose
     H = b[sig] holds one: each stage takes the least coordinate that some
@@ -258,7 +254,7 @@ def _locate_dim3(
     q2 = int(np.argmax(only_p[live].any(axis=0)))
 
     def equal(x1: int, x2: int) -> np.ndarray:
-        fiber = codes[x1, x2]
+        fiber = fibers[cell_fiber[x1, x2]]
         return fiber[:, None] == fiber[None, :]
 
     p3, q3 = _first_index(equal(p1, p2) & equal(p1, q2) & equal(q1, p2) & ~equal(q1, q2))

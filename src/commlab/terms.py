@@ -129,6 +129,8 @@ def enumerate_terms(
     depth <= max_depth, each exactly once, in canonical order."""
     if num_vars < 1:
         raise ValueError("need at least one variable")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     by_depth: list[list[Term]] = []
     cumulative: list[Term] = []
 

@@ -7,6 +7,7 @@ the claimed property at these bounds", never a proof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -240,26 +241,22 @@ def check_term_lemma(
         grid = SymbolicGrid(params, list(domain))
         d = len(domain)
         n = params.n
-        c_ids = set()
-        for i in range(1, n + 1):
-            c_ids.add(grid.intern(el.AGen(i, 0)))
-            c_ids.add(grid.intern(el.BGen(i, 0)))
-        c_id_arr = np.array(sorted(c_ids), dtype=np.int64)
+        c_ids = [grid.intern(gen(i, 0)) for i in range(1, n + 1) for gen in (el.AGen, el.BGen)]
         powers = _u_powers(grid, params)
         terms_scanned = 0
         checked = 0
         for t in enumerate_terms(num_vars, max_depth, triple_pool, params):
             terms_scanned += 1
-            ids = np.broadcast_to(grid.eval_ids(t, num_vars), (d,) * num_vars)
-            in_c = np.isin(ids, c_id_arr)
-            if not in_c.any():
-                continue
-            c_values = np.unique(ids[in_c])
-            if len(c_values) < 2:
+            raw = grid.eval_ids(t, num_vars)
+            in_c = functools.reduce(np.logical_or, [raw == c for c in c_ids])
+            c_values = raw[in_c]
+            # the premise: two distinct values among the C cells
+            if c_values.size == 0 or c_values.min() == c_values.max():
                 continue
             checked += 1
+            ids = np.broadcast_to(raw, (d,) * num_vars)
             if _u_power_of(ids, powers) is None:
-                cells = np.argwhere(in_c)
+                cells = np.argwhere(np.broadcast_to(in_c, ids.shape))
                 first = cells[0]
                 second = None
                 v0 = ids[tuple(first)]

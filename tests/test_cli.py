@@ -108,6 +108,18 @@ def test_run_config_resolution():
     assert (cfg3.j_max, cfg3.closure_depth, cfg3.max_depth) == (0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--max-depth", "-1"), ("--jobs", "0"), ("--jobs", "-3"), ("--budget", "-5")],
+)
+def test_paper_verify_rejects_a_bad_bound(capsys, flag, value):
+    # a bound out of range is a usage error, found before any check runs
+    assert main(["paper-verify", flag, value, "--format", "json"]) == EXIT_RESOURCE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert flag[2:].replace("-", "_") in out.err
+
+
 def test_load_algebra(tmp_path):
     path = write_algebra(tmp_path, "semi.json", 2, [("meet", 2, [0, 0, 0, 1])])
     alg = load_algebra(path)

@@ -12,6 +12,7 @@ from commlab.cubes import (
     Cube,
     SearchStats,
     TCWitness,
+    _dim3_signatures,
     _grid_dim2_witness,
     _grid_dim3_witness,
     _scan_terms,
@@ -235,6 +236,12 @@ def test_grid_dim2_locates_the_first_witness():
     assert verdicts == {True, False}
 
 
+def _identity_factorization(codes):
+    # every cell (x1, x2) keeps its own fiber
+    d = codes.shape[0]
+    return codes.reshape(d * d, d), np.arange(d * d).reshape(d, d)
+
+
 def test_grid_dim3_against_brute_force():
     rng = random.Random(7)
     for _ in range(120):
@@ -253,7 +260,7 @@ def test_grid_dim3_against_brute_force():
                     and v[6] != v[7]):
                 expected = (p1, q1, p2, q2, p3, q3)
                 break
-        assert _grid_dim3_witness(codes, d) == expected
+        assert _grid_dim3_witness(*_identity_factorization(codes)) == expected
 
 
 def _dim3_witness_brute(codes):
@@ -299,10 +306,64 @@ def test_grid_dim3_structured_codes_against_brute_force(monkeypatch, pair_block)
         d = rng.choice((2, 3, 4, 5))
         codes = _structured_codes(rng, d)
         expected = _dim3_witness_brute(codes)
-        assert _grid_dim3_witness(codes, d) == expected
+        assert _grid_dim3_witness(*_identity_factorization(codes)) == expected
         verdicts.add((d, expected is not None))
     # both verdicts occur, at the largest size too
     assert {(5, True), (5, False)} <= verdicts
+
+
+def _sorted_signatures(codes):
+    # Every fiber over x3 of the full code grid, classified on its own:
+    # 0 injective, 1 constant, else 2 + the rank of its first-occurrence
+    # partition among those of the other fibers.
+    d = codes.shape[0]
+    fibers = codes.reshape(d * d, d)
+    first = (fibers[:, :, None] == fibers[:, None, :]).argmax(axis=2)
+    injective = (first == np.arange(d)).all(axis=1)
+    constant = (first == 0).all(axis=1)
+    other = ~injective & ~constant
+    partitions, rank = np.unique(first[other], axis=0, return_inverse=True)
+    sig = np.where(injective, 0, 1)
+    sig[other] = 2 + rank.reshape(-1)
+    return sig.reshape(d, d), partitions
+
+
+@pytest.mark.parametrize(
+    "n,domain,depth",
+    [
+        (2, "atoms", 2),
+        (2, "verify-n2", 2),
+        (3, "generators", 1),
+    ],
+)
+def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth):
+    # One term per all-block class: the signatures built from the distinct
+    # fibers equal those of sorting all d**2 fibers of eval_codes, and the
+    # kernel locates the same witness from either.
+    params = Params(n)
+    domain = {
+        "atoms": lambda: params.base_atoms(0),
+        "verify-n2": lambda: bounded_subuniverse(params, 0, 1),
+        "generators": lambda: [g(i, 0) for i in range(1, n + 1) for g in (AGen, BGen)],
+    }[domain]()
+    d = len(domain)
+    grid = SymbolicGrid(params, domain)
+    classes = {}
+    for t in enumerate_terms(3, depth, default_triple_pool(params), params):
+        if _uses_all_blocks(t, 3):
+            classes.setdefault(grid.pattern_key(t, 3), t)
+    assert classes
+    for t in classes.values():
+        codes = np.broadcast_to(grid.eval_codes(t, 3), (d,) * 3)
+        fibers, cell_fiber = grid.fibers(t, 3)
+        assert len(fibers) < d * d
+        sig, partitions = _dim3_signatures(fibers, cell_fiber)
+        expected_sig, expected_partitions = _sorted_signatures(codes)
+        assert np.array_equal(sig, expected_sig)
+        assert np.array_equal(partitions, expected_partitions)
+        assert _grid_dim3_witness(fibers, cell_fiber) == _grid_dim3_witness(
+            *_identity_factorization(codes)
+        )
 
 
 def test_scan_chunk_rejects_a_located_non_witness(monkeypatch):

@@ -1,10 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from commlab import _grid
 from commlab._grid import SymbolicGrid
 from commlab.elements import AGen, CConst, DConst, Params
+from commlab.errors import BudgetExceededError
 from commlab.terms import (
     Const,
     FApp,
@@ -13,6 +16,7 @@ from commlab.terms import (
     Var,
     default_triple_pool,
     enumerate_terms,
+    eval_term,
 )
 
 P2 = Params(2)
@@ -100,6 +104,63 @@ def test_eval_codes_falls_back_when_the_label_pack_would_wrap():
     assert codes.shape == ids.shape == (len(domain),)
     assert np.unique(ids).size == ids.size
     assert np.unique(codes).size == codes.size
+
+
+def test_f_node_ids_fall_back_when_the_id_pack_would_wrap():
+    # The setup above, evaluated to ids: the largest child id is past 2**17,
+    # so packing f's four argument ids positionally would wrap int64 and
+    # the distinct argument tuples are numbered instead.
+    p4 = Params(4)
+    domain = [AGen(1, j) for j in range(1, 131071)]
+    grid = SymbolicGrid(p4, domain)
+    c = CConst()
+    assert (grid.intern(c) + 1) ** 4 > 2**63
+    t = FApp((Var(0), Const(c), Const(c), Const(c)))
+    ids = grid.eval_ids(t, 1)
+    assert ids.shape == (len(domain),)
+    assert [grid.element(i) for i in ids.tolist()] == [
+        eval_term(t, {0: e}, p4) for e in domain
+    ]
+
+
+def test_f_node_cap_raises_before_it_allocates():
+    # 1500**2 cells pass the cap; the check reads the broadcast shape, so
+    # nothing of grid size is built before it raises.
+    domain = [AGen(1, j) for j in range(1500)]
+    grid = SymbolicGrid(P2, domain)
+    t = FApp((Var(0), Var(1)))
+    assert len(domain) ** 2 > _grid.F_NODE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="f-node"):
+            grid.eval_ids(t, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_memoized_pattern_labels_are_read_only():
+    grid = SymbolicGrid(P2, ATOMS)
+    t = FApp((UApp(Var(0)), FApp((Var(1), Var(2)))))
+    labels = grid.pattern_labels(t, 3)
+    assert all(a is b for a, b in zip(grid.pattern_labels(t, 3), labels))
+    for lab in labels:
+        with pytest.raises(ValueError):
+            lab[(0,) * lab.ndim] = 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_pattern_key_splits_terms_as_the_label_bytes_do(m):
+    # The key of an f-root is its arguments' label class ids: it must split
+    # the terms into the same classes as the labels' shapes and bytes.
+    grid = SymbolicGrid(P2, ATOMS)
+
+    def label_bytes(t):
+        return tuple((lab.shape, lab.tobytes()) for lab in grid.pattern_labels(t, m))
+
+    pairs = {(grid.pattern_key(t, m), label_bytes(t)) for t in enumerate_terms(m, 2, POOL2, P2)}
+    assert len({key for key, _ in pairs}) == len({old for _, old in pairs}) == len(pairs)
 
 
 def _first_occurrence_relabel(codes):

@@ -102,6 +102,11 @@ def test_enumeration_cap():
         list(enumerate_terms(2, 2, POOL2, P2, cap=100))
 
 
+def test_enumeration_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="max_depth"):
+        list(enumerate_terms(2, -1, POOL2, P2))
+
+
 def test_enumeration_cap_is_exact_at_a_layer_boundary():
     # Layers are sized before they are built: the 56 terms of depth <= 1
     # fit a cap of 56, and a cap of 55 raises before the depth-1 layer.
