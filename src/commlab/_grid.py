@@ -206,8 +206,9 @@ class SymbolicGrid:
         self, indexed_terms: Iterable[tuple[int, terms.Term]], m: int, decide: Callable
     ) -> Optional[tuple[int, terms.Term, tuple]]:
         """First (index, term, hit) whose hit ``decide(self, t, m)`` is not
-        None, or None.  ``decide`` must depend on ``eval_codes`` only, so it
-        runs once per pattern key; only keys without a hit are kept."""
+        None, or None.  ``decide`` must depend on the pattern key only (the
+        dimension-3 kernel reads ``fibers``, not ``eval_codes``), so it runs
+        once per key; only keys without a hit are kept."""
         no_hit: set[tuple] = set()
         for i, t in indexed_terms:
             key = self.pattern_key(t, m)

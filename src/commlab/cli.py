@@ -11,7 +11,9 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from . import elements as el
@@ -74,7 +76,9 @@ def _emit_reports(reports, config: RunConfig, stream) -> None:
 
 
 def run_paper_verify(config: RunConfig):
-    """All verifier checks in canonical order; returns the report list."""
+    """All verifier checks in canonical order; returns the report list.  The
+    checks are independent, so ``config.jobs`` > 1 runs them on a process
+    pool of at most that many workers."""
     config.resolve()
     params = Params(config.n)
     pool = default_triple_pool(params)
@@ -83,20 +87,23 @@ def run_paper_verify(config: RunConfig):
     )
     atom_domain = params.base_atoms(0)
     lemma_depth = min(config.max_depth, 2)
-    reports = [
-        verifier.check_nfequal(params, search_domain),
-        verifier.check_corner_lemma(params, params.n, atom_domain, lemma_depth, pool),
-        verifier.check_term_lemma(params, atom_domain, lemma_depth, pool),
-        verifier.verify_top_commutator(params),
-        verifier.search_np1_failure(
-            params, search_domain, config.max_depth, 1, pool, jobs=config.jobs
-        ),
-        verifier.search_control(
-            params, search_domain, config.max_depth, 1, pool, jobs=config.jobs
-        ),
-        verifier.run_chain_roundtrips(params, search_domain, count=50, seed=config.seed),
+    checks = [
+        partial(verifier.check_nfequal, params, search_domain),
+        partial(verifier.check_corner_lemma, params, params.n, atom_domain, lemma_depth, pool),
+        partial(verifier.check_term_lemma, params, atom_domain, lemma_depth, pool),
+        partial(verifier.verify_top_commutator, params),
+        partial(verifier.search_np1_failure, params, search_domain, config.max_depth, 1, pool),
+        partial(verifier.search_control, params, search_domain, config.max_depth, 1, pool),
+        partial(verifier.run_chain_roundtrips, params, search_domain, count=50, seed=config.seed),
     ]
-    return reports
+    if config.jobs == 1:
+        return [check() for check in checks]
+    with ProcessPoolExecutor(max_workers=min(config.jobs, len(checks))) as workers:
+        return list(workers.map(_call, checks))
+
+
+def _call(check):
+    return check()
 
 
 def load_algebra(path: str) -> finengine.FiniteAlgebra:

@@ -8,9 +8,7 @@ final pair (r_{2^m - 1}, r_{2^m}).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -277,31 +275,15 @@ def _grid_witness(
     return TCWitness(t, blocks, cube)
 
 
-def _first_witness(
-    chunk: list[tuple[int, Term]], m: int, domain: list[Element], params: Params
-) -> Optional[tuple[int, Term, tuple[int, ...]]]:
-    """First (index, term, kernel hit) among the chunk's indexed terms."""
-    return SymbolicGrid(params, domain).first_hit(chunk, m, _grid_term_has_witness)
-
-
 def _scan_terms(
     term_list: list[Term], m: int, domain: list[Element], params: Params,
-    stats: SearchStats, jobs: int = 1,
+    stats: SearchStats,
 ) -> Optional[TCWitness]:
     """First witness among the terms, adding to stats the counts of a
     lexicographic scan over every (p1, q1, ..., pm, qm) up to it.  Only the
-    terms that use all blocks reach a kernel; ``jobs`` workers take
-    contiguous chunks of them, and the first chunk with a hit holds the
-    first witness."""
+    terms that use all blocks reach a kernel."""
     candidates = [(i, t) for i, t in enumerate(term_list) if _uses_all_blocks(t, m)]
-    if jobs <= 1 or len(candidates) < 2 * jobs:
-        first = _first_witness(candidates, m, domain, params)
-    else:
-        size = -(-len(candidates) // jobs)
-        chunks = [candidates[s : s + size] for s in range(0, len(candidates), size)]
-        args = (chunks, repeat(m), repeat(domain), repeat(params))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            first = next((r for r in pool.map(_first_witness, *args) if r is not None), None)
+    first = SymbolicGrid(params, domain).first_hit(candidates, m, _grid_term_has_witness)
     space = len(domain) ** (2 * m)
     if first is None:
         stats.terms_scanned += len(term_list)
@@ -323,7 +305,6 @@ def search_tc_witness(
     params: Params,
     term_cap: int = terms_mod.DEFAULT_TERM_CAP,
     stats: Optional[SearchStats] = None,
-    jobs: int = 1,
 ) -> Optional[TCWitness]:
     """First (canonical term order, then lexicographic block assignment)
     term-condition failure witness in the bounded space, or None after
@@ -341,4 +322,4 @@ def search_tc_witness(
             f"and 3, block length 1 and at most {GRID_CELL_CAP} grid cells"
         )
     term_list = list(enumerate_terms(m, max_depth, triple_pool, params, cap=term_cap))
-    return _scan_terms(term_list, m, domain, params, stats or SearchStats(), jobs)
+    return _scan_terms(term_list, m, domain, params, stats or SearchStats())

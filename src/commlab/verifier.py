@@ -342,7 +342,6 @@ def _search_report(
     max_depth: int,
     block_len: int,
     triple_pool: Sequence[tuple[Element, Element, Element]],
-    jobs: int,
 ) -> VerificationReport:
     """Exhaustive dimension-m witness search.  A witness is the
     counterexample when none is expected, and is recorded among the counts
@@ -351,8 +350,7 @@ def _search_report(
     def run() -> VerificationReport:
         stats = SearchStats()
         witness = search_tc_witness(
-            m, max_depth, block_len, domain, triple_pool, params,
-            stats=stats, jobs=jobs,
+            m, max_depth, block_len, domain, triple_pool, params, stats=stats
         )
         report_params = {
             "n": params.n,
@@ -383,12 +381,11 @@ def search_np1_failure(
     max_depth: int,
     block_len: int,
     triple_pool: Sequence[tuple[Element, Element, Element]],
-    jobs: int = 1,
 ) -> VerificationReport:
     """Exhaustive (n+1)-dimensional witness search; pass iff empty."""
     return _search_report(
         "np1_no_failure", params.n + 1, False,
-        params, domain, max_depth, block_len, triple_pool, jobs,
+        params, domain, max_depth, block_len, triple_pool,
     )
 
 
@@ -398,13 +395,12 @@ def search_control(
     max_depth: int,
     block_len: int,
     triple_pool: Sequence[tuple[Element, Element, Element]],
-    jobs: int = 1,
 ) -> VerificationReport:
     """Control run at dimension n on the same space: the searcher must find
     a witness there, or the negative result above means nothing."""
     return _search_report(
         "control_search", params.n, True,
-        params, domain, max_depth, block_len, triple_pool, jobs,
+        params, domain, max_depth, block_len, triple_pool,
     )
 
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, in order.
 
-Criterion 3 and criterion 8 share one pair of exhaustive search runs
-(sequential and parallel) through a module-scoped fixture, since the
-determinism check is defined as re-running the same search.
+Criterion 3 and criterion 8 share one pair of full paper-verify runs at the
+n = 2 defaults (sequential and with two workers) through a module-scoped
+fixture, since the determinism check is defined as re-running the same
+search.
 """
 
 import json
@@ -11,6 +12,7 @@ import time
 
 import pytest
 
+from commlab.cli import RunConfig, run_paper_verify
 from commlab.cubes import SearchStats, is_tc_failure, search_tc_witness, term_cube
 from commlab.elements import DConst, Params, bounded_subuniverse, element_to_text
 from commlab.finengine import (
@@ -28,8 +30,6 @@ from commlab.verifier import (
     check_term_lemma,
     expected_top_cube,
     run_chain_roundtrips,
-    search_control,
-    search_np1_failure,
     top_commutator_blocks,
     verify_top_commutator,
 )
@@ -56,17 +56,19 @@ def search_domain():
 
 
 @pytest.fixture(scope="module")
-def criterion3_runs(search_domain):
-    """The dimension-3 exhaustive search and its dimension-2 control, run
-    sequentially and with two workers."""
+def criterion3_runs():
+    """All seven reports of ``paper-verify --n 2`` at its defaults, the
+    dimension-3 exhaustive search and its dimension-2 control among them,
+    run sequentially and with two workers."""
     runs = {}
     for jobs in (1, 2):
         start = time.perf_counter()
-        np1 = search_np1_failure(P2, search_domain, 2, 1, POOL2, jobs=jobs)
-        control = search_control(P2, search_domain, 2, 1, POOL2, jobs=jobs)
+        reports = run_paper_verify(RunConfig(n=2, jobs=jobs, include_timing=False))
+        by_name = {rep.name: rep for rep in reports}
         runs[jobs] = {
-            "np1": np1,
-            "control": control,
+            "reports": reports,
+            "np1": by_name["np1_no_failure"],
+            "control": by_name["control_search"],
             "seconds": time.perf_counter() - start,
         }
     return runs
@@ -197,10 +199,8 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_determinism(criterion3_runs):
     serialized = {}
     for jobs, run in criterion3_runs.items():
-        lines = [
-            run["np1"].to_json_line(include_timing=False),
-            run["control"].to_json_line(include_timing=False),
-        ]
+        lines = [rep.to_json_line(include_timing=False) for rep in run["reports"]]
+        assert len(lines) == 7
         serialized[jobs] = "\n".join(lines).encode()
     assert serialized[1] == serialized[2]
-    print("criterion 8: PASS (sequential and parallel reports byte-identical)")
+    print("criterion 8: PASS (all seven sequential and parallel reports byte-identical)")

@@ -285,6 +285,58 @@ def test_paper_verify_small_domain_at_depth_two():
     assert 9747 * 8**6 == 2555117568
 
 
+def test_paper_verify_reports_do_not_depend_on_jobs():
+    lines = {}
+    for jobs in (1, 2, 3):
+        config = RunConfig(n=2, j_max=0, closure_depth=0, max_depth=2, jobs=jobs)
+        lines[jobs] = [r.to_json_line(include_timing=False) for r in run_paper_verify(config)]
+    assert len(lines[1]) == 7
+    assert lines[1] == lines[2] == lines[3]
+
+
+def test_paper_verify_starts_no_more_workers_than_checks(monkeypatch):
+    import commlab.cli as cli_mod
+
+    started = []
+
+    class InProcessExecutor:
+        """Records its worker count and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InProcessExecutor)
+    bounds = dict(n=2, j_max=0, closure_depth=0, max_depth=1)
+    reports = run_paper_verify(RunConfig(jobs=64, **bounds))
+    assert started == [7]
+    sequential = run_paper_verify(RunConfig(jobs=1, **bounds))
+    assert started == [7]
+    assert [r.to_json_line(include_timing=False) for r in reports] == [
+        r.to_json_line(include_timing=False) for r in sequential
+    ]
+
+
+def test_a_budget_hit_in_a_worker_exits_2_as_in_a_sequential_run(capsys):
+    # at n = 3 the dimension-4 search has no grid kernel
+    errs = {}
+    for jobs in ("1", "2"):
+        assert main(["paper-verify", "--n", "3", "--jobs", jobs]) == EXIT_RESOURCE
+        out = capsys.readouterr()
+        assert out.out == ""
+        errs[jobs] = out.err
+    assert "no exact search for dimension 4" in errs["1"]
+    assert errs["2"] == errs["1"]
+
+
 def test_block_len_flag_is_gone(capsys):
     assert main(["paper-verify", "--block-len", "1"]) == EXIT_RESOURCE
     assert "--block-len" in capsys.readouterr().err

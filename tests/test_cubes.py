@@ -189,30 +189,6 @@ def test_cached_scan_matches_the_per_term_kernel(monkeypatch, m, domain, has_wit
     assert 1 < len(calls) < len(scanned)
 
 
-@pytest.mark.parametrize(
-    "domain,candidates,hits",
-    [([AGen(2, 0), BGen(2, 0), CConst()], 150, [False, True]), (ATOMS, None, [True, True])],
-    ids=["hit-in-the-second-chunk", "hits-in-both-chunks"],
-)
-def test_parallel_scan_takes_the_first_chunk_with_a_hit(domain, candidates, hits):
-    # Two workers split the all-block terms into halves; the canonically
-    # first witness and its counts come from the first half with a hit.
-    terms = list(enumerate_terms(2, 2, POOL2, P2))
-    indexed = [(i, t) for i, t in enumerate(terms) if _uses_all_blocks(t, 2)]
-    if candidates is not None:
-        indexed = indexed[:candidates]
-        terms = terms[: indexed[-1][0] + 1]
-    half = -(-len(indexed) // 2)
-    chunks = [indexed[:half], indexed[half:]]
-    assert [cubes_mod._first_witness(c, 2, domain, P2) is not None for c in chunks] == hits
-    seq, par = SearchStats(), SearchStats()
-    w_seq = _scan_terms(terms, 2, domain, P2, seq)
-    w_par = _scan_terms(terms, 2, domain, P2, par, jobs=2)
-    assert w_par.to_record() == w_seq.to_record()
-    assert (par.terms_scanned, par.assignments_scanned) == (
-        seq.terms_scanned, seq.assignments_scanned)
-
-
 def _dim2_witness_brute(codes):
     d = codes.shape[0]
     for p1, q1, p2, q2 in itertools.product(range(d), repeat=4):
@@ -406,16 +382,6 @@ def test_search_first_witness_is_canonical():
     assert rec["cube"][:2] == ["d(1)", "d(1)"]
     assert rec["cube"][2] != rec["cube"][3]
     assert stats.terms_scanned > 0
-
-
-def test_search_parallel_matches_sequential():
-    seq_stats = SearchStats()
-    par_stats = SearchStats()
-    w_seq = search_tc_witness(2, 1, 1, ATOMS, POOL2, P2, stats=seq_stats)
-    w_par = search_tc_witness(2, 1, 1, ATOMS, POOL2, P2, stats=par_stats, jobs=2)
-    assert w_seq.to_record() == w_par.to_record()
-    assert (seq_stats.terms_scanned, seq_stats.assignments_scanned) == (
-        par_stats.terms_scanned, par_stats.assignments_scanned)
 
 
 def test_search_exhausts_small_space_without_witness():
