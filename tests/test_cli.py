@@ -1,4 +1,5 @@
 import json
+import pathlib
 import sys
 
 import pytest
@@ -292,6 +293,24 @@ def test_paper_verify_reports_do_not_depend_on_jobs():
         lines[jobs] = [r.to_json_line(include_timing=False) for r in run_paper_verify(config)]
     assert len(lines[1]) == 7
     assert lines[1] == lines[2] == lines[3]
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "j_max,closure_depth,max_depth", [(0, 0, 1), (1, 0, 1), (1, 0, 2), (0, 1, 2)]
+)
+def test_paper_verify_matches_its_golden_report(j_max, closure_depth, max_depth):
+    # The --no-timing JSON lines recorded before the witness kernels were
+    # merged; the defaults are compared in test_criterion_8_determinism.
+    config = RunConfig(
+        n=2, j_max=j_max, closure_depth=closure_depth, max_depth=max_depth,
+        include_timing=False,
+    )
+    text = "".join(r.to_json_line(include_timing=False) + "\n" for r in run_paper_verify(config))
+    golden = GOLDEN / f"paper_verify_n2_j{j_max}_c{closure_depth}_d{max_depth}.jsonl"
+    assert text.encode() == golden.read_bytes()
 
 
 def test_paper_verify_starts_no_more_workers_than_checks(monkeypatch):
