@@ -207,8 +207,8 @@ class SymbolicGrid:
     ) -> Optional[tuple[int, terms.Term, tuple]]:
         """First (index, term, hit) whose hit ``decide(self, t, m)`` is not
         None, or None.  ``decide`` must depend on the pattern key only (the
-        dimension-3 kernel reads ``fibers``, not ``eval_codes``), so it runs
-        once per key; only keys without a hit are kept."""
+        witness kernel reads ``fibers``, the corner lemma ``eval_codes``), so
+        it runs once per key; only keys without a hit are kept."""
         no_hit: set[tuple] = set()
         for i, t in indexed_terms:
             key = self.pattern_key(t, m)

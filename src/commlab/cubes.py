@@ -8,6 +8,7 @@ final pair (r_{2^m - 1}, r_{2^m}).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -135,10 +136,7 @@ def _grid_term_has_witness(
 ) -> Optional[tuple[int, ...]]:
     """Canonically first witness assignment of t as domain indices
     (p1, q1, ..., pm, qm), or None when t has none."""
-    if m == 2:
-        d = len(grid.domain)
-        return _grid_dim2_witness(np.broadcast_to(grid.eval_codes(t, m), (d, d)))
-    return _grid_dim3_witness(*grid.fibers(t, m))
+    return _fiber_witness(*grid.fibers(t, m))
 
 
 def _first_index(mask: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -150,24 +148,11 @@ def _first_index(mask: np.ndarray) -> Optional[tuple[int, ...]]:
     return tuple(int(x) for x in np.unravel_index(flat, mask.shape))
 
 
-def _grid_dim2_witness(codes: np.ndarray) -> Optional[tuple[int, ...]]:
-    # eq[x1, p2, q2]: the row of x1 is equal at p2 and q2.  A witness has
-    # eq[p1, p2, q2] and not eq[q1, p2, q2].
-    eq = codes[:, :, None] == codes[:, None, :]
-    any_neq = (~eq).any(axis=0)
-    first = _first_index((eq & any_neq).any(axis=(1, 2)))
-    if first is None:
-        return None
-    p1 = first[0]
-    q1, p2, q2 = _first_index(eq[p1] & ~eq)
-    return p1, q1, p2, q2
-
-
-# Bound on the pair-by-partition comparison block built at once.
+# Bound on the cells of a comparison block built at once.
 _PAIR_BLOCK_CELLS = 2**22
 
 
-def _dim3_signatures(
+def _fiber_signatures(
     fibers: np.ndarray, cell_fiber: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The signature of each cell's fiber, in the shape of cell_fiber, and
@@ -189,74 +174,78 @@ def _dim3_signatures(
     return sig[cell_fiber], partitions
 
 
-def _grid_dim3_witness(
-    fibers: np.ndarray, cell_fiber: np.ndarray
-) -> Optional[tuple[int, ...]]:
-    """Canonically first witness of the codes whose fiber over x3 at the
-    cell (x1, x2) is ``fibers[cell_fiber[x1, x2]]``, or None."""
-    # H[cell] for a block-3 pair p3 != q3 is "fiber equal at p3 and q3";
-    # a witness exists iff some H contains the 2x2 pattern [[1,1],[1,0]],
-    # i.e. iff two distinct nonempty row supports of H share a column.
-    d = fibers.shape[1]
-    if d < 2:
-        return None
-    sig, partitions = _dim3_signatures(fibers, cell_fiber)
-    sig_rows = np.unique(sig, axis=0)
-
-    # b[s] for a pair (p3, q3) says whether signature s is equal at p3 and
-    # q3, so that H = b[sig].  It depends only on the classes of x3 values
-    # that every partition labels alike, is symmetric, and is all-true on
-    # partitions for the pairs inside one class.
+def _pair_bs(partitions: np.ndarray, d: int) -> np.ndarray:
+    """The distinct b over signatures, one per last-axis pair p != q: b[s]
+    says whether signature s is equal at p and q.  A b depends only on the
+    classes of values that every partition labels alike, and is all-true on
+    partitions for the pairs inside one class."""
     classes = np.unique(partitions.T, axis=0)
     n_classes, n_parts = classes.shape
-    pair_bs = [np.ones((int(n_classes < d), n_parts), dtype=bool)]
+    part_bs = [np.ones((int(n_classes < d), n_parts), dtype=bool)]
     ci, cj = np.triu_indices(n_classes, 1)
     step = max(1, _PAIR_BLOCK_CELLS // max(n_parts, 1))
     for s in range(0, ci.size, step):
         eq = classes[ci[s : s + step]] == classes[cj[s : s + step]]
-        pair_bs.append(np.unique(eq, axis=0))
-    hits = []
-    for part_b in np.unique(np.concatenate(pair_bs), axis=0):
-        b = np.concatenate(([False, True], part_b))
-        supports = np.unique(b[sig_rows], axis=0)
-        supports = supports[supports.any(axis=1)]
-        if (supports.sum(axis=0) > 1).any():
-            hits.append(b)
-    if not hits:
+        part_bs.append(np.unique(eq, axis=0))
+    part_b = np.unique(np.concatenate(part_bs), axis=0)
+    fixed = np.zeros((len(part_b), 2), dtype=bool)
+    fixed[:, 1] = True  # injective fibers differ at p and q, constant ones do not
+    return np.concatenate((fixed, part_b), axis=1)
+
+
+def _fiber_witness(
+    fibers: np.ndarray, cell_fiber: np.ndarray
+) -> Optional[tuple[int, ...]]:
+    """Canonically first witness (p1, q1, ..., pm, qm), or None, of the
+    m-dimensional codes (m = 2 or 3) whose fiber along the last axis at the
+    cell x of the first m - 1 axes is ``fibers[cell_fiber[x]]``.
+
+    For a last-axis pair, H = b[sig] says at each cell whether its fiber is
+    equal at the pair.  At m = 2 a witness needs H[p1] and not H[q1]; at
+    m = 3, rows p1 and q1 of H share a column p2, and row p1 has a column
+    q2 that row q1 lacks.  This relation is built once over the distinct
+    signature rows; each coordinate is then the least that completes it."""
+    m = cell_fiber.ndim + 1
+    d = fibers.shape[1]
+    if d < 2:
         return None
-    return _locate_dim3(fibers, cell_fiber, sig, np.array(hits))
-
-
-def _locate_dim3(
-    fibers: np.ndarray, cell_fiber: np.ndarray, sig: np.ndarray, bs: np.ndarray
-) -> tuple[int, ...]:
-    """Canonically first witness, given the signature grid and every b whose
-    H = b[sig] holds one: each stage takes the least coordinate that some
-    H still completes."""
-    d = sig.shape[0]
-    # (p1, q1): some H has a column p2 in rows p1 and q1 and a column q2 in
-    # row p1 only.
-    pairs = np.zeros((d, d), dtype=bool)
-    step = max(1, _PAIR_BLOCK_CELLS // (d * d))
+    sig, partitions = _fiber_signatures(fibers, cell_fiber)
+    sig_rows, row_of = np.unique(sig.reshape(d, -1), axis=0, return_inverse=True)
+    row_of = row_of.reshape(-1)
+    bs = _pair_bs(partitions, d)
+    n_rows, width = sig_rows.shape
+    related = np.zeros((n_rows, n_rows), dtype=bool)
+    step = max(1, _PAIR_BLOCK_CELLS // (n_rows * max(n_rows, width)))
     for s in range(0, len(bs), step):
-        h = bs[s : s + step][:, sig].astype(np.float32)
+        h = bs[s : s + step][:, sig_rows]
         ht = h.transpose(0, 2, 1)
-        pairs |= ((h @ ht > 0) & (h @ (1 - ht) > 0)).any(axis=0)
-    p1, q1 = _first_index(pairs)
-    # p2 and q2 from rows p1 and q1 of every H.
-    row_p, row_q = bs[:, sig[p1]], bs[:, sig[q1]]
-    shared, only_p = row_p & row_q, row_p & ~row_q
-    live = shared.any(axis=1) & only_p.any(axis=1)
-    p2 = int(np.argmax(shared[live].any(axis=0)))
-    live &= shared[:, p2]
-    q2 = int(np.argmax(only_p[live].any(axis=0)))
+        rel = h @ ~ht
+        if m == 3:
+            rel &= h @ ht
+        related |= rel.any(axis=0)
+    if not related.any():
+        return None
+    p1 = int(np.argmax(related.any(axis=1)[row_of]))
+    q1 = int(np.argmax(related[row_of[p1]][row_of]))
+    hit = [p1, q1]
+    if m == 3:
+        row_p, row_q = bs[:, sig_rows[row_of[p1]]], bs[:, sig_rows[row_of[q1]]]
+        shared, only_p = row_p & row_q, row_p & ~row_q
+        live = shared.any(axis=1) & only_p.any(axis=1)
+        p2 = int(np.argmax(shared[live].any(axis=0)))
+        live &= shared[:, p2]
+        hit += [p2, int(np.argmax(only_p[live].any(axis=0)))]
 
-    def equal(x1: int, x2: int) -> np.ndarray:
-        fiber = fibers[cell_fiber[x1, x2]]
+    def equal(cell: tuple[int, ...]) -> np.ndarray:
+        fiber = fibers[cell_fiber[cell]]
         return fiber[:, None] == fiber[None, :]
 
-    p3, q3 = _first_index(equal(p1, p2) & equal(p1, q2) & equal(q1, p2) & ~equal(q1, q2))
-    return p1, q1, p2, q2, p3, q3
+    # every vertex cell but the last is equal at the last pair
+    *matched, critical = itertools.product(*zip(hit[::2], hit[1::2]))
+    mask = ~equal(critical)
+    for cell in matched:
+        mask &= equal(cell)
+    return (*hit, *_first_index(mask))
 
 
 def _grid_witness(

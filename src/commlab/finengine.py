@@ -113,13 +113,6 @@ class Congruence:
         blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])
         return cls(size, tuple(blocks))
 
-    @classmethod
-    def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Congruence":
-        uf = UnionFind(size)
-        for a, b in pairs:
-            uf.union(a, b)
-        return cls.from_union_find(uf, size)
-
     def class_map(self) -> list[int]:
         cm = [0] * self.size
         for i, b in enumerate(self.blocks):

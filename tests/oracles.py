@@ -223,6 +223,16 @@ def _to_congruence(size: int, cm: Sequence[int]) -> Congruence:
     return Congruence(size, tuple(blocks))
 
 
+def congruence_from_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> Congruence:
+    """The equivalence generated by the pairs: each pair relabels the class
+    of its first element with the label of its second."""
+    cm = list(range(size))
+    for a, b in pairs:
+        old, new = cm[a], cm[b]
+        cm = [new if c == old else c for c in cm]
+    return _to_congruence(size, cm)
+
+
 def oracle_congruences(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     return [cm for cm in all_partitions(alg.size) if _compatible(alg, cm)]
 

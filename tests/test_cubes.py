@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from commlab.cubes import (
     Cube,
     SearchStats,
     TCWitness,
-    _dim3_signatures,
-    _grid_dim2_witness,
-    _grid_dim3_witness,
+    _fiber_signatures,
+    _fiber_witness,
     _scan_terms,
     _uses_all_blocks,
     is_tc_failure,
@@ -197,6 +197,13 @@ def _dim2_witness_brute(codes):
     return None
 
 
+def _identity_factorization(codes):
+    # every cell of the leading axes keeps its own fiber
+    d = codes.shape[-1]
+    cells = codes.shape[:-1]
+    return codes.reshape(-1, d), np.arange(codes.size // d).reshape(cells)
+
+
 def test_grid_dim2_locates_the_first_witness():
     rng = random.Random(5)
     verdicts = set()
@@ -207,15 +214,9 @@ def test_grid_dim2_locates_the_first_witness():
             [rng.randrange(vals) for _ in range(d**2)], dtype=np.int64
         ).reshape(d, d)
         expected = _dim2_witness_brute(codes)
-        assert _grid_dim2_witness(codes) == expected
+        assert _fiber_witness(*_identity_factorization(codes)) == expected
         verdicts.add(expected is None)
     assert verdicts == {True, False}
-
-
-def _identity_factorization(codes):
-    # every cell (x1, x2) keeps its own fiber
-    d = codes.shape[0]
-    return codes.reshape(d * d, d), np.arange(d * d).reshape(d, d)
 
 
 def test_grid_dim3_against_brute_force():
@@ -236,7 +237,7 @@ def test_grid_dim3_against_brute_force():
                     and v[6] != v[7]):
                 expected = (p1, q1, p2, q2, p3, q3)
                 break
-        assert _grid_dim3_witness(*_identity_factorization(codes)) == expected
+        assert _fiber_witness(*_identity_factorization(codes)) == expected
 
 
 def _dim3_witness_brute(codes):
@@ -282,18 +283,18 @@ def test_grid_dim3_structured_codes_against_brute_force(monkeypatch, pair_block)
         d = rng.choice((2, 3, 4, 5))
         codes = _structured_codes(rng, d)
         expected = _dim3_witness_brute(codes)
-        assert _grid_dim3_witness(*_identity_factorization(codes)) == expected
+        assert _fiber_witness(*_identity_factorization(codes)) == expected
         verdicts.add((d, expected is not None))
     # both verdicts occur, at the largest size too
     assert {(5, True), (5, False)} <= verdicts
 
 
 def _sorted_signatures(codes):
-    # Every fiber over x3 of the full code grid, classified on its own:
-    # 0 injective, 1 constant, else 2 + the rank of its first-occurrence
-    # partition among those of the other fibers.
-    d = codes.shape[0]
-    fibers = codes.reshape(d * d, d)
+    # Every fiber along the last axis of the full code grid, classified on
+    # its own: 0 injective, 1 constant, else 2 + the rank of its
+    # first-occurrence partition among those of the other fibers.
+    d = codes.shape[-1]
+    fibers = codes.reshape(-1, d)
     first = (fibers[:, :, None] == fibers[:, None, :]).argmax(axis=2)
     injective = (first == np.arange(d)).all(axis=1)
     constant = (first == 0).all(axis=1)
@@ -301,21 +302,24 @@ def _sorted_signatures(codes):
     partitions, rank = np.unique(first[other], axis=0, return_inverse=True)
     sig = np.where(injective, 0, 1)
     sig[other] = 2 + rank.reshape(-1)
-    return sig.reshape(d, d), partitions
+    return sig.reshape(codes.shape[:-1]), partitions
 
 
 @pytest.mark.parametrize(
-    "n,domain,depth",
+    "n,domain,depth,m",
     [
-        (2, "atoms", 2),
-        (2, "verify-n2", 2),
-        (3, "generators", 1),
+        (2, "atoms", 2, 3),
+        (2, "verify-n2", 2, 3),
+        (3, "generators", 1, 3),
+        (2, "atoms", 2, 2),
+        (2, "verify-n2", 2, 2),
     ],
+    ids=["2-atoms-2", "2-verify-n2-2", "3-generators-1", "2-atoms-2-m2", "2-verify-n2-2-m2"],
 )
-def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth):
+def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth, m):
     # One term per all-block class: the signatures built from the distinct
-    # fibers equal those of sorting all d**2 fibers of eval_codes, and the
-    # kernel locates the same witness from either.
+    # fibers equal those of sorting all d**(m-1) fibers of eval_codes, and
+    # the kernel locates the same witness from either.
     params = Params(n)
     domain = {
         "atoms": lambda: params.base_atoms(0),
@@ -325,19 +329,19 @@ def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth):
     d = len(domain)
     grid = SymbolicGrid(params, domain)
     classes = {}
-    for t in enumerate_terms(3, depth, default_triple_pool(params), params):
-        if _uses_all_blocks(t, 3):
-            classes.setdefault(grid.pattern_key(t, 3), t)
+    for t in enumerate_terms(m, depth, default_triple_pool(params), params):
+        if _uses_all_blocks(t, m):
+            classes.setdefault(grid.pattern_key(t, m), t)
     assert classes
     for t in classes.values():
-        codes = np.broadcast_to(grid.eval_codes(t, 3), (d,) * 3)
-        fibers, cell_fiber = grid.fibers(t, 3)
-        assert len(fibers) < d * d
-        sig, partitions = _dim3_signatures(fibers, cell_fiber)
+        codes = np.broadcast_to(grid.eval_codes(t, m), (d,) * m)
+        fibers, cell_fiber = grid.fibers(t, m)
+        assert len(fibers) < d ** (m - 1)
+        sig, partitions = _fiber_signatures(fibers, cell_fiber)
         expected_sig, expected_partitions = _sorted_signatures(codes)
         assert np.array_equal(sig, expected_sig)
         assert np.array_equal(partitions, expected_partitions)
-        assert _grid_dim3_witness(fibers, cell_fiber) == _grid_dim3_witness(
+        assert _fiber_witness(fibers, cell_fiber) == _fiber_witness(
             *_identity_factorization(codes)
         )
 
@@ -382,6 +386,21 @@ def test_search_first_witness_is_canonical():
     assert rec["cube"][:2] == ["d(1)", "d(1)"]
     assert rec["cube"][2] != rec["cube"][3]
     assert stats.terms_scanned > 0
+
+
+def test_dim2_search_on_a_large_domain_builds_no_cubic_array():
+    # At 416 elements a d**3 comparison array alone takes 72 MB; the kernel
+    # reads only the distinct fibers of each class.
+    domain = bounded_subuniverse(P2, 3, 1)
+    assert len(domain) == 416
+    tracemalloc.start()
+    try:
+        w = search_tc_witness(2, 1, 1, domain, POOL2, P2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.to_record()["term"] == "f(x0,x1)"
+    assert peak < 16 * 2**20
 
 
 def test_search_exhausts_small_space_without_witness():
