@@ -42,22 +42,31 @@ class RunConfig:
     include_timing: bool = True
 
     def resolve(self) -> "RunConfig":
-        # n = 2 bounds finish in minutes; larger n falls back to the atom set
+        # the n = 2 defaults run in about 2 s; larger n falls back to the atom set
         if self.j_max is None:
             self.j_max = 1 if self.n == 2 else 0
         if self.closure_depth is None:
             self.closure_depth = 1 if self.n == 2 else 0
         if self.max_depth is None:
             self.max_depth = 2 if self.n == 2 else 1
-        if self.budget is None:
-            env = os.environ.get("COMMLAB_BUDGET")
-            self.budget = int(env) if env else el.DEFAULT_ELEMENT_CAP
-        for name, value, least in (
-            ("max_depth", self.max_depth, 0), ("jobs", self.jobs, 1), ("budget", self.budget, 1)
-        ):
+        self.budget = _resolve_budget(self.budget, el.DEFAULT_ELEMENT_CAP)
+        for name, value, least in (("max_depth", self.max_depth, 0), ("jobs", self.jobs, 1)):
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         return self
+
+
+def _resolve_budget(value: Optional[int], default: int) -> int:
+    """The given budget, else COMMLAB_BUDGET, else default; below 1 is an error."""
+    if value is None:
+        env = os.environ.get("COMMLAB_BUDGET")
+        try:
+            value = int(env) if env else default
+        except ValueError:
+            raise ValueError(f"COMMLAB_BUDGET must be an integer, got {env!r}") from None
+    if value < 1:
+        raise ValueError(f"budget must be >= 1, got {value}")
+    return value
 
 
 def _emit_reports(reports, config: RunConfig, stream) -> None:
@@ -186,14 +195,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cube_cap() -> int:
-    env = os.environ.get("COMMLAB_BUDGET")
-    return int(env) if env else finengine.DEFAULT_CUBE_CAP
-
-
 def cmd_fin(args) -> int:
+    cap = _resolve_budget(None, finengine.DEFAULT_CUBE_CAP)
     alg = load_algebra(args.algebra)
-    cap = _cube_cap()
     if args.fin_command == "commutator":
         cong = finengine.higher_commutator(
             alg, [finengine.Congruence.full(alg.size)] * args.m, cap=cap

@@ -193,48 +193,63 @@ def _pair_bs(partitions: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate((fixed, part_b), axis=1)
 
 
+def _pair_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each state (a, b) of the batch, boolean tables over rows x cells,
+    and each pair (p, q) of rows: whether the state (a[p] & a[q], a[p] & b[q])
+    can be completed, as a (batch, rows, rows) array.  With no cells left that
+    state is the answer and with one axis left a boolean matmul decides it;
+    above that, the states of one p row at a time, no larger than (a, b), are
+    decided by this function again."""
+    if a.ndim == 2:
+        return a[:, :, None] & b[:, None, :]
+    if a.ndim == 3:
+        return (a @ a.transpose(0, 2, 1)) & (a @ b.transpose(0, 2, 1))
+    batch, rows, *cells = a.shape
+    out = np.empty((batch, rows, rows), dtype=bool)
+    for p in range(rows):
+        ap = a[:, p : p + 1]
+        table = _pair_table((ap & a).reshape(-1, *cells), (ap & b).reshape(-1, *cells))
+        out[:, p] = table.any(axis=(1, 2)).reshape(batch, rows)
+    return out
+
+
 def _fiber_witness(
     fibers: np.ndarray, cell_fiber: np.ndarray
 ) -> Optional[tuple[int, ...]]:
     """Canonically first witness (p1, q1, ..., pm, qm), or None, of the
-    m-dimensional codes (m = 2 or 3) whose fiber along the last axis at the
-    cell x of the first m - 1 axes is ``fibers[cell_fiber[x]]``.
+    m-dimensional codes whose fiber along the last axis at the cell x of the
+    first m - 1 axes is ``fibers[cell_fiber[x]]``.
 
     For a last-axis pair, H = b[sig] says at each cell whether its fiber is
-    equal at the pair.  At m = 2 a witness needs H[p1] and not H[q1]; at
-    m = 3, rows p1 and q1 of H share a column p2, and row p1 has a column
-    q2 that row q1 lacks.  This relation is built once over the distinct
-    signature rows; each coordinate is then the least that completes it."""
-    m = cell_fiber.ndim + 1
+    equal at the pair.  A witness needs H on every corner of the first
+    m - 1 pairs but the last and not H on the last: the state (A, B) starts
+    as (H, not H), each pair (p, q) maps it to (A[p] & A[q], A[p] & B[q]),
+    and a witness is a choice that leaves B true.  The state is kept as
+    tables over signatures (pairs of them after each step) for every
+    last-axis b at once; each coordinate is the least whose pair table can
+    still be completed, and the last pair is read from the fibers."""
     d = fibers.shape[1]
     if d < 2:
         return None
     sig, partitions = _fiber_signatures(fibers, cell_fiber)
-    sig_rows, row_of = np.unique(sig.reshape(d, -1), axis=0, return_inverse=True)
-    row_of = row_of.reshape(-1)
-    bs = _pair_bs(partitions, d)
-    n_rows, width = sig_rows.shape
-    related = np.zeros((n_rows, n_rows), dtype=bool)
-    step = max(1, _PAIR_BLOCK_CELLS // (n_rows * max(n_rows, width)))
-    for s in range(0, len(bs), step):
-        h = bs[s : s + step][:, sig_rows]
-        ht = h.transpose(0, 2, 1)
-        rel = h @ ~ht
-        if m == 3:
-            rel &= h @ ht
-        related |= rel.any(axis=0)
-    if not related.any():
-        return None
-    p1 = int(np.argmax(related.any(axis=1)[row_of]))
-    q1 = int(np.argmax(related[row_of[p1]][row_of]))
-    hit = [p1, q1]
-    if m == 3:
-        row_p, row_q = bs[:, sig_rows[row_of[p1]]], bs[:, sig_rows[row_of[q1]]]
-        shared, only_p = row_p & row_q, row_p & ~row_q
-        live = shared.any(axis=1) & only_p.any(axis=1)
-        p2 = int(np.argmax(shared[live].any(axis=0)))
-        live &= shared[:, p2]
-        hit += [p2, int(np.argmax(only_p[live].any(axis=0)))]
+    a_of = _pair_bs(partitions, d)
+    b_of, hit = ~a_of, []
+    while sig.ndim:
+        rows, row_of = np.unique(sig.reshape(d, -1), axis=0, return_inverse=True)
+        rows, row_of = rows.reshape(-1, *sig.shape[1:]), row_of.reshape(-1)
+        related = np.zeros((len(rows), len(rows)), dtype=bool)
+        step = max(1, _PAIR_BLOCK_CELLS // (len(rows) * max(len(rows), rows[0].size)))
+        for s in range(0, len(a_of), step):
+            block = _pair_table(a_of[s : s + step][:, rows], b_of[s : s + step][:, rows])
+            related |= block.any(axis=0)
+        if not related.any():
+            return None
+        p = int(np.argmax(related.any(axis=1)[row_of]))
+        q = int(np.argmax(related[row_of[p]][row_of]))
+        hit += [p, q]
+        pairs, sig = np.unique(sig[p] * a_of.shape[1] + sig[q], return_inverse=True)
+        sp, sq, sig = *divmod(pairs, a_of.shape[1]), sig.reshape(rows.shape[1:])
+        a_of, b_of = a_of[:, sp] & a_of[:, sq], a_of[:, sp] & b_of[:, sq]
 
     def equal(cell: tuple[int, ...]) -> np.ndarray:
         fiber = fibers[cell_fiber[cell]]
@@ -297,18 +312,18 @@ def search_tc_witness(
 ) -> Optional[TCWitness]:
     """First (canonical term order, then lexicographic block assignment)
     term-condition failure witness in the bounded space, or None after
-    exhausting it.  The grid kernels decide every term, so only one
-    variable per block at dimension 2 or 3 is searchable."""
+    exhausting it.  The fiber kernel decides every term, so one variable per
+    block at any dimension m >= 2 is searchable within the grid cap."""
     if m < 1 or block_len < 1:
         raise ValueError("dimension and block length must be >= 1")
     if not domain:
         raise ValueError("domain must be nonempty")
     domain = list(domain)
-    if m not in (2, 3) or block_len != 1 or len(domain) ** m > GRID_CELL_CAP:
+    if m < 2 or block_len != 1 or len(domain) ** m > GRID_CELL_CAP:
         raise BudgetExceededError(
             f"no exact search for dimension {m}, block length {block_len} "
-            f"and {len(domain)} elements: the grid kernels cover dimensions 2 "
-            f"and 3, block length 1 and at most {GRID_CELL_CAP} grid cells"
+            f"and {len(domain)} elements: the fiber kernel covers dimensions "
+            f">= 2, block length 1 and at most {GRID_CELL_CAP} grid cells"
         )
     term_list = list(enumerate_terms(m, max_depth, triple_pool, params, cap=term_cap))
     return _scan_terms(term_list, m, domain, params, stats or SearchStats())

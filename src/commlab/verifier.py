@@ -20,6 +20,7 @@ import numpy as np
 from . import elements as el
 from ._grid import SymbolicGrid
 from .cubes import (
+    GRID_CELL_CAP,
     BlockAssignment,
     SearchStats,
     _first_index,
@@ -28,6 +29,7 @@ from .cubes import (
     term_cube,
 )
 from .elements import Element, Params, element_to_text, sort_key
+from .errors import BudgetExceededError
 from .finengine import UnionFind
 from .terms import (
     FApp,
@@ -131,11 +133,19 @@ def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
 
     The dense vertex scan runs on the used blocks only.  A block the term
     ignores leaves every vertex value unchanged, so the violations form a
-    cylinder over it and the first one has p_j = q_j = 0 there."""
+    cylinder over it and the first one has p_j = q_j = 0 there.  The scan
+    builds arrays of d ** (2k) cells for k used blocks, so a scan above
+    ``GRID_CELL_CAP`` cells raises before anything is built."""
     m = codes.ndim
     used = [j for j in range(m) if codes.shape[j] > 1]
     if not used:
         return None
+    cells = codes.shape[used[0]] ** (2 * len(used))
+    if cells > GRID_CELL_CAP:
+        raise BudgetExceededError(
+            f"corner-lemma vertex scan over {len(used)} blocks needs {cells} cells "
+            f"per array, above the grid cap of {GRID_CELL_CAP} cells"
+        )
     hit = _dense_corner_violation(codes.reshape([codes.shape[j] for j in used]))
     if hit is None:
         return None

@@ -345,15 +345,49 @@ def test_paper_verify_starts_no_more_workers_than_checks(monkeypatch):
 
 
 def test_a_budget_hit_in_a_worker_exits_2_as_in_a_sequential_run(capsys):
-    # at n = 3 the dimension-4 search has no grid kernel
+    # at n = 3 the depth-2 layer of terms is over the term cap
     errs = {}
     for jobs in ("1", "2"):
-        assert main(["paper-verify", "--n", "3", "--jobs", jobs]) == EXIT_RESOURCE
+        argv = ["paper-verify", "--n", "3", "--max-depth", "2", "--jobs", jobs]
+        assert main(argv) == EXIT_RESOURCE
         out = capsys.readouterr()
         assert out.out == ""
         errs[jobs] = out.err
-    assert "no exact search for dimension 4" in errs["1"]
+    assert "term enumeration exceeded cap" in errs["1"]
     assert errs["2"] == errs["1"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_paper_verify_n3_defaults_match_their_golden_report(tmp_path, jobs):
+    # np1 searches dimension 4 exactly: a vacuous pass, since no depth-1
+    # term of the ternary f uses all four blocks
+    out = tmp_path / "n3.jsonl"
+    argv = ["paper-verify", "--n", "3", "--format", "json", "--no-timing",
+            "--jobs", jobs, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "paper_verify_n3_defaults.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fin", "commutator", "ALG"], ["paper-verify", "--max-depth", "0", "--format", "json"]],
+    ids=["fin", "paper-verify"],
+)
+@pytest.mark.parametrize(
+    "budget,message",
+    [("0", "budget must be >= 1, got 0"), ("ten", "COMMLAB_BUDGET must be an integer, got 'ten'")],
+    ids=["zero", "not-an-integer"],
+)
+def test_a_bad_budget_from_the_environment_exits_2(
+    tmp_path, capsys, monkeypatch, argv, budget, message
+):
+    # COMMLAB_BUDGET is read in one place, for the cube cap and the element cap
+    z2 = write_algebra(tmp_path, "z2.json", 2, [("add", 2, [0, 1, 1, 0])])
+    monkeypatch.setenv("COMMLAB_BUDGET", budget)
+    assert main([z2 if arg == "ALG" else arg for arg in argv]) == EXIT_RESOURCE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
 
 
 def test_block_len_flag_is_gone(capsys):

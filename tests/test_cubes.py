@@ -40,7 +40,7 @@ from commlab.terms import (
     enumerate_terms,
     term_to_text,
 )
-from commlab.verifier import search_control
+from commlab.verifier import expected_top_cube, search_control
 
 from oracles import scan_terms_naive
 
@@ -189,12 +189,23 @@ def test_cached_scan_matches_the_per_term_kernel(monkeypatch, m, domain, has_wit
     assert 1 < len(calls) < len(scanned)
 
 
-def _dim2_witness_brute(codes):
-    d = codes.shape[0]
-    for p1, q1, p2, q2 in itertools.product(range(d), repeat=4):
-        if codes[p1, p2] == codes[p1, q2] and codes[q1, p2] != codes[q1, q2]:
-            return p1, q1, p2, q2
-    return None
+def _witness_brute(codes):
+    """The lexicographically first witness (p1, q1, ..., pm, qm) of the
+    m-dimensional code array, or None: every corner of the first m - 1
+    pairs but the last is equal at the last pair, and the last is not."""
+    m, d = codes.ndim, codes.shape[0]
+    axes = np.ix_(*[np.arange(d)] * (2 * m))
+
+    def edge(corner):
+        cell = tuple(axes[2 * j + bit] for j, bit in enumerate(corner))
+        return codes[(*cell, axes[-2])] == codes[(*cell, axes[-1])]
+
+    *matched, critical = itertools.product((0, 1), repeat=m - 1)
+    hits = ~edge(critical)
+    for corner in matched:
+        hits = hits & edge(corner)
+    found = np.argwhere(hits)
+    return tuple(int(x) for x in found[0]) if len(found) else None
 
 
 def _identity_factorization(codes):
@@ -213,7 +224,7 @@ def test_grid_dim2_locates_the_first_witness():
         codes = np.array(
             [rng.randrange(vals) for _ in range(d**2)], dtype=np.int64
         ).reshape(d, d)
-        expected = _dim2_witness_brute(codes)
+        expected = _witness_brute(codes)
         assert _fiber_witness(*_identity_factorization(codes)) == expected
         verdicts.add(expected is None)
     assert verdicts == {True, False}
@@ -227,30 +238,54 @@ def test_grid_dim3_against_brute_force():
         codes = np.array(
             [rng.randrange(vals) for _ in range(d**3)], dtype=np.int64
         ).reshape(d, d, d)
-        expected = None
-        for p1, q1, p2, q2, p3, q3 in itertools.product(range(d), repeat=6):
-            v = [codes[p1, p2, p3], codes[p1, p2, q3],
-                 codes[p1, q2, p3], codes[p1, q2, q3],
-                 codes[q1, p2, p3], codes[q1, p2, q3],
-                 codes[q1, q2, p3], codes[q1, q2, q3]]
-            if (v[0] == v[1] and v[2] == v[3] and v[4] == v[5]
-                    and v[6] != v[7]):
-                expected = (p1, q1, p2, q2, p3, q3)
-                break
+        expected = _witness_brute(codes)
         assert _fiber_witness(*_identity_factorization(codes)) == expected
 
 
-def _dim3_witness_brute(codes):
-    """The lexicographically first witness (p1, q1, p2, q2, p3, q3) of the
-    (d, d, d) code array, or None."""
-    d = codes.shape[0]
-    p1, q1, p2, q2, p3, q3 = np.ix_(*[np.arange(d)] * 6)
+def _planted_codes(rng, m, d):
+    # Random codes, half of them with a random witness planted: equal at
+    # the last pair on every matched corner, unequal on the critical one.
+    codes = np.array([rng.randrange(3) for _ in range(d**m)], dtype=np.int64)
+    codes = codes.reshape((d,) * m)
+    if rng.random() < 0.5:
+        pairs = [rng.sample(range(d), 2) for _ in range(m)]
+        *matched, critical = itertools.product(*pairs[:-1])
+        p, q = pairs[-1]
+        for cell in matched:
+            codes[(*cell, q)] = codes[(*cell, p)]
+        codes[(*critical, q)] = codes[(*critical, p)] + 1
+    return codes
 
-    def edge(x1, x2):
-        return codes[x1, x2, p3] == codes[x1, x2, q3]
 
-    hits = np.argwhere(edge(p1, p2) & edge(p1, q2) & edge(q1, p2) & ~edge(q1, q2))
-    return tuple(int(x) for x in hits[0]) if len(hits) else None
+@pytest.mark.parametrize(
+    "m,sizes,pair_block",
+    [
+        (4, (2, 3), cubes_mod._PAIR_BLOCK_CELLS),
+        (4, (2, 3), 1),
+        (5, (2,), cubes_mod._PAIR_BLOCK_CELLS),
+    ],
+    ids=["m4", "m4-pair-per-block", "m5"],
+)
+def test_fiber_kernel_above_dimension_3_against_brute_force(monkeypatch, m, sizes, pair_block):
+    monkeypatch.setattr(cubes_mod, "_PAIR_BLOCK_CELLS", pair_block)
+    rng = random.Random(m)
+    verdicts = set()
+    for _ in range(60):
+        d = rng.choice(sizes)
+        codes = _planted_codes(rng, m, d)
+        expected = _witness_brute(codes)
+        assert _fiber_witness(*_identity_factorization(codes)) == expected
+        verdicts.add((d, expected is None))
+    assert verdicts == {(d, verdict) for d in sizes for verdict in (True, False)}
+
+
+@pytest.mark.parametrize("m,d", [(2, 3), (3, 3), (4, 3), (5, 2)])
+def test_product_codes_have_the_alternating_witness(m, d):
+    # x1 * ... * xm is 0 on every corner that has a coordinate 0, so
+    # (0, 1, ..., 0, 1) is the first witness at every dimension.
+    codes = np.prod(np.indices((d,) * m), axis=0)
+    assert _witness_brute(codes) == (0, 1) * m
+    assert _fiber_witness(*_identity_factorization(codes)) == (0, 1) * m
 
 
 def _structured_codes(rng, d):
@@ -282,7 +317,7 @@ def test_grid_dim3_structured_codes_against_brute_force(monkeypatch, pair_block)
     for _ in range(150):
         d = rng.choice((2, 3, 4, 5))
         codes = _structured_codes(rng, d)
-        expected = _dim3_witness_brute(codes)
+        expected = _witness_brute(codes)
         assert _fiber_witness(*_identity_factorization(codes)) == expected
         verdicts.add((d, expected is not None))
     # both verdicts occur, at the largest size too
@@ -313,8 +348,12 @@ def _sorted_signatures(codes):
         (3, "generators", 1, 3),
         (2, "atoms", 2, 2),
         (2, "verify-n2", 2, 2),
+        (4, "generators", 1, 4),
     ],
-    ids=["2-atoms-2", "2-verify-n2-2", "3-generators-1", "2-atoms-2-m2", "2-verify-n2-2-m2"],
+    ids=[
+        "2-atoms-2", "2-verify-n2-2", "3-generators-1", "2-atoms-2-m2", "2-verify-n2-2-m2",
+        "4-generators-1-m4",
+    ],
 )
 def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth, m):
     # One term per all-block class: the signatures built from the distinct
@@ -373,6 +412,21 @@ def test_control_search_at_the_n3_defaults():
     ]
 
 
+def test_control_search_at_dimension_4_finds_the_top_commutator():
+    # On the generators a(i,0), b(i,0) of n = 4, the dimension-4 kernel
+    # locates f on the (a(i,0), b(i,0)) blocks, whose cube is the base table's.
+    p4 = Params(4)
+    domain = [g(i, 0) for i in range(1, 5) for g in (AGen, BGen)]
+    rep = search_control(p4, domain, 1, 1, default_triple_pool(p4))
+    assert rep.passed
+    witness = json.loads(rep.counts["witness"])
+    assert witness["term"] == "f(x0,x1,x2,x3)"
+    assert witness["blocks"] == [
+        {"p": [f"a({i},0)"], "q": [f"b({i},0)"]} for i in (1, 2, 3, 4)
+    ]
+    assert witness["cube"] == [element_to_text(v) for v in expected_top_cube(p4)]
+
+
 def test_search_first_witness_is_canonical():
     stats = SearchStats()
     w = search_tc_witness(2, 1, 1, ATOMS, POOL2, P2, stats=stats)
@@ -415,9 +469,9 @@ def test_search_rejects_oversized_space():
         search_tc_witness(4, 1, 2, domain, POOL2, P2)
 
 
-@pytest.mark.parametrize("m,block_len", [(1, 1), (4, 1), (2, 2)])
+@pytest.mark.parametrize("m,block_len", [(1, 1), (2, 2)])
 def test_search_without_a_grid_kernel_raises(m, block_len):
-    # The grid kernels cover one variable per block at dimensions 2 and 3;
+    # The fiber kernel covers one variable per block at dimensions >= 2;
     # any other shape is out of budget, however small the domain.
     with pytest.raises(BudgetExceededError, match="no exact search"):
         search_tc_witness(m, 1, block_len, [DConst(1), DConst(2), CConst()], POOL2, P2)

@@ -15,6 +15,7 @@ from commlab.elements import (
     element_to_text,
 )
 import commlab.verifier as verifier_mod
+from commlab.errors import BudgetExceededError
 from commlab._grid import SymbolicGrid
 from commlab.cubes import BlockAssignment, term_cube
 from commlab.terms import (
@@ -45,7 +46,7 @@ from commlab.verifier import (
     verify_top_commutator,
 )
 
-from oracles import corner_violation_brute, is_power_of_u_on
+from oracles import corner_violation_brute, count_terms, is_power_of_u_on
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -139,6 +140,17 @@ def test_corner_scan_on_used_axes_matches_brute_force():
     assert ignored_block_hits > 0
 
 
+def test_corner_scan_above_the_grid_cap_raises_before_it_builds(monkeypatch):
+    # Two used blocks of 3 values need 3**4 = 81 cells per vertex array; a
+    # cap of 80 refuses the scan, naming the size, and 81 admits it.
+    codes = np.arange(9, dtype=np.int64).reshape(3, 1, 3)
+    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 80)
+    with pytest.raises(BudgetExceededError, match="needs 81 cells"):
+        corner_violation_in(codes)
+    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 81)
+    assert corner_violation_in(codes) is None
+
+
 def test_term_lemma_passes():
     rep = check_term_lemma(P2, ATOMS, 1, POOL2)
     assert rep.passed
@@ -188,6 +200,18 @@ def test_np1_search_prunes_terms_missing_a_block():
     assert rep.passed
     assert rep.counts["terms_scanned"] == 87
     assert rep.counts["assignments_scanned"] == len(ATOMS) ** 6 * 87
+
+
+def test_np1_search_at_the_n3_defaults_is_a_vacuous_pass():
+    # f is ternary at n = 3, so no depth-1 term uses all four blocks and
+    # every term is decided without reaching the kernel
+    p3 = Params(3)
+    pool = default_triple_pool(p3)
+    rep = search_np1_failure(p3, bounded_subuniverse(p3, 0, 0), 1, 1, pool)
+    assert rep.passed
+    terms = count_terms(4, 1, len(pool), p3)
+    assert terms == 552
+    assert rep.counts == {"terms_scanned": terms, "assignments_scanned": terms * 12**8}
 
 
 def test_control_search_finds_witness_on_atoms():
