@@ -5,11 +5,12 @@ assignment grid become numpy gather operations.  Two output modes:
 
 - id arrays: every value is a real interned id (needed when values are
   inspected, e.g. membership in C);
-- equality codes: injective unary wrappers are stripped and a root
-  f-application is encoded, from the pattern labels of its arguments, as
-  an integer that is equal for two cells exactly when the element values
-  are equal.  This avoids interning the (potentially huge) set of
-  top-level f-images when only the equality pattern of a cube matters.
+- equality codes: injective unary wrappers are stripped and the root, an
+  f-application as in every term over two or more blocks, is encoded,
+  from the pattern labels of its arguments, as an integer that is equal
+  for two cells exactly when the element values are equal.  This avoids
+  interning the (potentially huge) set of top-level f-images when only
+  the equality pattern of a cube matters.
 
 Id arrays smaller than the full grid are memoized per grid, keyed by
 (term, m), so a subterm shared by many terms is evaluated once.  So are the
@@ -126,22 +127,17 @@ class SymbolicGrid:
         return out_ids[inverse]
 
     def eval_codes(self, t: terms.Term, m: int) -> np.ndarray:
-        """Equality codes of t over the grid: code equality iff value
-        equality.  They depend on the pattern labels alone."""
-        return _codes(self.pattern_labels(t, m))
+        """Equality codes of t over the grid, in broadcast shape: code
+        equality iff value equality.  The root, wrappers stripped, must be
+        an f-application.
 
-    def pattern_labels(self, t: terms.Term, m: int) -> list[np.ndarray]:
-        """Arrays in broadcast shape that fix the equality pattern of t.
-
-        A variable root (wrappers stripped) is labelled by its own ids.  Off
-        f0's domain f is injective on argument tuples, and a d-value depends
-        only on which arguments are the a/b generators of their position.
-        So each argument of an f-root is labelled by its ids, renumbered by
-        first occurrence with the position's a and b ids pinned to 0 and 1."""
-        t = _strip_wrappers(t)
-        if not isinstance(t, terms.FApp):
-            return [self.eval_ids(t, m)]
-        return [self._arg_labels(arg, pos, m)[0] for pos, arg in enumerate(t.args)]
+        Off f0's domain f is injective on argument tuples, and a d-value
+        depends only on which arguments are the a/b generators of their
+        position.  So the codes depend on each argument's labels alone: its
+        ids, renumbered by first occurrence with the position's a and b ids
+        pinned to 0 and 1."""
+        args = _strip_wrappers(t).args
+        return _codes([self._arg_labels(arg, pos, m)[0] for pos, arg in enumerate(args)])
 
     def _arg_labels(self, arg: terms.Term, pos: int, m: int) -> tuple[np.ndarray, int]:
         """The read-only pinned labels of an f-argument at a position, and
@@ -164,14 +160,11 @@ class SymbolicGrid:
         return hit
 
     def pattern_key(self, t: terms.Term, m: int) -> tuple:
-        """Equal keys, equal codes.  An f-root is keyed by the class ids of
-        its arguments' label arrays, a variable root by the shape and bytes
-        of its ids; the two kinds of key never meet."""
-        t = _strip_wrappers(t)
-        if not isinstance(t, terms.FApp):
-            ids = self.eval_ids(t, m)
-            return ((ids.shape, ids.tobytes()),)
-        return tuple(self._arg_labels(arg, pos, m)[1] for pos, arg in enumerate(t.args))
+        """Equal keys, equal codes: the class ids of the label arrays of the
+        root's arguments.  The root, wrappers stripped, must be an
+        f-application."""
+        args = _strip_wrappers(t).args
+        return tuple(self._arg_labels(arg, pos, m)[1] for pos, arg in enumerate(args))
 
     def fibers(self, t: terms.Term, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct fibers of t's equality codes along the last axis, as
@@ -206,9 +199,12 @@ class SymbolicGrid:
         self, indexed_terms: Iterable[tuple[int, terms.Term]], m: int, decide: Callable
     ) -> Optional[tuple[int, terms.Term, tuple]]:
         """First (index, term, hit) whose hit ``decide(self, t, m)`` is not
-        None, or None.  ``decide`` must depend on the pattern key only (the
-        witness kernel reads ``fibers``, the corner lemma ``eval_codes``), so
-        it runs once per key; only keys without a hit are kept."""
+        None, or None.  Every term must be f-rooted, wrappers stripped (the
+        witness search passes the terms that use all blocks, the corner
+        lemma those over two or more).  ``decide`` must depend on the
+        pattern key only (the witness kernel reads ``fibers``, the corner
+        lemma ``eval_codes``), so it runs once per key; only keys without a
+        hit are kept."""
         no_hit: set[tuple] = set()
         for i, t in indexed_terms:
             key = self.pattern_key(t, m)
@@ -257,9 +253,8 @@ def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.nda
 
 
 def _codes(labels: list[np.ndarray]) -> np.ndarray:
-    """Equality codes from pattern labels, in their broadcast shape."""
-    if len(labels) == 1:  # a variable root; f has arity n >= 2
-        return labels[0]
+    """Equality codes from the pattern labels of f's n >= 2 arguments, in
+    their broadcast shape."""
     code = _pack(labels)
     # Cells whose arguments lie in f0's domain (labels 0 and 1) take a
     # d-value; off the domain f tags its argument tuple, so the d-values

@@ -21,7 +21,7 @@ from . import finengine, terms as terms_mod, verifier
 from .elements import Params, element_to_text
 from .errors import BudgetExceededError, CommlabError, ParseError
 from .terms import default_triple_pool, eval_term
-from .textio import parse_element, parse_term
+from .textio import parse_term
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -190,9 +190,25 @@ def cmd_eval(args) -> int:
     if unbound:
         names = ", ".join(f"x{i}" for i in sorted(unbound))
         raise ParseError(f"term is not closed; unbound variables: {names}")
+    for e in _literals(term):
+        if not el.well_formed(e, params):
+            raise ParseError(f"{element_to_text(e)} is not an element of A({params.n})")
     value = eval_term(term, {}, params)
     print(element_to_text(value))
     return EXIT_OK
+
+
+def _literals(t: terms_mod.Term):
+    """The element literals of a term: its constant leaves and u_pqr triples."""
+    if isinstance(t, terms_mod.Const):
+        yield t.value
+    if isinstance(t, terms_mod.UPQRApp):
+        yield from (t.p, t.q, t.r)
+    if isinstance(t, (terms_mod.UApp, terms_mod.UPQRApp)):
+        yield from _literals(t.arg)
+    if isinstance(t, terms_mod.FApp):
+        for arg in t.args:
+            yield from _literals(arg)
 
 
 def cmd_fin(args) -> int:

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import terms as terms_mod
 from ._grid import SymbolicGrid, _first_occurrence
 from .elements import Element, Params, element_to_text
 from .errors import BudgetExceededError, CommlabError
@@ -307,7 +306,6 @@ def search_tc_witness(
     domain: Sequence[Element],
     triple_pool: Sequence[tuple[Element, Element, Element]],
     params: Params,
-    term_cap: int = terms_mod.DEFAULT_TERM_CAP,
     stats: Optional[SearchStats] = None,
 ) -> Optional[TCWitness]:
     """First (canonical term order, then lexicographic block assignment)
@@ -325,5 +323,5 @@ def search_tc_witness(
             f"and {len(domain)} elements: the fiber kernel covers dimensions "
             f">= 2, block length 1 and at most {GRID_CELL_CAP} grid cells"
         )
-    term_list = list(enumerate_terms(m, max_depth, triple_pool, params, cap=term_cap))
+    term_list = list(enumerate_terms(m, max_depth, triple_pool, params))
     return _scan_terms(term_list, m, domain, params, stats or SearchStats())

@@ -29,7 +29,7 @@ from .cubes import (
     term_cube,
 )
 from .elements import Element, Params, element_to_text, sort_key
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CommlabError
 from .finengine import UnionFind
 from .terms import (
     FApp,
@@ -40,6 +40,7 @@ from .terms import (
     Var,
     enumerate_terms,
     eval_poly,
+    free_vars,
     term_to_text,
 )
 
@@ -133,49 +134,37 @@ def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
 
     The dense vertex scan runs on the used blocks only.  A block the term
     ignores leaves every vertex value unchanged, so the violations form a
-    cylinder over it and the first one has p_j = q_j = 0 there.  The scan
-    builds arrays of d ** (2k) cells for k used blocks, so a scan above
+    cylinder over it and the first one has p_j = q_j = 0 there.  With fewer
+    than two used blocks every vertex equals vertex 1 or its neighbour
+    across the one used block, so there is no violation.  The scan builds
+    arrays of d ** (2k) cells for k used blocks, so a scan above
     ``GRID_CELL_CAP`` cells raises before anything is built."""
-    m = codes.ndim
-    used = [j for j in range(m) if codes.shape[j] > 1]
-    if not used:
+    used = [j for j in range(codes.ndim) if codes.shape[j] > 1]
+    if len(used) < 2:
         return None
-    cells = codes.shape[used[0]] ** (2 * len(used))
-    if cells > GRID_CELL_CAP:
+    k, d = len(used), codes.shape[used[0]]
+    if d ** (2 * k) > GRID_CELL_CAP:
         raise BudgetExceededError(
-            f"corner-lemma vertex scan over {len(used)} blocks needs {cells} cells "
+            f"corner-lemma vertex scan over {k} blocks needs {d ** (2 * k)} cells "
             f"per array, above the grid cap of {GRID_CELL_CAP} cells"
         )
-    hit = _dense_corner_violation(codes.reshape([codes.shape[j] for j in used]))
+    dense = codes.reshape((d,) * k)
+    axes = np.ogrid[(slice(d),) * (2 * k)]
+    corners = itertools.product((0, 1), repeat=k)  # the last block varies fastest
+    verts = [dense[tuple(axes[2 * j + b] for j, b in enumerate(bits))] for bits in corners]
+    # in place, so that one comparison of d ** (2k) cells is alive at a time
+    mask = np.zeros((d,) * (2 * k), dtype=bool)
+    for v in verts[1:]:
+        mask |= v != verts[0]
+    for j in range(k):
+        mask &= verts[0] == verts[1 << j]
+    hit = _first_index(mask)
     if hit is None:
         return None
-    out = [0] * (2 * m)
-    for k, j in enumerate(used):
-        out[2 * j], out[2 * j + 1] = hit[2 * k], hit[2 * k + 1]
+    out = [0] * (2 * codes.ndim)
+    for i, j in enumerate(used):
+        out[2 * j], out[2 * j + 1] = hit[2 * i], hit[2 * i + 1]
     return tuple(out)
-
-
-def _dense_corner_violation(codes: np.ndarray) -> Optional[tuple[int, ...]]:
-    m, d = codes.ndim, codes.shape[0]
-    axes = []
-    for k in range(2 * m):
-        shape = [1] * (2 * m)
-        shape[k] = d
-        axes.append(np.arange(d).reshape(shape))
-    verts = []
-    for i in range(2**m):
-        sel = tuple(
-            axes[2 * j + ((i >> (m - 1 - j)) & 1)] for j in range(m)
-        )
-        verts.append(codes[sel])
-    v0 = verts[0]
-    premise = np.ones(v0.shape, dtype=bool)
-    for j in range(m):
-        premise = premise & (v0 == verts[1 << (m - 1 - j)])
-    nonconst = np.zeros(v0.shape, dtype=bool)
-    for v in verts[1:]:
-        nonconst = nonconst | (v != v0)
-    return _first_index(premise & nonconst)
 
 
 def check_corner_lemma(
@@ -193,7 +182,9 @@ def check_corner_lemma(
         d = len(domain)
         report_params = {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth}
         term_list = list(enumerate_terms(m, max_depth, triple_pool, params))
-        first = grid.first_hit(enumerate(term_list), m, _corner_violation)
+        # a term over fewer than two blocks has no violation (corner_violation_in)
+        candidates = [(i, t) for i, t in enumerate(term_list) if len(free_vars(t)) >= 2]
+        first = grid.first_hit(candidates, m, _corner_violation)
         scanned = len(term_list) if first is None else first[0] + 1
         counts = {"terms_scanned": scanned, "assignments_scanned": scanned * d ** (2 * m)}
         if first is None:
@@ -201,6 +192,12 @@ def check_corner_lemma(
         _, t, hit = first
         blocks = BlockAssignment.from_indices(hit, domain)
         cube = term_cube(t, blocks, m, params)
+        v = cube.vertices
+        if any(v[1 << j] != v[0] for j in range(m)) or all(x == v[0] for x in v):
+            raise CommlabError(
+                f"corner scan located a violation for {term_to_text(t)} at {hit} "
+                "that the term evaluator rejects"
+            )
         counterexample = {
             "term": term_to_text(t),
             "blocks": blocks.to_record(),
@@ -242,46 +239,39 @@ def check_term_lemma(
     domain: Sequence[Element],
     max_depth: int,
     triple_pool: Sequence[tuple[Element, Element, Element]],
-    num_vars: int = 2,
 ) -> VerificationReport:
-    """A term taking two distinct values inside the order-(2n+1) cycle's
-    moving letters must act as a power of u on one of its variables."""
+    """A two-variable term taking two distinct values inside the
+    order-(2n+1) cycle's moving letters must act as a power of u on one of
+    its variables."""
 
     def run() -> VerificationReport:
         grid = SymbolicGrid(params, list(domain))
         d = len(domain)
         n = params.n
+        report_params = {"n": n, "domain_size": d, "max_depth": max_depth, "num_vars": 2}
         c_ids = [grid.intern(gen(i, 0)) for i in range(1, n + 1) for gen in (el.AGen, el.BGen)]
         powers = _u_powers(grid, params)
         terms_scanned = 0
         checked = 0
-        for t in enumerate_terms(num_vars, max_depth, triple_pool, params):
+        for t in enumerate_terms(2, max_depth, triple_pool, params):
             terms_scanned += 1
-            raw = grid.eval_ids(t, num_vars)
+            raw = grid.eval_ids(t, 2)
             in_c = functools.reduce(np.logical_or, [raw == c for c in c_ids])
             c_values = raw[in_c]
             # the premise: two distinct values among the C cells
             if c_values.size == 0 or c_values.min() == c_values.max():
                 continue
             checked += 1
-            ids = np.broadcast_to(raw, (d,) * num_vars)
+            ids = np.broadcast_to(raw, (d, d))
             if _u_power_of(ids, powers) is None:
                 cells = np.argwhere(np.broadcast_to(in_c, ids.shape))
-                first = cells[0]
-                second = None
-                v0 = ids[tuple(first)]
-                for cell in cells[1:]:
-                    if ids[tuple(cell)] != v0:
-                        second = cell
-                        break
+                values = ids[tuple(cells.T)]
+                first, second = cells[0], cells[int(np.argmax(values != values[0]))]
                 def cell_assignment(cell):
-                    return {
-                        f"x{i}": element_to_text(domain[int(cell[i])])
-                        for i in range(num_vars)
-                    }
+                    return {f"x{i}": element_to_text(domain[int(cell[i])]) for i in range(2)}
                 return VerificationReport(
                     "term_lemma",
-                    {"n": n, "domain_size": d, "max_depth": max_depth, "num_vars": num_vars},
+                    report_params,
                     "fail",
                     counterexample={
                         "term": term_to_text(t),
@@ -292,7 +282,7 @@ def check_term_lemma(
                 )
         return VerificationReport(
             "term_lemma",
-            {"n": n, "domain_size": d, "max_depth": max_depth, "num_vars": num_vars},
+            report_params,
             "pass",
             counts={"terms_scanned": terms_scanned, "premise_terms": checked},
         )

@@ -72,19 +72,26 @@ def scan_terms_naive(terms, m: int, domain: Sequence, params):
     vertices = list(itertools.product((0, 1), repeat=m))
     for t in terms:
         terms_scanned += 1
-        for flat in itertools.product(domain, repeat=2 * m):
+        values: dict[tuple[int, ...], object] = {}  # t at each tuple of domain indices
+
+        def value(idx: tuple[int, ...]):
+            if idx not in values:
+                values[idx] = eval_term(t, {j: domain[i] for j, i in enumerate(idx)}, params)
+            return values[idx]
+
+        for flat in itertools.product(range(len(domain)), repeat=2 * m):
             assignments += 1
             cube = []
             for bits in vertices:
-                cube.append(eval_term(
-                    t, {j: flat[2 * j + bit] for j, bit in enumerate(bits)}, params
-                ))
+                cube.append(value(tuple(flat[2 * j + bit] for j, bit in enumerate(bits))))
                 # every edge but the last must be matched
                 if len(cube) % 2 == 0 and len(cube) < 2**m and cube[-2] != cube[-1]:
                     break
             else:
                 if cube[-2] != cube[-1]:
-                    blocks = tuple(((flat[2 * j],), (flat[2 * j + 1],)) for j in range(m))
+                    blocks = tuple(
+                        ((domain[flat[2 * j]],), (domain[flat[2 * j + 1]],)) for j in range(m)
+                    )
                     return (t, blocks, tuple(cube)), terms_scanned, assignments
     return None, terms_scanned, assignments
 
@@ -258,9 +265,11 @@ def term_tables(
 ) -> Optional[np.ndarray]:
     """All distinct term-operation tables on num_vars variables built to the
     given composition depth, as an array of shape (k, size**num_vars).
-    Returns None if the cap is exceeded."""
+    Returns None if the cap is exceeded.  Stops as soon as all
+    size**(size**num_vars) tables are known: no later candidate is new."""
     s = alg.size
     cells = s**num_vars
+    every_table = s**cells
     grids = np.indices((s,) * num_vars).reshape(num_vars, cells)
     funcs = [grids[v].astype(np.int64) for v in range(num_vars)]
 
@@ -273,7 +282,9 @@ def term_tables(
     else:
         seen = {f.tobytes() for f in funcs}
 
-    def absorb(cand: np.ndarray, new: list[np.ndarray]) -> bool:
+    def absorb(cand: np.ndarray, new: list[np.ndarray]) -> int:
+        """Add the new tables among cand; the number of tables known, or
+        cap + 1 once it passes the cap."""
         nonlocal known
         if use_codes:
             codes, first = np.unique(cand @ pw, return_index=True)
@@ -281,32 +292,25 @@ def term_tables(
             if fresh.any():
                 known = np.union1d(known, codes[fresh])
                 new.extend(np.copy(t) for t in cand[first[fresh]])
-            return len(known) <= cap
+            return min(len(known), cap + 1)
         for t in cand:
             b = t.tobytes()
             if b not in seen:
                 seen.add(b)
                 new.append(t.copy())
                 if len(seen) > cap:
-                    return False
-        return True
+                    return cap + 1
+        return len(seen)
 
-    last_start = 0
-    for _ in range(depth):
-        prev = np.stack(funcs)
-        k = len(funcs)
-        new: list[np.ndarray] = []
+    def candidates(prev: np.ndarray, last_start: int):
+        k = len(prev)
         for op in alg.operations:
+            table = np.array(op.table, dtype=np.int64)
             if op.arity == 0:
-                cand = np.full(cells, op.table[0], dtype=np.int64)[None, :]
-                if not absorb(cand, new):
-                    return None
+                yield np.full(cells, op.table[0], dtype=np.int64)[None, :]
             elif op.arity == 1:
-                table = np.array(op.table, dtype=np.int64)
-                if not absorb(table[prev[last_start:]], new):
-                    return None
+                yield table[prev[last_start:]]
             else:
-                table = np.array(op.table, dtype=np.int64)
                 chunk = max(1, 2**22 // (k * cells))
                 for lo in range(0, k, chunk):
                     rows = prev[lo : lo + chunk]
@@ -314,8 +318,17 @@ def term_tables(
                     if lo + chunk <= last_start:
                         # old-vs-old pairs contribute nothing new
                         idx = idx[:, last_start:]
-                    if not absorb(table[idx.reshape(-1, cells)], new):
-                        return None
+                    yield table[idx.reshape(-1, cells)]
+
+    last_start = 0
+    for _ in range(depth):
+        new: list[np.ndarray] = []
+        for cand in candidates(np.stack(funcs), last_start):
+            count = absorb(cand, new)
+            if count > cap:
+                return None
+            if count == every_table:
+                return np.stack(funcs + new)
         if not new:
             break
         last_start = len(funcs)

@@ -84,6 +84,23 @@ def test_eval_command(capsys, expr, expected):
     assert capsys.readouterr().out.strip() == expected
 
 
+@pytest.mark.parametrize(
+    "expr,literal",
+    [
+        ("f(a(3,0),c)", "a(3,0)"),  # generator index above n
+        ("d(9)", "d(9)"),  # d-constant index above 2^(n-1)+1
+        ("u(t([a(1,0),b(2,0)],0))", "t([a(1,0),b(2,0)],0)"),  # in f's base table
+        ("f(t([c,c],5),c)", "t([c,c],5)"),  # wrong tag
+        ("upqr{d(1);d(9);c}(c)", "d(9)"),  # a triple coordinate
+    ],
+)
+def test_eval_rejects_a_literal_outside_the_algebra(capsys, expr, literal):
+    assert main(["eval", "--n", "2", expr]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {literal} is not an element of A(2)" in captured.err
+
+
 def test_eval_command_parse_error(capsys):
     assert main(["eval", "f(x0,"]) == EXIT_RESOURCE
     assert "error:" in capsys.readouterr().err

@@ -132,17 +132,44 @@ def test_scan_chunk_agrees_with_the_oracle_scan(params, m, domain, all_blocks_on
     terms = list(enumerate_terms(m, 1, pool, params))
     if all_blocks_only:
         terms = [t for t in terms if _uses_all_blocks(t, m)]
-    hits = 0
-    for t in terms:
-        stats = SearchStats()
-        w = _scan_terms([t], m, list(domain), params, stats)
-        o_w, o_terms, o_count = scan_terms_naive([t], m, domain, params)
-        assert (stats.terms_scanned, stats.assignments_scanned) == (o_terms, o_count)
-        assert (w is None) == (o_w is None)
-        if w is not None:
-            assert w.to_record() == _oracle_record(*o_w, m)
-            hits += 1
+    hits = sum(_agrees_with_the_oracle_scan(params, m, domain, t) for t in terms)
     assert 0 < hits < len(terms)
+
+
+def _agrees_with_the_oracle_scan(params, m, domain, t):
+    # Whether t has a witness, after checking it and both counts against
+    # the oracle.
+    stats = SearchStats()
+    w = _scan_terms([t], m, list(domain), params, stats)
+    o_w, o_terms, o_count = scan_terms_naive([t], m, domain, params)
+    assert (stats.terms_scanned, stats.assignments_scanned) == (o_terms, o_count)
+    assert (w is None) == (o_w is None)
+    if w is not None:
+        assert w.to_record() == _oracle_record(*o_w, m)
+    return w is not None
+
+
+P4 = Params(4)
+N4_GENERATORS = [g(i, 0) for i in range(1, 5) for g in (AGen, BGen)]
+N3_TWO_POSITIONS = [AGen(1, 0), AGen(2, 0), BGen(1, 0), BGen(2, 0)]
+X = [Var(i) for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "params,domain,t,has_witness",
+    [
+        # the top commutator's term over the eight generators of n = 4
+        (P4, N4_GENERATORS, FApp(tuple(X)), True),
+        # depth-2 terms of the ternary f over all four blocks: n = 3 has no
+        # dimension-4 witness
+        (P3, N3_TWO_POSITIONS, FApp((FApp(tuple(X[:3])), X[3], X[3])), False),
+        (P3, N3_TWO_POSITIONS, FApp((X[0], X[1], FApp((X[2], X[3], X[0])))), False),
+        (P3, [AGen(1, 0), BGen(1, 0), CConst()], FApp((UApp(X[3]), FApp(tuple(X[:3])), X[1])), False),
+    ],
+    ids=["n4-generators-top-term", "n3-inner-first", "n3-inner-last", "n3-wrapped-c"],
+)
+def test_dimension_4_scan_agrees_with_the_oracle_scan(params, domain, t, has_witness):
+    assert _agrees_with_the_oracle_scan(params, 4, domain, t) == has_witness
 
 
 def _scan_every_term(terms, m, domain, params):
@@ -415,16 +442,14 @@ def test_control_search_at_the_n3_defaults():
 def test_control_search_at_dimension_4_finds_the_top_commutator():
     # On the generators a(i,0), b(i,0) of n = 4, the dimension-4 kernel
     # locates f on the (a(i,0), b(i,0)) blocks, whose cube is the base table's.
-    p4 = Params(4)
-    domain = [g(i, 0) for i in range(1, 5) for g in (AGen, BGen)]
-    rep = search_control(p4, domain, 1, 1, default_triple_pool(p4))
+    rep = search_control(P4, N4_GENERATORS, 1, 1, default_triple_pool(P4))
     assert rep.passed
     witness = json.loads(rep.counts["witness"])
     assert witness["term"] == "f(x0,x1,x2,x3)"
     assert witness["blocks"] == [
         {"p": [f"a({i},0)"], "q": [f"b({i},0)"]} for i in (1, 2, 3, 4)
     ]
-    assert witness["cube"] == [element_to_text(v) for v in expected_top_cube(p4)]
+    assert witness["cube"] == [element_to_text(v) for v in expected_top_cube(P4)]
 
 
 def test_search_first_witness_is_canonical():

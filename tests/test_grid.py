@@ -17,11 +17,22 @@ from commlab.terms import (
     default_triple_pool,
     enumerate_terms,
     eval_term,
+    free_vars,
 )
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
 ATOMS = P2.base_atoms(0)
+
+
+def _over_two_blocks(m):
+    # the terms that reach the grid's codes and keys: f-rooted, wrappers stripped
+    return [t for t in enumerate_terms(m, 2, POOL2, P2) if len(free_vars(t)) >= 2]
+
+
+def _labels(grid, t, m):
+    args = _grid._strip_wrappers(t).args
+    return [grid._arg_labels(arg, pos, m)[0] for pos, arg in enumerate(args)]
 
 
 def _values(grid, t, m):
@@ -98,7 +109,7 @@ def test_eval_codes_falls_back_when_the_label_pack_would_wrap():
     grid = SymbolicGrid(p4, domain)
     c = Const(CConst())
     t = FApp((Var(0), c, c, c))
-    assert max(int(lab.max()) for lab in grid.pattern_labels(t, 1)) == 2**17 - 1
+    assert max(int(lab.max()) for lab in _labels(grid, t, 1)) == 2**17 - 1
     codes = grid.eval_codes(t, 1)
     ids = grid.eval_ids(t, 1)
     assert codes.shape == ids.shape == (len(domain),)
@@ -140,11 +151,11 @@ def test_f_node_cap_raises_before_it_allocates():
     assert peak < 10**6
 
 
-def test_memoized_pattern_labels_are_read_only():
+def test_memoized_arg_labels_are_read_only():
     grid = SymbolicGrid(P2, ATOMS)
     t = FApp((UApp(Var(0)), FApp((Var(1), Var(2)))))
-    labels = grid.pattern_labels(t, 3)
-    assert all(a is b for a, b in zip(grid.pattern_labels(t, 3), labels))
+    labels = _labels(grid, t, 3)
+    assert all(a is b for a, b in zip(_labels(grid, t, 3), labels))
     for lab in labels:
         with pytest.raises(ValueError):
             lab[(0,) * lab.ndim] = 0
@@ -157,9 +168,9 @@ def test_pattern_key_splits_terms_as_the_label_bytes_do(m):
     grid = SymbolicGrid(P2, ATOMS)
 
     def label_bytes(t):
-        return tuple((lab.shape, lab.tobytes()) for lab in grid.pattern_labels(t, m))
+        return tuple((lab.shape, lab.tobytes()) for lab in _labels(grid, t, m))
 
-    pairs = {(grid.pattern_key(t, m), label_bytes(t)) for t in enumerate_terms(m, 2, POOL2, P2)}
+    pairs = {(grid.pattern_key(t, m), label_bytes(t)) for t in _over_two_blocks(m)}
     assert len({key for key, _ in pairs}) == len({old for _, old in pairs}) == len(pairs)
 
 
@@ -172,10 +183,10 @@ def _first_occurrence_relabel(codes):
 
 def test_eval_codes_equality_is_value_equality():
     # The codes come from the pattern labels, not from the values; on every
-    # term they must still be equal exactly where the values are.
+    # term they code, they must still be equal exactly where the values are.
     grid = SymbolicGrid(P2, ATOMS)
     full = (len(ATOMS),) * 2
-    for t in enumerate_terms(2, 2, POOL2, P2):
+    for t in _over_two_blocks(2):
         codes = np.broadcast_to(grid.eval_codes(t, 2), full)
         ids = np.broadcast_to(grid.eval_ids(t, 2), full)
         assert _first_occurrence_relabel(codes) == _first_occurrence_relabel(ids)
@@ -183,11 +194,12 @@ def test_eval_codes_equality_is_value_equality():
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_equal_pattern_keys_give_equal_equality_patterns(m):
-    # Every term, not only those that use all blocks: the corner lemma
-    # decides each class once, and it reads the codes in broadcast shape.
+    # Every term over two or more blocks, not only those that use all
+    # blocks: the corner lemma decides each class once, and it reads the
+    # codes in broadcast shape.
     grid = SymbolicGrid(P2, ATOMS)
     classes = {}
-    for t in enumerate_terms(m, 2, POOL2, P2):
+    for t in _over_two_blocks(m):
         codes = grid.eval_codes(t, m)
         pattern = (codes.shape, _first_occurrence_relabel(codes))
         classes.setdefault(grid.pattern_key(t, m), []).append(pattern)
@@ -195,19 +207,3 @@ def test_equal_pattern_keys_give_equal_equality_patterns(m):
         assert all(p == patterns[0] for p in patterns[1:])
     # the key merges terms, so the check above compares something
     assert len(classes) < sum(len(p) for p in classes.values())
-
-
-def test_a_variable_root_is_keyed_by_its_own_ids():
-    grid = SymbolicGrid(P2, ATOMS)
-    key = grid.pattern_key(Var(1), 2)
-    assert grid.pattern_key(UApp(Var(1)), 2) == key
-    assert grid.pattern_key(Var(0), 2) != key
-    f_keys = {
-        grid.pattern_key(t, 2)
-        for t in enumerate_terms(2, 2, POOL2, P2)
-        if isinstance(t, FApp)
-    }
-    assert f_keys and key not in f_keys
-    assert grid.pattern_key(UApp(FApp((Var(0), Var(1)))), 2) == grid.pattern_key(
-        FApp((Var(0), Var(1))), 2
-    )

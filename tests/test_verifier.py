@@ -15,9 +15,9 @@ from commlab.elements import (
     element_to_text,
 )
 import commlab.verifier as verifier_mod
-from commlab.errors import BudgetExceededError
+from commlab.errors import BudgetExceededError, CommlabError
 from commlab._grid import SymbolicGrid
-from commlab.cubes import BlockAssignment, term_cube
+from commlab.cubes import BlockAssignment, Cube
 from commlab.terms import (
     UnaryPolynomial,
     UApp,
@@ -25,6 +25,7 @@ from commlab.terms import (
     default_triple_pool,
     enumerate_terms,
     eval_term,
+    free_vars,
     term_to_text,
 )
 from commlab.verifier import (
@@ -83,20 +84,24 @@ def test_corner_lemma_passes():
 
 
 def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
-    # Flag one equality class, that of the last term; the check reports its
-    # first member with the counts of a scan that visits every term.
+    # Flag one equality class, that of the last term over two blocks; the
+    # check reports its first member with the counts of a scan that visits
+    # every term.  The term evaluator is made to confirm the flagged hit:
+    # vertex 1 equals both neighbours, vertex 4 differs.
     grid = SymbolicGrid(P2, ATOMS)
     terms = list(enumerate_terms(2, 2, POOL2, P2))
-    target = grid.eval_codes(terms[-1], 2)
+    over_two = [(i, t) for i, t in enumerate(terms) if len(free_vars(t)) >= 2]
+    target = grid.eval_codes(over_two[-1][1], 2)
     hit = (1, 2, 3, 4)
 
     def flag(codes):
         return hit if codes.shape == target.shape and (codes == target).all() else None
 
     monkeypatch.setattr(verifier_mod, "corner_violation_in", flag)
-    i = next(i for i, t in enumerate(terms) if flag(grid.eval_codes(t, 2)) is not None)
+    i = next(i for i, t in over_two if flag(grid.eval_codes(t, 2)) is not None)
     blocks = BlockAssignment.from_indices(hit, ATOMS)
-    cube = term_cube(terms[i], blocks, 2, P2)
+    cube = Cube(2, (DConst(1), DConst(1), DConst(1), DConst(2)))
+    monkeypatch.setattr(verifier_mod, "term_cube", lambda t, b, m, p: cube)
     calls = []
     decide = verifier_mod._corner_violation
     monkeypatch.setattr(
@@ -115,8 +120,33 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
         "assignments_scanned": (i + 1) * len(ATOMS) ** 4,
     }
     # one call per class met up to the hit, fewer than the terms scanned
-    keys = {grid.pattern_key(t, 2) for t in terms[: i + 1]}
+    keys = {grid.pattern_key(t, 2) for j, t in over_two if j <= i}
     assert len(calls) == len(keys) < i + 1
+
+
+def test_corner_lemma_skips_terms_over_fewer_than_two_blocks(monkeypatch):
+    calls = []
+    decide = verifier_mod._corner_violation
+    monkeypatch.setattr(
+        verifier_mod, "_corner_violation",
+        lambda g, t, m: calls.append(t) or decide(g, t, m),
+    )
+    rep = check_corner_lemma(P2, 2, ATOMS, 2, POOL2)
+    assert rep.passed
+    assert rep.counts == {"terms_scanned": 4538, "assignments_scanned": 4538 * 8**4}
+    assert calls and all(len(free_vars(t)) == 2 for t in calls)
+
+
+@pytest.mark.parametrize(
+    "hit", [(0, 0, 0, 0), (0, 1, 2, 2)], ids=["constant-cube", "vertex-1-unlike-a-neighbour"]
+)
+def test_corner_lemma_rejects_a_located_non_violation(monkeypatch, hit):
+    # The located hit is rechecked with the term evaluator before it is
+    # reported: p = q on every block gives a constant cube, and f(x0,x1) at
+    # (a(1,0), a(2,0)) x (b(1,0), b(1,0)) moves vertex 1's first neighbour.
+    monkeypatch.setattr(verifier_mod, "corner_violation_in", lambda codes: hit)
+    with pytest.raises(CommlabError, match="rejects"):
+        check_corner_lemma(P2, 2, ATOMS, 1, POOL2)
 
 
 def test_corner_scan_on_used_axes_matches_brute_force():
@@ -174,6 +204,22 @@ def test_term_lemma_power_of_u_agrees_with_the_oracle():
             assert expected is not None
     rep = check_term_lemma(P2, ATOMS, 1, POOL2)
     assert premise_terms == rep.counts["premise_terms"] == 4
+
+
+def test_term_lemma_fail_record_names_two_distinct_values_in_c(monkeypatch):
+    # Deny the power-of-u test on every term: the first premise term, x0,
+    # is reported at its first cell in C and the first C cell after it
+    # where x0 takes another value.
+    monkeypatch.setattr(verifier_mod, "_u_power_of", lambda ids, powers: None)
+    rep = check_term_lemma(P2, ATOMS, 1, POOL2)
+    assert rep.outcome == "fail"
+    assert rep.params["num_vars"] == 2
+    assert rep.counterexample == {
+        "term": "x0",
+        "assignment_a": {"x0": "a(1,0)", "x1": "a(1,0)"},
+        "assignment_b": {"x0": "a(2,0)", "x1": "a(1,0)"},
+    }
+    assert rep.counts == {"terms_scanned": 1, "premise_terms": 1}
 
 
 def test_expected_top_cube_values():
