@@ -196,17 +196,22 @@ class SymbolicGrid:
         return rows
 
     def first_hit(
-        self, indexed_terms: Iterable[tuple[int, terms.Term]], m: int, decide: Callable
+        self, term_list: Iterable[terms.Term], m: int, blocks: int, decide: Callable
     ) -> Optional[tuple[int, terms.Term, tuple]]:
-        """First (index, term, hit) whose hit ``decide(self, t, m)`` is not
-        None, or None.  Every term must be f-rooted, wrappers stripped (the
-        witness search passes the terms that use all blocks, the corner
-        lemma those over two or more).  ``decide`` must depend on the
-        pattern key only (the witness kernel reads ``fibers``, the corner
-        lemma ``eval_codes``), so it runs once per key; only keys without a
-        hit are kept."""
+        """First (index in term_list, term, hit) whose hit
+        ``decide(self, t, m)`` is not None, or None.
+
+        Terms with fewer than ``blocks`` free variables are skipped.  Every
+        enumerated term is over x0..x(m-1), so the witness search passes m
+        (the terms that use all blocks) and the corner lemma 2; either way
+        the terms that reach ``decide`` are f-rooted, wrappers stripped.
+        ``decide`` must depend on the pattern key only (the witness kernel
+        reads ``fibers``, the corner lemma ``eval_codes``), so it runs once
+        per key; only keys without a hit are kept."""
         no_hit: set[tuple] = set()
-        for i, t in indexed_terms:
+        for i, t in enumerate(term_list):
+            if len(terms.free_vars(t)) < blocks:
+                continue
             key = self.pattern_key(t, m)
             if key in no_hit:
                 continue

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -106,13 +107,17 @@ def run_paper_verify(config: RunConfig):
         partial(verifier.run_chain_roundtrips, params, search_domain, count=50, seed=config.seed),
     ]
     if config.jobs == 1:
-        return [check() for check in checks]
+        return [_call(check) for check in checks]
     with ProcessPoolExecutor(max_workers=min(config.jobs, len(checks))) as workers:
         return list(workers.map(_call, checks))
 
 
 def _call(check):
-    return check()
+    """Run one check and set its report's wall time in ms, on either path."""
+    start = time.perf_counter()
+    report = check()
+    report.millis = int((time.perf_counter() - start) * 1000)
+    return report
 
 
 def load_algebra(path: str) -> finengine.FiniteAlgebra:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._grid import SymbolicGrid, _first_occurrence
 from .elements import Element, Params, element_to_text
 from .errors import BudgetExceededError, CommlabError
-from .terms import Term, enumerate_terms, eval_term, free_vars, term_to_text
+from .terms import Term, enumerate_terms, eval_term, term_to_text
 
 GRID_CELL_CAP = 2 * 10**7
 
@@ -36,44 +36,27 @@ class Cube:
 
 @dataclass(frozen=True)
 class BlockAssignment:
-    """Per block, a pair (p, q) of equal-length element tuples.  Term
-    variables map to block positions consecutively: block 1 owns the first
-    len(p_1) variable indices, block 2 the next, and so on."""
+    """Per block, the pair (p, q) of elements its one variable takes:
+    variable j belongs to block j + 1."""
 
-    blocks: tuple[tuple[tuple[Element, ...], tuple[Element, ...]], ...]
-
-    def __post_init__(self):
-        for p, q in self.blocks:
-            if len(p) != len(q):
-                raise ValueError("p and q tuples of a block must have equal length")
+    blocks: tuple[tuple[Element, Element], ...]
 
     @classmethod
     def from_indices(
         cls, hit: Sequence[int], domain: Sequence[Element]
     ) -> "BlockAssignment":
-        """One variable per block, from domain indices (p1, q1, ..., pm, qm)."""
+        """From domain indices (p1, q1, ..., pm, qm)."""
         return cls(
-            tuple(
-                ((domain[hit[2 * j]],), (domain[hit[2 * j + 1]],))
-                for j in range(len(hit) // 2)
-            )
+            tuple((domain[hit[2 * j]], domain[hit[2 * j + 1]]) for j in range(len(hit) // 2))
         )
 
     def to_record(self) -> list[dict]:
         return [
-            {"p": [element_to_text(e) for e in p], "q": [element_to_text(e) for e in q]}
-            for p, q in self.blocks
+            {"p": [element_to_text(p)], "q": [element_to_text(q)]} for p, q in self.blocks
         ]
 
     def assignment(self, bits: Sequence[int]) -> dict[int, Element]:
-        out: dict[int, Element] = {}
-        var = 0
-        for (p, q), bit in zip(self.blocks, bits):
-            chosen = q if bit else p
-            for e in chosen:
-                out[var] = e
-                var += 1
-        return out
+        return {j: q if bit else p for j, ((p, q), bit) in enumerate(zip(self.blocks, bits))}
 
 
 @dataclass(frozen=True)
@@ -121,13 +104,6 @@ def is_tc_failure(c: Cube) -> bool:
 class SearchStats:
     terms_scanned: int = 0
     assignments_scanned: int = 0
-
-
-def _uses_all_blocks(t: Term, m: int) -> bool:
-    # A witness term must use the variable of every block: a term ignoring
-    # block m has an equal critical edge outright, and one ignoring block
-    # j < m maps the critical edge onto a matched edge by flipping bit j.
-    return free_vars(t) == frozenset(range(m))
 
 
 def _grid_term_has_witness(
@@ -262,66 +238,64 @@ def _fiber_witness(
     return (*hit, *_first_index(mask))
 
 
-def _grid_witness(
-    t: Term, m: int, hit: tuple[int, ...], domain: list[Element], params: Params
-) -> TCWitness:
-    """The witness at a kernel's domain-index tuple, re-evaluated with the
-    term evaluator; a tuple that does not fail the term condition is an
-    error, never a silent verdict."""
+def located_cube(
+    t: Term, m: int, hit: tuple[int, ...], domain: Sequence[Element], params: Params,
+    holds: Callable[[Cube], bool], what: str,
+) -> tuple[BlockAssignment, Cube]:
+    """The block assignment at a scan's domain-index hit and t's cube there,
+    re-evaluated with the term evaluator; a cube that ``holds`` rejects is
+    an error, never a silent verdict."""
     blocks = BlockAssignment.from_indices(hit, domain)
     cube = term_cube(t, blocks, m, params)
-    if not is_tc_failure(cube):
+    if not holds(cube):
         raise CommlabError(
-            f"grid kernel located a witness for {term_to_text(t)} at {hit} "
-            "that the term evaluator rejects"
+            f"{what} for {term_to_text(t)} at {hit} that the term evaluator rejects"
         )
-    return TCWitness(t, blocks, cube)
+    return blocks, cube
 
 
 def _scan_terms(
-    term_list: list[Term], m: int, domain: list[Element], params: Params,
-    stats: SearchStats,
-) -> Optional[TCWitness]:
-    """First witness among the terms, adding to stats the counts of a
-    lexicographic scan over every (p1, q1, ..., pm, qm) up to it.  Only the
-    terms that use all blocks reach a kernel."""
-    candidates = [(i, t) for i, t in enumerate(term_list) if _uses_all_blocks(t, m)]
-    first = SymbolicGrid(params, domain).first_hit(candidates, m, _grid_term_has_witness)
+    term_list: list[Term], m: int, domain: list[Element], params: Params
+) -> tuple[Optional[TCWitness], SearchStats]:
+    """First witness among the terms, or None, and the counts of a
+    lexicographic scan over every (p1, q1, ..., pm, qm) up to it.
+
+    Only the terms that use all m blocks reach the kernel: a term ignoring
+    block m has an equal critical edge outright, and one ignoring block
+    j < m maps the critical edge onto a matched edge by flipping bit j."""
+    first = SymbolicGrid(params, domain).first_hit(term_list, m, m, _grid_term_has_witness)
     space = len(domain) ** (2 * m)
     if first is None:
-        stats.terms_scanned += len(term_list)
-        stats.assignments_scanned += len(term_list) * space
-        return None
+        return None, SearchStats(len(term_list), len(term_list) * space)
     i, t, hit = first
     rank = int(np.ravel_multi_index(hit, (len(domain),) * (2 * m)))
-    stats.terms_scanned += i + 1
-    stats.assignments_scanned += i * space + rank + 1
-    return _grid_witness(t, m, hit, domain, params)
+    blocks, cube = located_cube(
+        t, m, hit, domain, params, is_tc_failure, "grid kernel located a witness"
+    )
+    return TCWitness(t, blocks, cube), SearchStats(i + 1, i * space + rank + 1)
 
 
 def search_tc_witness(
     m: int,
     max_depth: int,
-    block_len: int,
     domain: Sequence[Element],
     triple_pool: Sequence[tuple[Element, Element, Element]],
     params: Params,
-    stats: Optional[SearchStats] = None,
-) -> Optional[TCWitness]:
+) -> tuple[Optional[TCWitness], SearchStats]:
     """First (canonical term order, then lexicographic block assignment)
     term-condition failure witness in the bounded space, or None after
-    exhausting it.  The fiber kernel decides every term, so one variable per
-    block at any dimension m >= 2 is searchable within the grid cap."""
-    if m < 1 or block_len < 1:
-        raise ValueError("dimension and block length must be >= 1")
+    exhausting it, and the counts of the scan.  The fiber kernel decides
+    every term, so one variable per block at any dimension m >= 2 is
+    searchable within the grid cap."""
+    if m < 1:
+        raise ValueError("dimension must be >= 1")
     if not domain:
         raise ValueError("domain must be nonempty")
     domain = list(domain)
-    if m < 2 or block_len != 1 or len(domain) ** m > GRID_CELL_CAP:
+    if m < 2 or len(domain) ** m > GRID_CELL_CAP:
         raise BudgetExceededError(
-            f"no exact search for dimension {m}, block length {block_len} "
-            f"and {len(domain)} elements: the fiber kernel covers dimensions "
-            f">= 2, block length 1 and at most {GRID_CELL_CAP} grid cells"
+            f"no exact search for dimension {m} and {len(domain)} elements: the "
+            f"fiber kernel covers dimensions >= 2 and at most {GRID_CELL_CAP} grid cells"
         )
     term_list = list(enumerate_terms(m, max_depth, triple_pool, params))
-    return _scan_terms(term_list, m, domain, params, stats or SearchStats())
+    return _scan_terms(term_list, m, domain, params)

@@ -402,6 +402,8 @@ def tc_holds(
     """Delta-relativized m-dimensional term condition over all-full arguments."""
     if m < 2:
         raise ValueError("dimension must be >= 2")
+    if delta.size != alg.size:
+        raise ValueError("congruence universe does not match the algebra")
     cubes = _closure(alg, [Congruence.full(alg.size)] * m, cap)
     return not len(_forced_pairs(cubes, delta))
 

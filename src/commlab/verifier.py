@@ -11,9 +11,8 @@ import functools
 import itertools
 import json
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,14 +21,15 @@ from ._grid import SymbolicGrid
 from .cubes import (
     GRID_CELL_CAP,
     BlockAssignment,
-    SearchStats,
+    Cube,
     _first_index,
     is_tc_failure,
+    located_cube,
     search_tc_witness,
     term_cube,
 )
 from .elements import Element, Params, element_to_text, sort_key
-from .errors import BudgetExceededError, CommlabError
+from .errors import BudgetExceededError
 from .finengine import UnionFind
 from .terms import (
     FApp,
@@ -40,13 +40,16 @@ from .terms import (
     Var,
     enumerate_terms,
     eval_poly,
-    free_vars,
     term_to_text,
 )
 
 
 @dataclass
 class VerificationReport:
+    """One check's result.  The checks leave ``millis`` at 0; the runner
+    (``cli._call``) times each check and sets it, so a direct call reports
+    0.  Per-check profiling belongs in the same place."""
+
     name: str
     params: dict
     outcome: str  # "pass" | "fail"
@@ -74,50 +77,45 @@ class VerificationReport:
         return json.dumps(self.to_record(include_timing), sort_keys=True)
 
 
-def _timed(fn: Callable[[], VerificationReport]) -> VerificationReport:
-    start = time.perf_counter()
-    report = fn()
-    report.millis = int((time.perf_counter() - start) * 1000)
-    return report
-
-
 def check_nfequal(params: Params, domain: Sequence[Element]) -> VerificationReport:
     """Distinct argument tuples with equal f-values must both lie in the
     base table (f is injective everywhere else)."""
+    by_value: dict[Element, list[tuple[Element, ...]]] = {}
+    scanned = 0
+    for args in itertools.product(domain, repeat=params.n):
+        scanned += 1
+        by_value.setdefault(el.eval_f(args, params), []).append(args)
+    collisions = 0
+    for value, tuples in by_value.items():
+        if len(tuples) < 2:
+            continue
+        collisions += 1
+        for args in tuples:
+            if not el.in_dmn_f0(args, params):
+                return VerificationReport(
+                    "nfequal",
+                    {"n": params.n, "domain_size": len(domain)},
+                    "fail",
+                    counterexample={
+                        "value": element_to_text(value),
+                        "tuples": [
+                            [element_to_text(e) for e in t] for t in tuples
+                        ],
+                    },
+                    counts={"tuples_scanned": scanned},
+                )
+    return VerificationReport(
+        "nfequal",
+        {"n": params.n, "domain_size": len(domain)},
+        "pass",
+        counts={"tuples_scanned": scanned, "collision_values": collisions},
+    )
 
-    def run() -> VerificationReport:
-        by_value: dict[Element, list[tuple[Element, ...]]] = {}
-        scanned = 0
-        for args in itertools.product(domain, repeat=params.n):
-            scanned += 1
-            by_value.setdefault(el.eval_f(args, params), []).append(args)
-        collisions = 0
-        for value, tuples in by_value.items():
-            if len(tuples) < 2:
-                continue
-            collisions += 1
-            for args in tuples:
-                if not el.in_dmn_f0(args, params):
-                    return VerificationReport(
-                        "nfequal",
-                        {"n": params.n, "domain_size": len(domain)},
-                        "fail",
-                        counterexample={
-                            "value": element_to_text(value),
-                            "tuples": [
-                                [element_to_text(e) for e in t] for t in tuples
-                            ],
-                        },
-                        counts={"tuples_scanned": scanned},
-                    )
-        return VerificationReport(
-            "nfequal",
-            {"n": params.n, "domain_size": len(domain)},
-            "pass",
-            counts={"tuples_scanned": scanned, "collision_values": collisions},
-        )
 
-    return _timed(run)
+def is_corner_violation(c: Cube) -> bool:
+    """Vertex 1 equals every adjacent vertex, but the cube is not constant."""
+    v = c.vertices
+    return all(v[1 << j] == v[0] for j in range(c.dim)) and any(x != v[0] for x in v)
 
 
 def _corner_violation(
@@ -176,38 +174,28 @@ def check_corner_lemma(
 ) -> VerificationReport:
     """If the first cube vertex equals all its adjacent vertices, the whole
     cube must be constant (block length 1)."""
-
-    def run() -> VerificationReport:
-        grid = SymbolicGrid(params, list(domain))
-        d = len(domain)
-        report_params = {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth}
-        term_list = list(enumerate_terms(m, max_depth, triple_pool, params))
-        # a term over fewer than two blocks has no violation (corner_violation_in)
-        candidates = [(i, t) for i, t in enumerate(term_list) if len(free_vars(t)) >= 2]
-        first = grid.first_hit(candidates, m, _corner_violation)
-        scanned = len(term_list) if first is None else first[0] + 1
-        counts = {"terms_scanned": scanned, "assignments_scanned": scanned * d ** (2 * m)}
-        if first is None:
-            return VerificationReport("corner_lemma", report_params, "pass", counts=counts)
-        _, t, hit = first
-        blocks = BlockAssignment.from_indices(hit, domain)
-        cube = term_cube(t, blocks, m, params)
-        v = cube.vertices
-        if any(v[1 << j] != v[0] for j in range(m)) or all(x == v[0] for x in v):
-            raise CommlabError(
-                f"corner scan located a violation for {term_to_text(t)} at {hit} "
-                "that the term evaluator rejects"
-            )
-        counterexample = {
-            "term": term_to_text(t),
-            "blocks": blocks.to_record(),
-            "cube": [element_to_text(v) for v in cube.vertices],
-        }
-        return VerificationReport(
-            "corner_lemma", report_params, "fail", counterexample, counts
-        )
-
-    return _timed(run)
+    grid = SymbolicGrid(params, list(domain))
+    d = len(domain)
+    report_params = {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth}
+    term_list = list(enumerate_terms(m, max_depth, triple_pool, params))
+    # a term over fewer than two blocks has no violation (corner_violation_in)
+    first = grid.first_hit(term_list, m, 2, _corner_violation)
+    scanned = len(term_list) if first is None else first[0] + 1
+    counts = {"terms_scanned": scanned, "assignments_scanned": scanned * d ** (2 * m)}
+    if first is None:
+        return VerificationReport("corner_lemma", report_params, "pass", counts=counts)
+    _, t, hit = first
+    blocks, cube = located_cube(
+        t, m, hit, domain, params, is_corner_violation, "corner scan located a violation"
+    )
+    counterexample = {
+        "term": term_to_text(t),
+        "blocks": blocks.to_record(),
+        "cube": [element_to_text(v) for v in cube.vertices],
+    }
+    return VerificationReport(
+        "corner_lemma", report_params, "fail", counterexample, counts
+    )
 
 
 def _u_powers(grid: SymbolicGrid, params: Params) -> list[np.ndarray]:
@@ -243,51 +231,47 @@ def check_term_lemma(
     """A two-variable term taking two distinct values inside the
     order-(2n+1) cycle's moving letters must act as a power of u on one of
     its variables."""
-
-    def run() -> VerificationReport:
-        grid = SymbolicGrid(params, list(domain))
-        d = len(domain)
-        n = params.n
-        report_params = {"n": n, "domain_size": d, "max_depth": max_depth, "num_vars": 2}
-        c_ids = [grid.intern(gen(i, 0)) for i in range(1, n + 1) for gen in (el.AGen, el.BGen)]
-        powers = _u_powers(grid, params)
-        terms_scanned = 0
-        checked = 0
-        for t in enumerate_terms(2, max_depth, triple_pool, params):
-            terms_scanned += 1
-            raw = grid.eval_ids(t, 2)
-            in_c = functools.reduce(np.logical_or, [raw == c for c in c_ids])
-            c_values = raw[in_c]
-            # the premise: two distinct values among the C cells
-            if c_values.size == 0 or c_values.min() == c_values.max():
-                continue
-            checked += 1
-            ids = np.broadcast_to(raw, (d, d))
-            if _u_power_of(ids, powers) is None:
-                cells = np.argwhere(np.broadcast_to(in_c, ids.shape))
-                values = ids[tuple(cells.T)]
-                first, second = cells[0], cells[int(np.argmax(values != values[0]))]
-                def cell_assignment(cell):
-                    return {f"x{i}": element_to_text(domain[int(cell[i])]) for i in range(2)}
-                return VerificationReport(
-                    "term_lemma",
-                    report_params,
-                    "fail",
-                    counterexample={
-                        "term": term_to_text(t),
-                        "assignment_a": cell_assignment(first),
-                        "assignment_b": cell_assignment(second),
-                    },
-                    counts={"terms_scanned": terms_scanned, "premise_terms": checked},
-                )
-        return VerificationReport(
-            "term_lemma",
-            report_params,
-            "pass",
-            counts={"terms_scanned": terms_scanned, "premise_terms": checked},
-        )
-
-    return _timed(run)
+    grid = SymbolicGrid(params, list(domain))
+    d = len(domain)
+    n = params.n
+    report_params = {"n": n, "domain_size": d, "max_depth": max_depth, "num_vars": 2}
+    c_ids = [grid.intern(gen(i, 0)) for i in range(1, n + 1) for gen in (el.AGen, el.BGen)]
+    powers = _u_powers(grid, params)
+    terms_scanned = 0
+    checked = 0
+    for t in enumerate_terms(2, max_depth, triple_pool, params):
+        terms_scanned += 1
+        raw = grid.eval_ids(t, 2)
+        in_c = functools.reduce(np.logical_or, [raw == c for c in c_ids])
+        c_values = raw[in_c]
+        # the premise: two distinct values among the C cells
+        if c_values.size == 0 or c_values.min() == c_values.max():
+            continue
+        checked += 1
+        ids = np.broadcast_to(raw, (d, d))
+        if _u_power_of(ids, powers) is None:
+            cells = np.argwhere(np.broadcast_to(in_c, ids.shape))
+            values = ids[tuple(cells.T)]
+            first, second = cells[0], cells[int(np.argmax(values != values[0]))]
+            def cell_assignment(cell):
+                return {f"x{i}": element_to_text(domain[int(cell[i])]) for i in range(2)}
+            return VerificationReport(
+                "term_lemma",
+                report_params,
+                "fail",
+                counterexample={
+                    "term": term_to_text(t),
+                    "assignment_a": cell_assignment(first),
+                    "assignment_b": cell_assignment(second),
+                },
+                counts={"terms_scanned": terms_scanned, "premise_terms": checked},
+            )
+    return VerificationReport(
+        "term_lemma",
+        report_params,
+        "pass",
+        counts={"terms_scanned": terms_scanned, "premise_terms": checked},
+    )
 
 
 def expected_top_cube(params: Params) -> tuple[Element, ...]:
@@ -302,35 +286,31 @@ def expected_top_cube(params: Params) -> tuple[Element, ...]:
 
 def top_commutator_blocks(params: Params) -> BlockAssignment:
     return BlockAssignment(
-        tuple(((el.AGen(i, 0),), (el.BGen(i, 0),)) for i in range(1, params.n + 1))
+        tuple((el.AGen(i, 0), el.BGen(i, 0)) for i in range(1, params.n + 1))
     )
 
 
 def verify_top_commutator(params: Params) -> VerificationReport:
     """The n-cube of f on the (a_i)/(b_i) blocks matches the base table
     pattern exactly and fails the term condition."""
-
-    def run() -> VerificationReport:
-        n = params.n
-        t = FApp(tuple(Var(i) for i in range(n)))
-        cube = term_cube(t, top_commutator_blocks(params), n, params)
-        expected = expected_top_cube(params)
-        ok = cube.vertices == expected and is_tc_failure(cube)
-        rec = {
-            "term": term_to_text(t),
-            "cube": [element_to_text(v) for v in cube.vertices],
-            "expected": [element_to_text(v) for v in expected],
-            "is_tc_failure": is_tc_failure(cube),
-        }
-        return VerificationReport(
-            "top_commutator",
-            {"n": n},
-            "pass" if ok else "fail",
-            counterexample=None if ok else rec,
-            counts={"vertices": len(cube.vertices)},
-        )
-
-    return _timed(run)
+    n = params.n
+    t = FApp(tuple(Var(i) for i in range(n)))
+    cube = term_cube(t, top_commutator_blocks(params), n, params)
+    expected = expected_top_cube(params)
+    ok = cube.vertices == expected and is_tc_failure(cube)
+    rec = {
+        "term": term_to_text(t),
+        "cube": [element_to_text(v) for v in cube.vertices],
+        "expected": [element_to_text(v) for v in expected],
+        "is_tc_failure": is_tc_failure(cube),
+    }
+    return VerificationReport(
+        "top_commutator",
+        {"n": n},
+        "pass" if ok else "fail",
+        counterexample=None if ok else rec,
+        counts={"vertices": len(cube.vertices)},
+    )
 
 
 def _search_report(
@@ -345,34 +325,33 @@ def _search_report(
 ) -> VerificationReport:
     """Exhaustive dimension-m witness search.  A witness is the
     counterexample when none is expected, and is recorded among the counts
-    when one is."""
-
-    def run() -> VerificationReport:
-        stats = SearchStats()
-        witness = search_tc_witness(
-            m, max_depth, block_len, domain, triple_pool, params, stats=stats
+    when one is.  The search covers one variable per block; ``block_len``
+    is kept in the signature only to reject any other value."""
+    if block_len != 1:
+        raise BudgetExceededError(
+            f"no exact search for block length {block_len}: the fiber kernel "
+            "covers block length 1"
         )
-        report_params = {
-            "n": params.n,
-            "dimension": m,
-            "domain_size": len(domain),
-            "max_depth": max_depth,
-            "block_len": block_len,
-            "triple_pool_size": len(triple_pool),
-        }
-        counts = {
-            "terms_scanned": stats.terms_scanned,
-            "assignments_scanned": stats.assignments_scanned,
-        }
-        counterexample = None
-        if witness is not None and expect_witness:
-            counts["witness"] = json.dumps(witness.to_record(), sort_keys=True)
-        elif witness is not None:
-            counterexample = witness.to_record()
-        outcome = "pass" if (witness is not None) == expect_witness else "fail"
-        return VerificationReport(name, report_params, outcome, counterexample, counts)
-
-    return _timed(run)
+    witness, stats = search_tc_witness(m, max_depth, domain, triple_pool, params)
+    report_params = {
+        "n": params.n,
+        "dimension": m,
+        "domain_size": len(domain),
+        "max_depth": max_depth,
+        "block_len": block_len,
+        "triple_pool_size": len(triple_pool),
+    }
+    counts = {
+        "terms_scanned": stats.terms_scanned,
+        "assignments_scanned": stats.assignments_scanned,
+    }
+    counterexample = None
+    if witness is not None and expect_witness:
+        counts["witness"] = json.dumps(witness.to_record(), sort_keys=True)
+    elif witness is not None:
+        counterexample = witness.to_record()
+    outcome = "pass" if (witness is not None) == expect_witness else "fail"
+    return VerificationReport(name, report_params, outcome, counterexample, counts)
 
 
 def search_np1_failure(
@@ -542,55 +521,51 @@ def run_chain_roundtrips(
 ) -> VerificationReport:
     """Seeded random (p, q, r) triples: every emitted chain must verify,
     and one deliberately corrupted chain must be rejected."""
-
-    def run() -> VerificationReport:
-        rng = random.Random(seed)
-        checked = 0
-        attempts = 0
-        last_good: Optional[MalcevChain] = None
-        while checked < count:
-            attempts += 1
-            if attempts > 100 * count:
-                raise RuntimeError("failed to sample enough distinct pairs")
-            p = rng.choice(domain)
-            q = rng.choice(domain)
-            r = rng.choice(domain)
-            if p == q:
-                continue
-            chain = simplicity_chain(params, p, q, r)
-            if not verify_chain(chain, params):
-                return VerificationReport(
-                    "simplicity_chains",
-                    {"n": params.n, "count": count, "seed": seed},
-                    "fail",
-                    counterexample={
-                        "p": element_to_text(p),
-                        "q": element_to_text(q),
-                        "r": element_to_text(r),
-                    },
-                    counts={"verified": checked},
-                )
-            last_good = chain
-            checked += 1
-        # mutation control: corrupting a step must be caught
-        mutation_ok = True
-        if last_good is not None and last_good.steps:
-            step = last_good.steps[-1]
-            bad_out = (step.output_pair[0], el.DConst(1))
-            if bad_out == step.output_pair:
-                bad_out = (step.output_pair[0], el.DConst(2))
-            bad = MalcevChain(
-                last_good.source,
-                last_good.steps[:-1] + (ChainStep(step.poly, step.input_index, bad_out),),
-                last_good.target,
+    rng = random.Random(seed)
+    checked = 0
+    attempts = 0
+    last_good: Optional[MalcevChain] = None
+    while checked < count:
+        attempts += 1
+        if attempts > 100 * count:
+            raise RuntimeError("failed to sample enough distinct pairs")
+        p = rng.choice(domain)
+        q = rng.choice(domain)
+        r = rng.choice(domain)
+        if p == q:
+            continue
+        chain = simplicity_chain(params, p, q, r)
+        if not verify_chain(chain, params):
+            return VerificationReport(
+                "simplicity_chains",
+                {"n": params.n, "count": count, "seed": seed},
+                "fail",
+                counterexample={
+                    "p": element_to_text(p),
+                    "q": element_to_text(q),
+                    "r": element_to_text(r),
+                },
+                counts={"verified": checked},
             )
-            mutation_ok = not verify_chain(bad, params)
-        return VerificationReport(
-            "simplicity_chains",
-            {"n": params.n, "count": count, "seed": seed},
-            "pass" if mutation_ok else "fail",
-            counterexample=None if mutation_ok else {"mutation": "accepted"},
-            counts={"verified": checked, "mutation_rejected": int(mutation_ok)},
+        last_good = chain
+        checked += 1
+    # mutation control: corrupting a step must be caught
+    mutation_ok = True
+    if last_good is not None and last_good.steps:
+        step = last_good.steps[-1]
+        bad_out = (step.output_pair[0], el.DConst(1))
+        if bad_out == step.output_pair:
+            bad_out = (step.output_pair[0], el.DConst(2))
+        bad = MalcevChain(
+            last_good.source,
+            last_good.steps[:-1] + (ChainStep(step.poly, step.input_index, bad_out),),
+            last_good.target,
         )
-
-    return _timed(run)
+        mutation_ok = not verify_chain(bad, params)
+    return VerificationReport(
+        "simplicity_chains",
+        {"n": params.n, "count": count, "seed": seed},
+        "pass" if mutation_ok else "fail",
+        counterexample=None if mutation_ok else {"mutation": "accepted"},
+        counts={"verified": checked, "mutation_rejected": int(mutation_ok)},
+    )

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from commlab.cli import RunConfig, run_paper_verify
-from commlab.cubes import SearchStats, is_tc_failure, search_tc_witness, term_cube
+from commlab.cubes import is_tc_failure, search_tc_witness, term_cube
 from commlab.elements import DConst, Params, bounded_subuniverse, element_to_text
 from commlab.finengine import (
     Congruence,
@@ -106,9 +106,9 @@ def test_criterion_2_term_condition_verdicts():
         for e in (DConst(1), params.base_atoms(0)[0]):
             const_cube = term_cube(Const(e), top_commutator_blocks(params), n, params)
             assert not is_tc_failure(const_cube)
-    stats = SearchStats()
-    witness = search_tc_witness(2, 1, 1, ATOMS, POOL2, P2, stats=stats)
+    witness, stats = search_tc_witness(2, 1, ATOMS, POOL2, P2)
     assert witness is not None
+    assert stats.terms_scanned > 0
     assert witness.to_record() == EXPECTED_FIRST_WITNESS
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -330,6 +330,95 @@ def test_paper_verify_matches_its_golden_report(j_max, closure_depth, max_depth)
     assert text.encode() == golden.read_bytes()
 
 
+SCHEMA = json.loads(
+    (pathlib.Path(__file__).parents[1] / "docs" / "report-schema.json").read_text()
+)
+SCHEMA_TYPES = {"object": dict, "string": str, "integer": int, "null": type(None)}
+
+
+def schema_errors(value, schema, path="record"):
+    """The violations of the schema keywords the report schema uses: type,
+    enum, minimum, required, properties and additionalProperties."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(
+        isinstance(value, SCHEMA_TYPES[t]) and not isinstance(value, bool) for t in types
+    ):
+        return [f"{path}: {value!r} is not of type {types}"]
+    errors = []
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append(f"{path}: {value!r} is not one of {schema['enum']}")
+    if "minimum" in schema and value < schema["minimum"]:
+        errors.append(f"{path}: {value!r} is below {schema['minimum']}")
+    if isinstance(value, dict):
+        errors += [f"{path}: {key!r} is missing" for key in schema.get("required", ())
+                   if key not in value]
+        for key, item in value.items():
+            sub = schema.get("properties", {}).get(key, schema.get("additionalProperties", True))
+            if sub is False:
+                errors.append(f"{path}: {key!r} is not allowed")
+            elif isinstance(sub, dict):
+                errors += schema_errors(item, sub, f"{path}.{key}")
+    return errors
+
+
+def test_the_schema_check_rejects_records_the_schema_forbids():
+    good = {"name": "nfequal", "params": {"n": 2}, "outcome": "pass",
+            "counterexample": None, "counts": {"k": "v"}, "millis": 3}
+    assert schema_errors(good, SCHEMA) == []
+    for bad in (
+        {**good, "extra": 1},
+        {**good, "name": "nope"},
+        {**good, "outcome": "budget"},
+        {**good, "millis": -1},
+        {**good, "millis": 1.5},
+        {**good, "counts": {"k": True}},
+        {**good, "params": {"n": [2]}},
+        {key: v for key, v in good.items() if key != "counts"},
+    ):
+        assert schema_errors(bad, SCHEMA), bad
+
+
+@pytest.mark.parametrize(
+    "golden", sorted(GOLDEN.glob("paper_verify_*.jsonl")), ids=lambda path: path.stem
+)
+def test_golden_reports_match_the_report_schema(golden):
+    records = [json.loads(line) for line in golden.read_text().splitlines()]
+    assert [r["name"] for r in records] == SCHEMA["properties"]["name"]["enum"]
+    for rec in records:
+        assert schema_errors(rec, SCHEMA) == []
+        assert "millis" not in rec
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_timed_reports_match_the_report_schema(tmp_path, jobs):
+    # The runner times every check, in the pool's workers too; a direct
+    # call to a check leaves millis at 0.
+    out_path = tmp_path / "reports.jsonl"
+    assert main([
+        "paper-verify", "--n", "2", "--j-max", "0", "--closure-depth", "0",
+        "--max-depth", "1", "--format", "json", "--jobs", str(jobs), "--out", str(out_path),
+    ]) == EXIT_OK
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [r["name"] for r in records] == SCHEMA["properties"]["name"]["enum"]
+    for rec in records:
+        assert schema_errors(rec, SCHEMA) == []
+        assert isinstance(rec["millis"], int) and rec["millis"] >= 0
+    assert sum(r["millis"] for r in records) > 0
+
+
+def test_the_runner_sets_millis_and_a_direct_call_does_not(monkeypatch):
+    import commlab.cli as cli_mod
+    from commlab import verifier
+    from commlab.elements import Params
+
+    params = Params(2)
+    assert verifier.verify_top_commutator(params).millis == 0
+    clock = iter([10.0, 10.25])
+    monkeypatch.setattr(cli_mod.time, "perf_counter", lambda: next(clock))
+    assert cli_mod._call(lambda: verifier.verify_top_commutator(params)).millis == 250
+
+
 def test_paper_verify_starts_no_more_workers_than_checks(monkeypatch):
     import commlab.cli as cli_mod
 

@@ -11,13 +11,12 @@ from commlab._grid import SymbolicGrid
 from commlab.cubes import (
     BlockAssignment,
     Cube,
-    SearchStats,
     TCWitness,
     _fiber_signatures,
     _fiber_witness,
     _scan_terms,
-    _uses_all_blocks,
     is_tc_failure,
+    located_cube,
     search_tc_witness,
     term_cube,
     vertex_assignment,
@@ -38,9 +37,10 @@ from commlab.terms import (
     Var,
     default_triple_pool,
     enumerate_terms,
+    free_vars,
     term_to_text,
 )
-from commlab.verifier import expected_top_cube, search_control
+from commlab.verifier import expected_top_cube, search_control, search_np1_failure
 
 from oracles import scan_terms_naive
 
@@ -66,20 +66,16 @@ def test_cube_vertex_count():
 
 
 def test_block_assignment_mapping():
-    ba = BlockAssignment(
-        (((DConst(1), DConst(2)), (CConst(), CConst())),
-         ((DConst(3),), (DConst(1),)))
-    )
-    assert ba.assignment((0, 1)) == {0: DConst(1), 1: DConst(2), 2: DConst(1)}
-    assert ba.assignment((1, 0)) == {0: CConst(), 1: CConst(), 2: DConst(3)}
-    with pytest.raises(ValueError):
-        BlockAssignment((((DConst(1),), (DConst(1), DConst(2))),))
+    # variable j takes block j's p at bit 0 and its q at bit 1
+    ba = BlockAssignment(((DConst(1), CConst()), (DConst(3), DConst(1))))
+    assert ba.assignment((0, 1)) == {0: DConst(1), 1: DConst(1)}
+    assert ba.assignment((1, 0)) == {0: CConst(), 1: DConst(3)}
+    assert BlockAssignment.from_indices((0, 2, 1, 0), [DConst(1), DConst(3), CConst()]) == ba
+    assert ba.to_record() == [{"p": ["d(1)"], "q": ["c"]}, {"p": ["d(3)"], "q": ["d(1)"]}]
 
 
 def test_term_cube_of_f_is_base_row():
-    ba = BlockAssignment(
-        (((AGen(1, 0),), (BGen(1, 0),)), ((AGen(2, 0),), (BGen(2, 0),)))
-    )
+    ba = BlockAssignment(((AGen(1, 0), BGen(1, 0)), (AGen(2, 0), BGen(2, 0))))
     cube = term_cube(FApp((Var(0), Var(1))), ba, 2, P2)
     assert cube.vertices == (DConst(1), DConst(1), DConst(2), DConst(3))
     assert is_tc_failure(cube)
@@ -93,12 +89,26 @@ def test_is_tc_failure_cases():
                                   DConst(3), DConst(3), DConst(4), DConst(5))))
 
 
-def test_uses_all_blocks():
-    assert _uses_all_blocks(FApp((Var(0), Var(1))), 2)
-    assert not _uses_all_blocks(UApp(Var(0)), 2)
-    assert not _uses_all_blocks(FApp((Var(0), Var(0))), 2)
-    # variables beyond the declared blocks disqualify a term
-    assert not _uses_all_blocks(FApp((Var(0), Var(2))), 2)
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
+    # Only terms with at least ``blocks`` free variables reach decide, and
+    # the hit keeps its index in the full list.
+    term_list = [
+        UApp(Var(0)),
+        FApp((Var(0), Var(0))),
+        FApp((Var(0), Var(1))),
+        FApp((Var(2), UApp(Var(0)))),
+        FApp((Var(0), FApp((Var(1), Var(2))))),
+    ]
+    decided = []
+
+    def decide(grid, t, m):
+        decided.append(t)
+        return (0,) if t == term_list[-1] else None
+
+    grid = SymbolicGrid(P2, ATOMS)
+    assert grid.first_hit(term_list, 3, blocks, decide) == (4, term_list[-1], (0,))
+    assert decided == [t for t in term_list if len(free_vars(t)) >= blocks]
 
 
 def _oracle_record(term, blocks, cube, m):
@@ -131,7 +141,7 @@ def test_scan_chunk_agrees_with_the_oracle_scan(params, m, domain, all_blocks_on
     pool = default_triple_pool(params)
     terms = list(enumerate_terms(m, 1, pool, params))
     if all_blocks_only:
-        terms = [t for t in terms if _uses_all_blocks(t, m)]
+        terms = [t for t in terms if len(free_vars(t)) == m]
     hits = sum(_agrees_with_the_oracle_scan(params, m, domain, t) for t in terms)
     assert 0 < hits < len(terms)
 
@@ -139,8 +149,7 @@ def test_scan_chunk_agrees_with_the_oracle_scan(params, m, domain, all_blocks_on
 def _agrees_with_the_oracle_scan(params, m, domain, t):
     # Whether t has a witness, after checking it and both counts against
     # the oracle.
-    stats = SearchStats()
-    w = _scan_terms([t], m, list(domain), params, stats)
+    w, stats = _scan_terms([t], m, list(domain), params)
     o_w, o_terms, o_count = scan_terms_naive([t], m, domain, params)
     assert (stats.terms_scanned, stats.assignments_scanned) == (o_terms, o_count)
     assert (w is None) == (o_w is None)
@@ -178,11 +187,11 @@ def _scan_every_term(terms, m, domain, params):
     grid = SymbolicGrid(params, domain)
     space = len(domain) ** (2 * m)
     for i, t in enumerate(terms):
-        if not _uses_all_blocks(t, m):
+        if len(free_vars(t)) < m:
             continue
         hit = cubes_mod._grid_term_has_witness(grid, t, m)
         if hit is not None:
-            w = cubes_mod._grid_witness(t, m, hit, domain, params)
+            w = TCWitness(t, *located_cube(t, m, hit, domain, params, is_tc_failure, "witness"))
             rank = int(np.ravel_multi_index(hit, (len(domain),) * (2 * m)))
             return w.to_record(), i + 1, i * space + rank + 1
     return None, len(terms), len(terms) * space
@@ -206,13 +215,12 @@ def test_cached_scan_matches_the_per_term_kernel(monkeypatch, m, domain, has_wit
         "_grid_term_has_witness",
         lambda grid, t, m: calls.append(t) or kernel(grid, t, m),
     )
-    stats = SearchStats()
-    w = _scan_terms(terms, m, list(domain), P2, stats)
+    w, stats = _scan_terms(terms, m, list(domain), P2)
     record = None if w is None else w.to_record()
     assert (record, stats.terms_scanned, stats.assignments_scanned) == expected
     assert (record is not None) == has_witness
     # some terms were decided by their class, without the kernel
-    scanned = [t for t in terms[: stats.terms_scanned] if _uses_all_blocks(t, m)]
+    scanned = [t for t in terms[: stats.terms_scanned] if len(free_vars(t)) == m]
     assert 1 < len(calls) < len(scanned)
 
 
@@ -396,7 +404,7 @@ def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth, m):
     grid = SymbolicGrid(params, domain)
     classes = {}
     for t in enumerate_terms(m, depth, default_triple_pool(params), params):
-        if _uses_all_blocks(t, m):
+        if len(free_vars(t)) == m:
             classes.setdefault(grid.pattern_key(t, m), t)
     assert classes
     for t in classes.values():
@@ -419,7 +427,7 @@ def test_scan_chunk_rejects_a_located_non_witness(monkeypatch):
         cubes_mod, "_grid_term_has_witness", lambda grid, t, m: (0, 0, 0, 1)
     )
     with pytest.raises(CommlabError, match="rejects"):
-        _scan_terms([FApp((Var(0), Var(1)))], 2, [DConst(1), DConst(2)], P2, SearchStats())
+        _scan_terms([FApp((Var(0), Var(1)))], 2, [DConst(1), DConst(2)], P2)
 
 
 def test_control_search_at_the_n3_defaults():
@@ -453,8 +461,7 @@ def test_control_search_at_dimension_4_finds_the_top_commutator():
 
 
 def test_search_first_witness_is_canonical():
-    stats = SearchStats()
-    w = search_tc_witness(2, 1, 1, ATOMS, POOL2, P2, stats=stats)
+    w, stats = search_tc_witness(2, 1, ATOMS, POOL2, P2)
     assert isinstance(w, TCWitness)
     rec = w.to_record()
     assert rec["term"] == "f(x0,x1)"
@@ -474,7 +481,7 @@ def test_dim2_search_on_a_large_domain_builds_no_cubic_array():
     assert len(domain) == 416
     tracemalloc.start()
     try:
-        w = search_tc_witness(2, 1, 1, domain, POOL2, P2)
+        w, _ = search_tc_witness(2, 1, domain, POOL2, P2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,26 +491,40 @@ def test_dim2_search_on_a_large_domain_builds_no_cubic_array():
 
 def test_search_exhausts_small_space_without_witness():
     # a single d-constant domain admits no non-constant cube
-    w = search_tc_witness(2, 1, 1, [DConst(1), DConst(2)], POOL2, P2)
+    w, stats = search_tc_witness(2, 1, [DConst(1), DConst(2)], POOL2, P2)
     assert w is None
+    assert stats.terms_scanned == len(list(enumerate_terms(2, 1, POOL2, P2)))
 
 
 def test_search_rejects_oversized_space():
-    domain = P2.base_atoms(3)
-    with pytest.raises(BudgetExceededError):
-        search_tc_witness(4, 1, 2, domain, POOL2, P2)
+    # 68**4 grid cells at dimension 4 are above the grid cap of 2 * 10**7
+    domain = bounded_subuniverse(P2, 0, 1)
+    assert len(domain) ** 4 > cubes_mod.GRID_CELL_CAP >= len(domain) ** 3
+    with pytest.raises(BudgetExceededError, match="grid cells"):
+        search_tc_witness(4, 1, domain, POOL2, P2)
 
 
-@pytest.mark.parametrize("m,block_len", [(1, 1), (2, 2)])
-def test_search_without_a_grid_kernel_raises(m, block_len):
+SMALL = [DConst(1), DConst(2), CConst()]
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: search_tc_witness(1, 1, SMALL, POOL2, P2),
+        lambda: search_control(P2, SMALL, 1, 2, POOL2),
+        lambda: search_np1_failure(P2, SMALL, 1, 2, POOL2),
+    ],
+    ids=["1-1", "2-2", "3-2"],  # dimension-block length
+)
+def test_search_without_a_grid_kernel_raises(search):
     # The fiber kernel covers one variable per block at dimensions >= 2;
     # any other shape is out of budget, however small the domain.
     with pytest.raises(BudgetExceededError, match="no exact search"):
-        search_tc_witness(m, 1, block_len, [DConst(1), DConst(2), CConst()], POOL2, P2)
+        search()
 
 
 def test_search_argument_validation():
     with pytest.raises(ValueError):
-        search_tc_witness(0, 1, 1, ATOMS, POOL2, P2)
+        search_tc_witness(0, 1, ATOMS, POOL2, P2)
     with pytest.raises(ValueError):
-        search_tc_witness(2, 1, 1, [], POOL2, P2)
+        search_tc_witness(2, 1, [], POOL2, P2)

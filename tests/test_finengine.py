@@ -267,6 +267,18 @@ def test_tc_holds():
         tc_holds(Z2, 1, Congruence.identity(2))
 
 
+@pytest.mark.parametrize(
+    "alg,delta",
+    [(Z4, Congruence.identity(6)), (Z4, Congruence.identity(2)), (Z2, Congruence.full(4))],
+    ids=["z4-larger-identity", "z4-smaller-identity", "z2-larger-full"],
+)
+def test_tc_holds_rejects_a_delta_over_another_universe(alg, delta):
+    # a delta over another universe gives no verdict, as the alphas of
+    # the cube closure give none
+    with pytest.raises(ValueError, match="does not match"):
+        tc_holds(alg, 2, delta)
+
+
 def test_central_series_and_degrees():
     assert [c.blocks for c in central_series(Z2, 4)] == [((0,), (1,))] * 3
     assert [c.blocks for c in central_series(SEMILATTICE, 3)] == [((0, 1),)] * 2

@@ -14,6 +14,7 @@ from commlab.elements import (
     bounded_subuniverse,
     element_to_text,
 )
+import commlab.cubes as cubes_mod
 import commlab.verifier as verifier_mod
 from commlab.errors import BudgetExceededError, CommlabError
 from commlab._grid import SymbolicGrid
@@ -101,7 +102,7 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
     i = next(i for i, t in over_two if flag(grid.eval_codes(t, 2)) is not None)
     blocks = BlockAssignment.from_indices(hit, ATOMS)
     cube = Cube(2, (DConst(1), DConst(1), DConst(1), DConst(2)))
-    monkeypatch.setattr(verifier_mod, "term_cube", lambda t, b, m, p: cube)
+    monkeypatch.setattr(cubes_mod, "term_cube", lambda t, b, m, p: cube)
     calls = []
     decide = verifier_mod._corner_violation
     monkeypatch.setattr(
