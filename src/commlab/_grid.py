@@ -1,7 +1,23 @@
-"""Vectorized bulk evaluation of terms over a finite element domain.
+"""Vectorized bulk evaluation of terms over a finite element domain, on ids.
 
-Elements are interned to integer ids so that term values over a whole
-assignment grid become numpy gather operations.  Two output modes:
+Every value the grid meets has an integer id, and evaluation handles ids
+only, so term values over a whole assignment grid become numpy gathers.
+
+- f is a hash-cons table from the tuple of its argument ids to the id of its
+  value (Filliatre and Conchon, "Type-safe modular hash-consing", 2006).  Off
+  its base table f tags every argument tuple with a fresh value, so such a
+  value is the same thing as its argument tuple: a tuple outside f0's domain
+  gets a fresh id and its argument ids are recorded, with no ``Element``
+  built.  A tuple in f0's domain interns its d-constant.
+- Atoms are interned through a dict.  A ``Tagged`` value from outside (a
+  domain element or a triple coordinate) interns its arguments and goes
+  through f's table, so ids are equal exactly when the values are.
+- ``element(i)`` builds the value of an id, and caches it, only when a
+  report or a test asks for it.  u fixes every f-value, and u_pqr cycles the
+  ids of its triple and shifts the generators, so the unary maps build
+  elements for atoms only.
+
+Two output modes:
 
 - id arrays: every value is a real interned id (needed when values are
   inspected, e.g. membership in C);
@@ -12,11 +28,12 @@ assignment grid become numpy gather operations.  Two output modes:
   interning the (potentially huge) set of top-level f-images when only
   the equality pattern of a cube matters.
 
-Id arrays smaller than the full grid are memoized per grid, keyed by
-(term, m), so a subterm shared by many terms is evaluated once.  So are the
-pattern labels of each f-argument, keyed by (argument, position, m), and the
-last-axis row classes of each distinct label array.  Cached arrays are
-read-only; their ids stay valid because interning only appends.
+One memo holds the id arrays, in three tables: (term, m) -> class,
+(operation, child classes) -> class, and class -> read-only id array, the
+arrays deduplicated by shape and bytes.  So each distinct node is evaluated
+once, however many terms share it.  The pattern labels of an f-argument are
+memoized per (class, position), and the last-axis row classes per distinct
+label array.  Ids stay valid because interning only appends.
 """
 
 from __future__ import annotations
@@ -38,93 +55,150 @@ class SymbolicGrid:
     def __init__(self, params: Params, domain: list[Element]):
         self.params = params
         self.domain = list(domain)
-        self._ids: dict[Element, int] = {}
-        self._elems: list[Element] = []
-        for e in self.domain:
-            self.intern(e)
-        if len(self._elems) != len(self.domain):
-            raise ValueError("domain contains duplicates")
+        self._atoms: dict[Element, int] = {}
+        self._elems: list[Optional[Element]] = []  # None until element() builds it
+        self._args: list[Optional[tuple[int, ...]]] = []  # an f-value's argument ids
+        self._f_cache: dict[tuple[int, ...], int] = {}
         self._u_cache: dict[int, int] = {}
         self._upqr_caches: dict[tuple[Element, Element, Element], dict[int, int]] = {}
-        self._f_cache: dict[tuple[int, ...], int] = {}
-        self._memo: dict[tuple[terms.Term, int], np.ndarray] = {}
-        self._labels: dict[tuple[terms.Term, int, int], tuple[np.ndarray, int]] = {}
+        self._classes: dict[tuple[terms.Term, int], int] = {}
+        self._nodes: dict[tuple, int] = {}
+        self._arrays: list[np.ndarray] = []
+        self._array_classes: dict[tuple[tuple, bytes], int] = {}
+        self._labels: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
         self._label_classes: dict[tuple[tuple, bytes], int] = {}
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         n = params.n
         self._a_ids = [self.intern(elements.AGen(i, 0)) for i in range(1, n + 1)]
         self._b_ids = [self.intern(elements.BGen(i, 0)) for i in range(1, n + 1)]
+        self._domain_ids = np.array([self.intern(e) for e in self.domain], dtype=np.int64)
+        if np.unique(self._domain_ids).size != len(self.domain):
+            raise ValueError("domain contains duplicates")
 
     def intern(self, e: Element) -> int:
-        i = self._ids.get(e)
+        if isinstance(e, elements.Tagged):
+            # f's table keys on the argument ids alone, so an ill-formed
+            # value would take the id of the well-formed one
+            if not elements.well_formed(e, self.params):
+                raise ValueError(f"ill-formed tagged value {elements.element_to_text(e)}")
+            i = self._f(tuple(self.intern(a) for a in e.args))
+            self._elems[i] = e
+            return i
+        i = self._atoms.get(e)
         if i is None:
-            i = len(self._elems)
-            self._ids[e] = i
-            self._elems.append(e)
+            i = self._atoms[e] = self._new_id(e, None)
+        return i
+
+    def _new_id(self, e: Optional[Element], args: Optional[tuple[int, ...]]) -> int:
+        self._elems.append(e)
+        self._args.append(args)
+        return len(self._elems) - 1
+
+    def _f(self, key: tuple[int, ...]) -> int:
+        """The id of f's value at the argument ids key."""
+        i = self._f_cache.get(key)
+        if i is None:
+            if all(k == a or k == b for k, a, b in zip(key, self._a_ids, self._b_ids)):
+                i = self.intern(elements.f0_value([self._elems[k] for k in key], self.params))
+            else:
+                i = self._new_id(None, key)
+            self._f_cache[key] = i
         return i
 
     def element(self, i: int) -> Element:
-        return self._elems[i]
+        """The value of id i, built on first request."""
+        e = self._elems[i]
+        if e is None:
+            args = [self.element(k) for k in self._args[i]]
+            e = self._elems[i] = elements.eval_f(args, self.params)
+        return e
 
-    def _map_unary(self, cache: dict[int, int], fn, arr: np.ndarray) -> np.ndarray:
+    def _map_unary(self, cache: dict[int, int], on_atom: Callable, arr: np.ndarray) -> np.ndarray:
+        """arr under a unary operation that fixes every f-value and is
+        ``on_atom`` on atoms; ``cache`` holds the ids mapped so far."""
         uniq = np.unique(arr)
         out = np.empty(uniq.shape, dtype=np.int64)
-        for pos, i in enumerate(uniq):
-            i = int(i)
+        for pos, i in enumerate(uniq.tolist()):
             v = cache.get(i)
             if v is None:
-                v = self.intern(fn(self._elems[i]))
-                cache[i] = v
+                fixed = self._args[i] is not None
+                v = cache[i] = i if fixed else self.intern(on_atom(self._elems[i]))
             out[pos] = v
         return out[np.searchsorted(uniq, arr)]
 
-    def _var_axis(self, idx: int, m: int) -> np.ndarray:
-        d = len(self.domain)
-        shape = [1] * m
-        shape[idx] = d
-        return np.arange(d, dtype=np.int64).reshape(shape)
+    def _upqr_cache(self, t: terms.UPQRApp) -> dict[int, int]:
+        """u_pqr's id map, started with the cycle on its triple; the node
+        validated the triple when it was built."""
+        triple = (t.p, t.q, t.r)
+        cache = self._upqr_caches.get(triple)
+        if cache is None:
+            p, q, r = (self.intern(e) for e in triple)
+            cache = self._upqr_caches[triple] = {p: q, q: r, r: p}
+        return cache
 
     def eval_ids(self, t: terms.Term, m: int) -> np.ndarray:
-        """Interned ids of t over the m-axis domain grid (broadcast shape)."""
+        """Read-only interned ids of t over the m-axis domain grid (broadcast shape)."""
         key = (t, m)
-        ids = self._memo.get(key)
-        if ids is None:
-            ids = self._eval_ids(t, m)
-            if ids.size < len(self.domain) ** m:
-                ids.flags.writeable = False
-                self._memo[key] = ids
-        return ids
+        cls = self._classes.get(key)
+        if cls is None:
+            cls = self._classes[key] = self._eval_class(t, m)
+        return self._arrays[cls]
 
-    def _eval_ids(self, t: terms.Term, m: int) -> np.ndarray:
-        p = self.params
+    def id_class(self, t: terms.Term, m: int) -> int:
+        """The class of t's id array over the m-axis grid: equal classes,
+        equal arrays, and the other way round."""
+        self.eval_ids(t, m)
+        return self._classes[(t, m)]
+
+    def _eval_class(self, t: terms.Term, m: int) -> int:
         if isinstance(t, terms.Var):
-            return self._var_axis(t.idx, m)
+            shape = [1] * m
+            shape[t.idx] = len(self.domain)
+            return self._array_class(self._domain_ids.reshape(shape))
         if isinstance(t, terms.Const):
-            return np.full((1,) * m, self.intern(t.value), dtype=np.int64)
-        if isinstance(t, terms.UApp):
-            return self._map_unary(
-                self._u_cache, lambda e: elements.eval_u(e, p), self.eval_ids(t.arg, m)
-            )
-        if isinstance(t, terms.UPQRApp):
-            cache = self._upqr_caches.setdefault((t.p, t.q, t.r), {})
-            return self._map_unary(
-                cache,
-                lambda e: elements.eval_u_pqr(t.p, t.q, t.r, e, p),
-                self.eval_ids(t.arg, m),
-            )
-        children = [self.eval_ids(a, m) for a in t.args]
+            return self._array_class(np.full((1,) * m, self.intern(t.value), dtype=np.int64))
+        if isinstance(t, terms.FApp):
+            op, args = terms.FApp, t.args
+        elif isinstance(t, terms.UApp):
+            op, args = terms.UApp, (t.arg,)
+        else:
+            op, args = (t.p, t.q, t.r), (t.arg,)
+        node = (op, tuple(self.id_class(a, m) for a in args))
+        cls = self._nodes.get(node)
+        if cls is None:
+            children = [self._arrays[c] for c in node[1]]
+            if op is terms.FApp:
+                ids = self._f_ids(children)
+            elif op is terms.UApp:
+                on_atom = functools.partial(elements.eval_u, params=self.params)
+                ids = self._map_unary(self._u_cache, on_atom, children[0])
+            else:
+                ids = self._map_unary(self._upqr_cache(t), elements.shift_generator, children[0])
+            cls = self._nodes[node] = self._array_class(ids)
+        return cls
+
+    def _array_class(self, ids: np.ndarray) -> int:
+        ids.flags.writeable = False
+        key = (ids.shape, ids.tobytes())
+        cls = self._array_classes.get(key)
+        if cls is None:
+            cls = self._array_classes[key] = len(self._arrays)
+            self._arrays.append(ids)
+        return cls
+
+    def _f_ids(self, children: list[np.ndarray]) -> np.ndarray:
+        """f over the children's id arrays, in their broadcast shape, one
+        table lookup per distinct argument tuple."""
         cells = math.prod(np.broadcast_shapes(*(c.shape for c in children)))
         if cells > F_NODE_CAP:
             raise BudgetExceededError(f"f-node grid of {cells} cells exceeds cap {F_NODE_CAP}")
         rows, inverse = _distinct_tuples(children)
-        out_ids = np.empty(rows[0].size, dtype=np.int64)
-        for pos, key in enumerate(zip(*(r.tolist() for r in rows))):
-            v = self._f_cache.get(key)
-            if v is None:
-                v = self.intern(elements.eval_f([self._elems[i] for i in key], p))
-                self._f_cache[key] = v
-            out_ids[pos] = v
-        return out_ids[inverse]
+        keys = list(zip(*(r.tolist() for r in rows)))
+        ids = list(map(self._f_cache.get, keys))  # most tuples are known
+        for pos, i in enumerate(ids):
+            if i is None:
+                ids[pos] = self._f(keys[pos])
+        return np.array(ids, dtype=np.int64)[inverse]
 
     def eval_codes(self, t: terms.Term, m: int) -> np.ndarray:
         """Equality codes of t over the grid, in broadcast shape: code
@@ -141,11 +215,11 @@ class SymbolicGrid:
 
     def _arg_labels(self, arg: terms.Term, pos: int, m: int) -> tuple[np.ndarray, int]:
         """The read-only pinned labels of an f-argument at a position, and
-        the class id of that label array, memoized per (arg, pos, m)."""
-        key = (arg, pos, m)
+        the class id of that label array, memoized per (id class, pos)."""
+        ids = self.eval_ids(arg, m)
+        key = (self._classes[(arg, m)], pos)
         hit = self._labels.get(key)
         if hit is None:
-            ids = self.eval_ids(arg, m)
             pinned = [self._a_ids[pos], self._b_ids[pos]]
             uniq, first, inverse = np.unique(
                 np.concatenate((pinned, ids.ravel())), return_index=True, return_inverse=True

@@ -197,6 +197,12 @@ def eval_u_pqr(p: Element, q: Element, r: Element, x: Element, params: Params) -
         return r
     if x == r:
         return p
+    return shift_generator(x)
+
+
+def shift_generator(x: Element) -> Element:
+    """u_pqr off its triple: a generator moves to the next generation index
+    and everything else is fixed."""
     if isinstance(x, AGen):
         return AGen(x.i, x.j + 1)
     if isinstance(x, BGen):

@@ -9,8 +9,8 @@ search has a well-defined first hit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from . import elements
 from .elements import Element, Params, sort_key, validate_triple
@@ -19,35 +19,91 @@ from .errors import BudgetExceededError
 DEFAULT_TERM_CAP = 10**6
 
 
-@dataclass(frozen=True)
+# Every node caches its free variables, as a bit mask, and its hash, both
+# computed from its children's, so asking for a term's variables or hashing
+# it again costs O(1) however deep it is.  The hash is computed on first use:
+# the searches hash the arguments of the terms they scan, not the terms.  It
+# is of ints and elements only, so a node hashes alike in every process.
+# Equality is the dataclass's, field by field.
+_CACHED = dict(init=False, repr=False, compare=False)
+_setattr = object.__setattr__
+
+
+def _cache_hash(node, key: tuple) -> int:
+    h = hash(key)
+    _setattr(node, "_hash", h)
+    return h
+
+
+@dataclass(frozen=True, slots=True)
 class Var:
     idx: int
+    _mask: int = field(**_CACHED)
+    _hash: Optional[int] = field(default=None, **_CACHED)
+
+    def __post_init__(self):
+        _setattr(self, "_mask", 1 << self.idx)
+
+    def __hash__(self):
+        return self._hash if self._hash is not None else _cache_hash(self, (0, self.idx))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: Element
+    _mask: int = field(default=0, **_CACHED)
+    _hash: Optional[int] = field(default=None, **_CACHED)
+
+    def __hash__(self):
+        return self._hash if self._hash is not None else _cache_hash(self, (1, self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UApp:
     arg: "Term"
+    _mask: int = field(**_CACHED)
+    _hash: Optional[int] = field(default=None, **_CACHED)
+
+    def __post_init__(self):
+        _setattr(self, "_mask", self.arg._mask)
+
+    def __hash__(self):
+        return self._hash if self._hash is not None else _cache_hash(self, (2, self.arg))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UPQRApp:
     p: Element
     q: Element
     r: Element
     arg: "Term"
+    _mask: int = field(**_CACHED)
+    _hash: Optional[int] = field(default=None, **_CACHED)
 
     def __post_init__(self):
         validate_triple(self.p, self.q, self.r)
+        _setattr(self, "_mask", self.arg._mask)
+
+    def __hash__(self):
+        if self._hash is not None:
+            return self._hash
+        return _cache_hash(self, (3, self.p, self.q, self.r, self.arg))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FApp:
     args: tuple["Term", ...]
+    _mask: int = field(**_CACHED)
+    _hash: Optional[int] = field(default=None, **_CACHED)
+
+    def __post_init__(self):
+        mask = 0
+        for a in self.args:
+            mask |= a._mask
+        _setattr(self, "_mask", mask)
+
+    def __hash__(self):
+        return self._hash if self._hash is not None else _cache_hash(self, (4, *self.args))
 
 
 Term = Union[Var, Const, UApp, UPQRApp, FApp]
@@ -63,17 +119,15 @@ def depth(t: Term) -> int:
     return 1 + max(depth(a) for a in t.args)
 
 
+_FREE_SETS: dict[int, frozenset[int]] = {}
+
+
 def free_vars(t: Term) -> frozenset[int]:
-    if isinstance(t, Var):
-        return frozenset((t.idx,))
-    if isinstance(t, Const):
-        return frozenset()
-    if isinstance(t, (UApp, UPQRApp)):
-        return free_vars(t.arg)
-    out: frozenset[int] = frozenset()
-    for a in t.args:
-        out |= free_vars(a)
-    return out
+    mask = t._mask
+    free = _FREE_SETS.get(mask)
+    if free is None:
+        free = _FREE_SETS[mask] = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return free
 
 
 def eval_term(t: Term, a: Assignment, params: Params) -> Element:

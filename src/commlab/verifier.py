@@ -230,27 +230,34 @@ def check_term_lemma(
 ) -> VerificationReport:
     """A two-variable term taking two distinct values inside the
     order-(2n+1) cycle's moving letters must act as a power of u on one of
-    its variables."""
+    its variables.  Both tests read only the term's id array, so they run
+    once per id class; the counts and the fail record stay per term."""
     grid = SymbolicGrid(params, list(domain))
     d = len(domain)
     n = params.n
     report_params = {"n": n, "domain_size": d, "max_depth": max_depth, "num_vars": 2}
     c_ids = [grid.intern(gen(i, 0)) for i in range(1, n + 1) for gen in (el.AGen, el.BGen)]
     powers = _u_powers(grid, params)
+    verdicts: dict[int, tuple[bool, bool]] = {}  # class -> (premise, power of u)
     terms_scanned = 0
     checked = 0
     for t in enumerate_terms(2, max_depth, triple_pool, params):
         terms_scanned += 1
-        raw = grid.eval_ids(t, 2)
-        in_c = functools.reduce(np.logical_or, [raw == c for c in c_ids])
-        c_values = raw[in_c]
-        # the premise: two distinct values among the C cells
-        if c_values.size == 0 or c_values.min() == c_values.max():
+        cls = grid.id_class(t, 2)
+        verdict = verdicts.get(cls)
+        if verdict is None:
+            ids = np.broadcast_to(grid.eval_ids(t, 2), (d, d))
+            c_values = ids[_in_c(ids, c_ids)]
+            # the premise: two distinct values among the C cells
+            premise = c_values.size > 0 and c_values.min() != c_values.max()
+            verdict = verdicts[cls] = (premise, premise and _u_power_of(ids, powers) is not None)
+        premise, power = verdict
+        if not premise:
             continue
         checked += 1
-        ids = np.broadcast_to(raw, (d, d))
-        if _u_power_of(ids, powers) is None:
-            cells = np.argwhere(np.broadcast_to(in_c, ids.shape))
+        if not power:
+            ids = np.broadcast_to(grid.eval_ids(t, 2), (d, d))
+            cells = np.argwhere(_in_c(ids, c_ids))
             values = ids[tuple(cells.T)]
             first, second = cells[0], cells[int(np.argmax(values != values[0]))]
             def cell_assignment(cell):
@@ -272,6 +279,10 @@ def check_term_lemma(
         "pass",
         counts={"terms_scanned": terms_scanned, "premise_terms": checked},
     )
+
+
+def _in_c(ids: np.ndarray, c_ids: Sequence[int]) -> np.ndarray:
+    return functools.reduce(np.logical_or, [ids == c for c in c_ids])
 
 
 def expected_top_cube(params: Params) -> tuple[Element, ...]:

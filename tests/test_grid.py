@@ -6,7 +6,9 @@ import pytest
 
 from commlab import _grid
 from commlab._grid import SymbolicGrid
-from commlab.elements import AGen, CConst, DConst, Params
+from hypothesis import given, settings, strategies as st
+
+from commlab.elements import AGen, BGen, CConst, DConst, Params, Tagged, bounded_subuniverse
 from commlab.errors import BudgetExceededError
 from commlab.terms import (
     Const,
@@ -15,6 +17,7 @@ from commlab.terms import (
     UPQRApp,
     Var,
     default_triple_pool,
+    depth,
     enumerate_terms,
     eval_term,
     free_vars,
@@ -45,7 +48,8 @@ def test_memoized_eval_ids_match_a_fresh_grid():
     long_lived = SymbolicGrid(P2, ATOMS)
     for t in enumerate_terms(2, 2, POOL2, P2):
         assert _values(long_lived, t, 2) == _values(SymbolicGrid(P2, ATOMS), t, 2)
-    assert long_lived._memo
+    # the memo is in use: terms share nodes, and nodes share arrays
+    assert len(long_lived._arrays) < len(long_lived._nodes) < len(long_lived._classes)
 
 
 def test_memoized_ids_are_read_only():
@@ -58,16 +62,23 @@ def test_memoized_ids_are_read_only():
         ids[(0,) * ids.ndim] = 0
 
 
-def test_memo_holds_no_full_grid_array():
+def test_memo_holds_each_distinct_id_array_once():
+    # Full-grid arrays are kept too, once per distinct content: terms with
+    # equal arrays get one class and one array object.
     grid = SymbolicGrid(P2, ATOMS)
     d = len(ATOMS)
-    full = []
+    by_content = {}
+    full = 0
     for t in itertools.islice(enumerate_terms(2, 2, POOL2, P2), 0, None, 10):
-        if grid.eval_ids(t, 2).size == d**2:
-            full.append(t)
+        ids = grid.eval_ids(t, 2)
+        full += ids.size == d**2
+        cls = by_content.setdefault((ids.shape, ids.tobytes()), grid.id_class(t, 2))
+        assert grid.id_class(t, 2) == cls
+        assert grid.eval_ids(t, 2) is grid._arrays[cls]
+        assert not ids.flags.writeable
     assert full
-    assert all(v.size < d**m for (_, m), v in grid._memo.items())
-    assert not any((t, 2) in grid._memo for t in full)
+    assert len(grid._arrays) == len({(a.shape, a.tobytes()) for a in grid._arrays})
+    assert len(by_content) < len(grid._classes)
 
 
 def test_eval_codes_equality_pattern_survives_a_wide_intern_table():
@@ -207,3 +218,106 @@ def test_equal_pattern_keys_give_equal_equality_patterns(m):
         assert all(p == patterns[0] for p in patterns[1:])
     # the key merges terms, so the check above compares something
     assert len(classes) < sum(len(p) for p in classes.values())
+
+
+def test_intern_rejects_an_ill_formed_tagged_value():
+    # f's table keys on the argument ids and ignores the tag, so each of
+    # these would otherwise share the id of a well-formed value.
+    grid = SymbolicGrid(P2, ATOMS)
+    c = CConst()
+    well = Tagged((c, c), 0)
+    for bad in (
+        Tagged((c, c), 1),  # wrong tag
+        Tagged((AGen(1, 0), BGen(2, 0)), 0),  # in f0's domain: a d-value
+        Tagged((c, c, c), 0),  # wrong arity
+        Tagged((well, AGen(3, 0)), 1),  # an argument outside A(2)
+    ):
+        with pytest.raises(ValueError, match="ill-formed"):
+            grid.intern(bad)
+    assert grid.element(grid.intern(well)) == well
+    with pytest.raises(ValueError, match="ill-formed"):
+        SymbolicGrid(P2, ATOMS + [Tagged((c, c), 1)])
+
+
+def _assert_ids_match_the_values(grid, t, m, cells):
+    """Each cell's element is t's value there, by the term evaluator."""
+    full = np.broadcast_to(grid.eval_ids(t, m), (len(grid.domain),) * m)
+    for cell in cells:
+        a = {j: grid.domain[k] for j, k in enumerate(cell)}
+        assert grid.element(int(full[cell])) == eval_term(t, a, grid.params)
+
+
+def _assert_ids_are_injective(grid):
+    """Every id's element differs from every other id's: ids are equal iff
+    the values are."""
+    values = [grid.element(i) for i in range(len(grid._elems))]
+    assert len(set(values)) == len(values)
+
+
+def test_ids_equal_iff_values_equal_on_every_cell_over_the_atoms():
+    grid = SymbolicGrid(P2, ATOMS)
+    cells = list(itertools.product(range(len(ATOMS)), repeat=2))
+    for t in enumerate_terms(2, 2, POOL2, P2):
+        _assert_ids_match_the_values(grid, t, 2, cells)
+    _assert_ids_are_injective(grid)
+
+
+def test_ids_equal_iff_values_equal_over_the_verify_n2_domain():
+    # The 68-element domain of verify-n2: every term, every id checked for
+    # injectivity, and a seeded sample of cells per term against the term
+    # evaluator (all 4624 cells of all 4538 terms would take minutes).
+    domain = bounded_subuniverse(P2, 0, 1)
+    assert len(domain) == 68
+    grid = SymbolicGrid(P2, domain)
+    rng = np.random.default_rng(14)
+    for t in enumerate_terms(2, 2, POOL2, P2):
+        cells = [tuple(c) for c in rng.integers(0, len(domain), size=(8, 2)).tolist()]
+        _assert_ids_match_the_values(grid, t, 2, cells)
+    assert None in grid._elems  # f-values unseen by a report have no element yet
+    _assert_ids_are_injective(grid)
+
+
+def _terms(max_depth):
+    leaves = st.builds(Var, st.integers(0, 1))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(UApp, children),
+            st.builds(lambda pqr, arg: UPQRApp(*pqr, arg), st.sampled_from(POOL2), children),
+            st.builds(lambda a, b: FApp((a, b)), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8).filter(lambda t: depth(t) <= max_depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_terms(3), min_size=1, max_size=4))
+def test_ids_equal_iff_values_equal_on_random_terms(term_list):
+    grid = SymbolicGrid(P2, ATOMS)
+    cells = list(itertools.product(range(len(ATOMS)), repeat=2))
+    for t in term_list:
+        _assert_ids_match_the_values(grid, t, 2, cells)
+    _assert_ids_are_injective(grid)
+
+
+@pytest.mark.parametrize("triple_first", [False, True])
+def test_a_fresh_f_value_takes_the_id_of_an_equal_outside_value(triple_first):
+    # On the atoms, f(c, c) is the value t([c,c],0) that the u_pqr triple
+    # names from outside: either way round, both get one id, so u_pqr moves
+    # the cell (c, c) to d(1).
+    c = CConst()
+    coord = Tagged((c, c), 0)
+    inner = FApp((Var(0), Var(1)))
+    t = UPQRApp(coord, DConst(1), DConst(2), inner)
+    grid = SymbolicGrid(P2, ATOMS)
+    if triple_first:
+        coord_id = grid.intern(coord)
+        ids = grid.eval_ids(t, 2)
+    else:
+        ids = grid.eval_ids(t, 2)
+        coord_id = grid.intern(coord)
+    k = ATOMS.index(c)
+    assert grid.eval_ids(inner, 2)[k, k] == coord_id
+    assert grid.element(int(ids[k, k])) == DConst(1)
+    _assert_ids_match_the_values(grid, t, 2, list(itertools.product(range(len(ATOMS)), repeat=2)))
+    _assert_ids_are_injective(grid)

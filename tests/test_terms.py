@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import pytest
@@ -150,3 +151,50 @@ def test_term_text_round_trip():
         Const(Tagged((CConst(), CConst()), 0)),
     ):
         assert parse_term(term_to_text(t)) == t
+
+
+def _rebuilt(t):
+    """An equal term built again node by node, sharing no node with t."""
+    if isinstance(t, Var):
+        return Var(t.idx)
+    if isinstance(t, Const):
+        return Const(t.value)
+    if isinstance(t, UApp):
+        return UApp(_rebuilt(t.arg))
+    if isinstance(t, UPQRApp):
+        return UPQRApp(t.p, t.q, t.r, _rebuilt(t.arg))
+    return FApp(tuple(_rebuilt(a) for a in t.args))
+
+
+def _walk_free_vars(t):
+    if isinstance(t, Var):
+        return {t.idx}
+    if isinstance(t, Const):
+        return set()
+    if isinstance(t, (UApp, UPQRApp)):
+        return _walk_free_vars(t.arg)
+    return set().union(*(_walk_free_vars(a) for a in t.args))
+
+
+def test_cached_hashes_and_free_vars_match_fresh_terms():
+    # Every node caches its free variables when built and its hash when
+    # first hashed: an equal term built separately hashes alike, and the
+    # cached variables are those of a walk over the term.
+    seen = set()
+    for t in enumerate_terms(3, 2, POOL2, P2):
+        again = _rebuilt(t)
+        assert again == t and again is not t
+        assert hash(again) == hash(t)
+        assert free_vars(t) == _walk_free_vars(t)
+        seen.add(again)
+    assert all(t in seen for t in enumerate_terms(3, 2, POOL2, P2))
+    poly = FApp((UApp(Var(0)), Const(Tagged((CConst(), CConst()), 0))))
+    assert hash(_rebuilt(poly)) == hash(poly)
+    assert free_vars(poly) == {0}
+
+
+def test_cached_hashes_survive_a_pickle_round_trip():
+    t = FApp((UPQRApp(DConst(1), DConst(2), CConst(), Var(0)), UApp(Var(1))))
+    again = pickle.loads(pickle.dumps(t))
+    assert again == t and hash(again) == hash(t) and free_vars(again) == {0, 1}
+    assert again in {t}

@@ -190,21 +190,31 @@ def test_term_lemma_passes():
 
 def test_term_lemma_power_of_u_agrees_with_the_oracle():
     # The term lemma's premise: two distinct values among the letters
-    # a(i,0), b(i,0) that u moves.
+    # a(i,0), b(i,0) that u moves.  Every depth-2 term, judged per term by
+    # the oracle: the check decides each id class once, so the verdicts
+    # must agree within every class.
     grid = SymbolicGrid(P2, list(ATOMS))
     powers = _u_powers(grid, P2)
     moving = {g(i, 0) for g in (AGen, BGen) for i in (1, 2)}
     samples = [{0: x, 1: y} for x in ATOMS for y in ATOMS]
     premise_terms = 0
-    for t in enumerate_terms(2, 1, POOL2, P2):
+    per_class = {}
+    for t in enumerate_terms(2, 2, POOL2, P2):
         ids = np.broadcast_to(grid.eval_ids(t, 2), (len(ATOMS),) * 2)
         expected = is_power_of_u_on(t, samples, 2 * P2.n + 1, P2)
         assert _u_power_of(ids, powers) == expected
-        if len({eval_term(t, a, P2) for a in samples} & moving) >= 2:
+        premise = len({eval_term(t, a, P2) for a in samples} & moving) >= 2
+        if premise:
             premise_terms += 1
             assert expected is not None
-    rep = check_term_lemma(P2, ATOMS, 1, POOL2)
-    assert premise_terms == rep.counts["premise_terms"] == 4
+        verdict = (premise, expected is not None)
+        assert per_class.setdefault(grid.id_class(t, 2), verdict) == verdict
+    rep = check_term_lemma(P2, ATOMS, 2, POOL2)
+    assert rep.passed
+    assert premise_terms == rep.counts["premise_terms"] == 6
+    assert rep.counts["terms_scanned"] == 4538
+    # the classes merge terms, so the agreement above compares something
+    assert len(per_class) < rep.counts["terms_scanned"]
 
 
 def test_term_lemma_fail_record_names_two_distinct_values_in_c(monkeypatch):
