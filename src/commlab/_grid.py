@@ -12,10 +12,8 @@ only, so term values over a whole assignment grid become numpy gathers.
 - Atoms are interned through a dict.  A ``Tagged`` value from outside (a
   domain element or a triple coordinate) interns its arguments and goes
   through f's table, so ids are equal exactly when the values are.
-- ``element(i)`` builds the value of an id, and caches it, only when a
-  report or a test asks for it.  u fixes every f-value, and u_pqr cycles the
-  ids of its triple and shifts the generators, so the unary maps build
-  elements for atoms only.
+- u fixes every f-value, and u_pqr cycles the ids of its triple and shifts
+  the generators, so the unary maps build elements for atoms only.
 
 Two output modes:
 
@@ -56,8 +54,7 @@ class SymbolicGrid:
         self.params = params
         self.domain = list(domain)
         self._atoms: dict[Element, int] = {}
-        self._elems: list[Optional[Element]] = []  # None until element() builds it
-        self._args: list[Optional[tuple[int, ...]]] = []  # an f-value's argument ids
+        self._elems: list[Optional[Element]] = []  # atoms; None for an f-value
         self._f_cache: dict[tuple[int, ...], int] = {}
         self._u_cache: dict[int, int] = {}
         self._upqr_caches: dict[tuple[Element, Element, Element], dict[int, int]] = {}
@@ -81,17 +78,14 @@ class SymbolicGrid:
             # value would take the id of the well-formed one
             if not elements.well_formed(e, self.params):
                 raise ValueError(f"ill-formed tagged value {elements.element_to_text(e)}")
-            i = self._f(tuple(self.intern(a) for a in e.args))
-            self._elems[i] = e
-            return i
+            return self._f(tuple(self.intern(a) for a in e.args))
         i = self._atoms.get(e)
         if i is None:
-            i = self._atoms[e] = self._new_id(e, None)
+            i = self._atoms[e] = self._new_id(e)
         return i
 
-    def _new_id(self, e: Optional[Element], args: Optional[tuple[int, ...]]) -> int:
+    def _new_id(self, e: Optional[Element]) -> int:
         self._elems.append(e)
-        self._args.append(args)
         return len(self._elems) - 1
 
     def _f(self, key: tuple[int, ...]) -> int:
@@ -101,17 +95,9 @@ class SymbolicGrid:
             if all(k == a or k == b for k, a, b in zip(key, self._a_ids, self._b_ids)):
                 i = self.intern(elements.f0_value([self._elems[k] for k in key], self.params))
             else:
-                i = self._new_id(None, key)
+                i = self._new_id(None)
             self._f_cache[key] = i
         return i
-
-    def element(self, i: int) -> Element:
-        """The value of id i, built on first request."""
-        e = self._elems[i]
-        if e is None:
-            args = [self.element(k) for k in self._args[i]]
-            e = self._elems[i] = elements.eval_f(args, self.params)
-        return e
 
     def _map_unary(self, cache: dict[int, int], on_atom: Callable, arr: np.ndarray) -> np.ndarray:
         """arr under a unary operation that fixes every f-value and is
@@ -121,8 +107,8 @@ class SymbolicGrid:
         for pos, i in enumerate(uniq.tolist()):
             v = cache.get(i)
             if v is None:
-                fixed = self._args[i] is not None
-                v = cache[i] = i if fixed else self.intern(on_atom(self._elems[i]))
+                atom = self._elems[i]
+                v = cache[i] = i if atom is None else self.intern(on_atom(atom))
             out[pos] = v
         return out[np.searchsorted(uniq, arr)]
 
@@ -270,10 +256,14 @@ class SymbolicGrid:
         return rows
 
     def first_hit(
-        self, term_list: Iterable[terms.Term], m: int, blocks: int, decide: Callable
-    ) -> Optional[tuple[int, terms.Term, tuple]]:
-        """First (index in term_list, term, hit) whose hit
-        ``decide(self, t, m)`` is not None, or None.
+        self, term_iter: Iterable[terms.Term], m: int, blocks: int, decide: Callable
+    ) -> tuple[int, Optional[terms.Term], Optional[tuple]]:
+        """(scanned, term, hit) for the first term whose hit
+        ``decide(self, t, m)`` is not None, or (scanned, None, None).
+
+        The terms are read lazily and the scan stops at its hit, so
+        ``scanned`` is the hit's index + 1, or all of the terms, and a term
+        cap that only a later layer would pass is never reached.
 
         Terms with fewer than ``blocks`` free variables are skipped.  Every
         enumerated term is over x0..x(m-1), so the witness search passes m
@@ -283,7 +273,8 @@ class SymbolicGrid:
         reads ``fibers``, the corner lemma ``eval_codes``), so it runs once
         per key; only keys without a hit are kept."""
         no_hit: set[tuple] = set()
-        for i, t in enumerate(term_list):
+        scanned = 0
+        for scanned, t in enumerate(term_iter, 1):
             if len(terms.free_vars(t)) < blocks:
                 continue
             key = self.pattern_key(t, m)
@@ -291,9 +282,9 @@ class SymbolicGrid:
                 continue
             hit = decide(self, t, m)
             if hit is not None:
-                return i, t, hit
+                return scanned, t, hit
             no_hit.add(key)
-        return None
+        return scanned, None, None
 
 
 def _strip_wrappers(t: terms.Term) -> terms.Term:

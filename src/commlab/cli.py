@@ -178,9 +178,12 @@ def cmd_paper_verify(args) -> int:
         seed=args.seed, jobs=args.jobs, fmt=args.format, out=args.out,
         include_timing=not args.no_timing,
     )
-    reports = run_paper_verify(config)
-    stream = open(config.out, "w") if config.out else sys.stdout
+    # opened before any check runs, and emptied only once the reports are ready
+    stream = open(config.out, "a") if config.out else sys.stdout
     try:
+        reports = run_paper_verify(config)
+        if config.out:
+            stream.truncate(0)
         _emit_reports(reports, config, stream)
     finally:
         if config.out:

@@ -8,9 +8,10 @@ final pair (r_{2^m - 1}, r_{2^m}).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -254,8 +255,13 @@ def located_cube(
     return blocks, cube
 
 
+def _lex_rank(hit: Sequence[int], d: int) -> int:
+    """hit's 0-based lexicographic rank over range(d), in Python ints (past 2**63)."""
+    return functools.reduce(lambda rank, i: rank * d + i, hit, 0)
+
+
 def _scan_terms(
-    term_list: list[Term], m: int, domain: list[Element], params: Params
+    term_iter: Iterable[Term], m: int, domain: list[Element], params: Params
 ) -> tuple[Optional[TCWitness], SearchStats]:
     """First witness among the terms, or None, and the counts of a
     lexicographic scan over every (p1, q1, ..., pm, qm) up to it.
@@ -263,16 +269,16 @@ def _scan_terms(
     Only the terms that use all m blocks reach the kernel: a term ignoring
     block m has an equal critical edge outright, and one ignoring block
     j < m maps the critical edge onto a matched edge by flipping bit j."""
-    first = SymbolicGrid(params, domain).first_hit(term_list, m, m, _grid_term_has_witness)
+    grid = SymbolicGrid(params, domain)
+    scanned, t, hit = grid.first_hit(term_iter, m, m, _grid_term_has_witness)
     space = len(domain) ** (2 * m)
-    if first is None:
-        return None, SearchStats(len(term_list), len(term_list) * space)
-    i, t, hit = first
-    rank = int(np.ravel_multi_index(hit, (len(domain),) * (2 * m)))
+    if t is None:
+        return None, SearchStats(scanned, scanned * space)
     blocks, cube = located_cube(
         t, m, hit, domain, params, is_tc_failure, "grid kernel located a witness"
     )
-    return TCWitness(t, blocks, cube), SearchStats(i + 1, i * space + rank + 1)
+    rank = _lex_rank(hit, len(domain))
+    return TCWitness(t, blocks, cube), SearchStats(scanned, (scanned - 1) * space + rank + 1)
 
 
 def search_tc_witness(
@@ -286,16 +292,16 @@ def search_tc_witness(
     term-condition failure witness in the bounded space, or None after
     exhausting it, and the counts of the scan.  The fiber kernel decides
     every term, so one variable per block at any dimension m >= 2 is
-    searchable within the grid cap."""
+    searchable within the grid cap, which bounds what the kernel builds:
+    grids over the leading m - 1 axes and the last pair's d x d tables."""
     if m < 1:
         raise ValueError("dimension must be >= 1")
     if not domain:
         raise ValueError("domain must be nonempty")
     domain = list(domain)
-    if m < 2 or len(domain) ** m > GRID_CELL_CAP:
+    if m < 2 or len(domain) ** max(m - 1, 2) > GRID_CELL_CAP:
         raise BudgetExceededError(
             f"no exact search for dimension {m} and {len(domain)} elements: the "
             f"fiber kernel covers dimensions >= 2 and at most {GRID_CELL_CAP} grid cells"
         )
-    term_list = list(enumerate_terms(m, max_depth, triple_pool, params))
-    return _scan_terms(term_list, m, domain, params)
+    return _scan_terms(enumerate_terms(m, max_depth, triple_pool, params), m, domain, params)

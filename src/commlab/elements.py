@@ -221,6 +221,9 @@ def bounded_subuniverse(
     if j_max < 0 or closure_depth < 0:
         raise ValueError("j_max and closure_depth must be nonnegative")
     current: set[Element] = set(params.base_atoms(j_max))
+    over_cap = f"bounded subuniverse exceeded cap of {cap} elements"
+    if len(current) > cap:  # the atoms count too
+        raise BudgetExceededError(over_cap)
     for _ in range(closure_depth):
         new: set[Element] = set()
         for args in itertools.product(sorted(current, key=sort_key), repeat=params.n):
@@ -228,9 +231,7 @@ def bounded_subuniverse(
             if v not in current:
                 new.add(v)
             if len(current) + len(new) > cap:
-                raise BudgetExceededError(
-                    f"bounded subuniverse exceeded cap of {cap} elements"
-                )
+                raise BudgetExceededError(over_cap)
         if not new:
             break
         current |= new

@@ -177,14 +177,12 @@ def check_corner_lemma(
     grid = SymbolicGrid(params, list(domain))
     d = len(domain)
     report_params = {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth}
-    term_list = list(enumerate_terms(m, max_depth, triple_pool, params))
+    term_iter = enumerate_terms(m, max_depth, triple_pool, params)
     # a term over fewer than two blocks has no violation (corner_violation_in)
-    first = grid.first_hit(term_list, m, 2, _corner_violation)
-    scanned = len(term_list) if first is None else first[0] + 1
+    scanned, t, hit = grid.first_hit(term_iter, m, 2, _corner_violation)
     counts = {"terms_scanned": scanned, "assignments_scanned": scanned * d ** (2 * m)}
-    if first is None:
+    if t is None:
         return VerificationReport("corner_lemma", report_params, "pass", counts=counts)
-    _, t, hit = first
     blocks, cube = located_cube(
         t, m, hit, domain, params, is_corner_violation, "corner scan located a violation"
     )
@@ -231,48 +229,47 @@ def check_term_lemma(
     """A two-variable term taking two distinct values inside the
     order-(2n+1) cycle's moving letters must act as a power of u on one of
     its variables.  Both tests read only the term's id array, so they run
-    once per id class; the counts and the fail record stay per term."""
+    once per id class, and each class's C cells are read once; the counts
+    and the fail record stay per term."""
     grid = SymbolicGrid(params, list(domain))
     d = len(domain)
     n = params.n
     report_params = {"n": n, "domain_size": d, "max_depth": max_depth, "num_vars": 2}
     c_ids = [grid.intern(gen(i, 0)) for i in range(1, n + 1) for gen in (el.AGen, el.BGen)]
     powers = _u_powers(grid, params)
-    verdicts: dict[int, tuple[bool, bool]] = {}  # class -> (premise, power of u)
+    # class -> premise; a class that fails does so at its first term, so
+    # every class kept here passed the power-of-u test
+    premises: dict[int, bool] = {}
     terms_scanned = 0
     checked = 0
     for t in enumerate_terms(2, max_depth, triple_pool, params):
         terms_scanned += 1
         cls = grid.id_class(t, 2)
-        verdict = verdicts.get(cls)
-        if verdict is None:
+        premise = premises.get(cls)
+        if premise is None:
             ids = np.broadcast_to(grid.eval_ids(t, 2), (d, d))
-            c_values = ids[_in_c(ids, c_ids)]
-            # the premise: two distinct values among the C cells
-            premise = c_values.size > 0 and c_values.min() != c_values.max()
-            verdict = verdicts[cls] = (premise, premise and _u_power_of(ids, powers) is not None)
-        premise, power = verdict
-        if not premise:
-            continue
-        checked += 1
-        if not power:
-            ids = np.broadcast_to(grid.eval_ids(t, 2), (d, d))
-            cells = np.argwhere(_in_c(ids, c_ids))
-            values = ids[tuple(cells.T)]
-            first, second = cells[0], cells[int(np.argmax(values != values[0]))]
-            def cell_assignment(cell):
-                return {f"x{i}": element_to_text(domain[int(cell[i])]) for i in range(2)}
-            return VerificationReport(
-                "term_lemma",
-                report_params,
-                "fail",
-                counterexample={
-                    "term": term_to_text(t),
-                    "assignment_a": cell_assignment(first),
-                    "assignment_b": cell_assignment(second),
-                },
-                counts={"terms_scanned": terms_scanned, "premise_terms": checked},
-            )
+            in_c = _in_c(ids, c_ids)
+            c_values = ids[in_c]
+            # the premise: some C value differs from the first
+            second = int(np.argmax(c_values != c_values[0])) if c_values.size else 0
+            premise = premises[cls] = second > 0
+            if premise and _u_power_of(ids, powers) is None:
+                cells = np.argwhere(in_c)  # in C order, as c_values
+
+                def cell_assignment(cell):
+                    return {f"x{i}": element_to_text(domain[int(cell[i])]) for i in range(2)}
+                return VerificationReport(
+                    "term_lemma",
+                    report_params,
+                    "fail",
+                    counterexample={
+                        "term": term_to_text(t),
+                        "assignment_a": cell_assignment(cells[0]),
+                        "assignment_b": cell_assignment(cells[second]),
+                    },
+                    counts={"terms_scanned": terms_scanned, "premise_terms": checked + 1},
+                )
+        checked += premise
     return VerificationReport(
         "term_lemma",
         report_params,

@@ -273,26 +273,31 @@ def term_tables(
     grids = np.indices((s,) * num_vars).reshape(num_vars, cells)
     funcs = [grids[v].astype(np.int64) for v in range(num_vars)]
 
-    # dedup by scalar base-s codes when the whole table fits in an int64,
-    # by bytes otherwise
-    use_codes = cells * np.log2(s) <= 62
-    pw = s ** np.arange(cells - 1, -1, -1, dtype=np.int64) if use_codes else None
-    if use_codes:
-        known = np.unique(np.stack(funcs) @ pw)
+    # dedup by a bitmap over the base-s codes of the tables while there are
+    # at most 2**24 of them, by bytes otherwise
+    use_bitmap = every_table <= 2**24
+    if use_bitmap:
+        pw = s ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+        known = np.zeros(every_table, dtype=bool)
+        known[np.stack(funcs) @ pw] = True
+        n_known = int(known.sum())
     else:
         seen = {f.tobytes() for f in funcs}
 
     def absorb(cand: np.ndarray, new: list[np.ndarray]) -> int:
-        """Add the new tables among cand; the number of tables known, or
-        cap + 1 once it passes the cap."""
-        nonlocal known
-        if use_codes:
-            codes, first = np.unique(cand @ pw, return_index=True)
-            fresh = ~np.isin(codes, known, assume_unique=True)
-            if fresh.any():
-                known = np.union1d(known, codes[fresh])
-                new.extend(np.copy(t) for t in cand[first[fresh]])
-            return min(len(known), cap + 1)
+        """Add the new tables among cand, in ascending code order on the
+        bitmap path; the number of tables known, or cap + 1 once it passes
+        the cap."""
+        nonlocal n_known
+        if use_bitmap:
+            codes = cand @ pw
+            fresh = np.flatnonzero(~known[codes])
+            if fresh.size:
+                fresh_codes, first = np.unique(codes[fresh], return_index=True)
+                known[fresh_codes] = True
+                n_known += fresh_codes.size
+                new.extend(np.copy(t) for t in cand[fresh[first]])
+            return min(n_known, cap + 1)
         for t in cand:
             b = t.tobytes()
             if b not in seen:

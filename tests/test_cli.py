@@ -279,6 +279,45 @@ def test_paper_verify_fast_bounds_json(tmp_path, capsys):
     assert all("millis" not in r for r in records)
 
 
+def test_paper_verify_budget_counts_the_atoms(capsys):
+    # the 12 atoms at j_max 1 are over a budget of 3 before any closure round
+    argv = ["paper-verify", "--n", "2", "--closure-depth", "0", "--budget", "3"]
+    assert main(argv) == EXIT_RESOURCE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "exceeded cap of 3 elements" in out.err
+
+
+def test_paper_verify_rejects_an_unwritable_out_before_any_check(tmp_path, monkeypatch):
+    import commlab.cli as cli_mod
+
+    def no_run(config):
+        raise AssertionError("a check ran before --out was opened")
+
+    monkeypatch.setattr(cli_mod, "run_paper_verify", no_run)
+    out = tmp_path / "missing" / "reports.jsonl"
+    assert main(["paper-verify", "--format", "json", "--out", str(out)]) == EXIT_RESOURCE
+    assert not out.parent.exists()
+
+
+def test_a_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
+    out = tmp_path / "reports.jsonl"
+    out.write_bytes(b"earlier reports\n")
+    argv = ["paper-verify", "--n", "3", "--max-depth", "2", "--out", str(out)]
+    assert main(argv) == EXIT_RESOURCE
+    assert "term enumeration exceeded cap" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier reports\n"
+
+
+def test_paper_verify_out_replaces_an_existing_file(tmp_path):
+    out = tmp_path / "reports.jsonl"
+    out.write_text("x" * 10**5)
+    argv = ["paper-verify", "--n", "2", "--j-max", "0", "--closure-depth", "0",
+            "--max-depth", "1", "--format", "json", "--no-timing", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "paper_verify_n2_j0_c0_d1.jsonl").read_bytes()
+
+
 def test_paper_verify_text_output(capsys):
     code = main([
         "paper-verify", "--n", "2", "--j-max", "0", "--closure-depth", "0",

@@ -40,7 +40,12 @@ from commlab.terms import (
     free_vars,
     term_to_text,
 )
-from commlab.verifier import expected_top_cube, search_control, search_np1_failure
+from commlab.verifier import (
+    check_corner_lemma,
+    expected_top_cube,
+    search_control,
+    search_np1_failure,
+)
 
 from oracles import scan_terms_naive
 
@@ -92,7 +97,7 @@ def test_is_tc_failure_cases():
 @pytest.mark.parametrize("blocks", [2, 3])
 def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
     # Only terms with at least ``blocks`` free variables reach decide, and
-    # the hit keeps its index in the full list.
+    # the count is of every term read, skipped ones included.
     term_list = [
         UApp(Var(0)),
         FApp((Var(0), Var(0))),
@@ -107,8 +112,27 @@ def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
         return (0,) if t == term_list[-1] else None
 
     grid = SymbolicGrid(P2, ATOMS)
-    assert grid.first_hit(term_list, 3, blocks, decide) == (4, term_list[-1], (0,))
+    assert grid.first_hit(term_list, 3, blocks, decide) == (5, term_list[-1], (0,))
     assert decided == [t for t in term_list if len(free_vars(t)) >= blocks]
+
+
+def test_first_hit_reads_its_terms_lazily_and_counts_them():
+    # The scan stops at its hit: a term stream that would raise past the
+    # hit is never read that far.  With no hit it counts every term.
+    hit_term = FApp((Var(0), Var(1)))
+
+    def stream():
+        yield UApp(Var(0))
+        yield hit_term
+        raise AssertionError("read past the hit")
+
+    def decide(grid, t, m):
+        return (1,) if t == hit_term else None
+
+    grid = SymbolicGrid(P2, ATOMS)
+    assert grid.first_hit(stream(), 2, 2, decide) == (2, hit_term, (1,))
+    no_hit = (UApp(Var(0)), FApp((Var(1), Var(0))), Var(1))
+    assert grid.first_hit(iter(no_hit), 2, 2, decide) == (3, None, None)
 
 
 def _oracle_record(term, blocks, cube, m):
@@ -497,11 +521,52 @@ def test_search_exhausts_small_space_without_witness():
 
 
 def test_search_rejects_oversized_space():
-    # 68**4 grid cells at dimension 4 are above the grid cap of 2 * 10**7
-    domain = bounded_subuniverse(P2, 0, 1)
-    assert len(domain) ** 4 > cubes_mod.GRID_CELL_CAP >= len(domain) ** 3
+    # The kernel builds grids over the leading m - 1 axes and d x d tables
+    # for the last pair, so at m = 3 a domain of 4473 elements is past the
+    # grid cap of 2 * 10**7 cells and one of 4472 is not.
+    domain = [AGen(1, j) for j in range(4473)]
+    assert len(domain) ** 2 > cubes_mod.GRID_CELL_CAP >= (len(domain) - 1) ** 2
     with pytest.raises(BudgetExceededError, match="grid cells"):
-        search_tc_witness(4, 1, domain, POOL2, P2)
+        search_tc_witness(3, 1, domain, POOL2, P2)
+
+
+def test_search_admits_a_domain_whose_full_grid_is_past_the_cap():
+    # 300**3 cells are above the cap, but the kernel never builds the term's
+    # d**m grid: the n = 3 atoms plus 288 more generators are searched, and
+    # the top commutator's witness is found and replayed.
+    p3 = Params(3)
+    domain = p3.base_atoms(0) + [AGen(1, j) for j in range(1, 289)]
+    assert len(domain) == 300 and len(domain) ** 3 > cubes_mod.GRID_CELL_CAP
+    w, stats = search_tc_witness(3, 1, domain, default_triple_pool(p3), p3)
+    assert w.to_record()["term"] == "f(x0,x1,x2)"
+    assert is_tc_failure(w.cube)
+    assert stats.terms_scanned == len(list(itertools.takewhile(
+        lambda t: t != FApp((Var(0), Var(1), Var(2))),
+        enumerate_terms(3, 1, default_triple_pool(p3), p3),
+    ))) + 1
+
+
+def test_a_scan_that_stops_early_never_reaches_an_over_cap_layer():
+    # At n = 3 the depth-2 layer over three variables holds 60,745,620
+    # terms, past the term cap, but the control search finds its witness
+    # among the depth-1 terms and never reads that layer; the corner lemma,
+    # which has no hit, still raises on it.
+    atoms = P3.base_atoms(0)
+    pool = default_triple_pool(P3)
+    rep = search_control(P3, atoms, 2, 1, pool)
+    assert rep.passed and rep.counts["terms_scanned"] == 372
+    with pytest.raises(BudgetExceededError, match="term enumeration exceeded cap"):
+        check_corner_lemma(P3, 3, atoms, 2, pool)
+
+
+def test_lex_rank_is_exact_past_int64():
+    # d**(2m) > 2**63 at m = 3 from d = 1449, where an int64 rank would wrap
+    d, m = 1449, 3
+    assert d ** (2 * m) > 2**63
+    assert cubes_mod._lex_rank((d - 1,) * (2 * m), d) == d ** (2 * m) - 1
+    assert cubes_mod._lex_rank((1,) + (0,) * (2 * m - 1), d) == d ** (2 * m - 1)
+    small = (2, 0, 1, 3)
+    assert cubes_mod._lex_rank(small, 4) == int(np.ravel_multi_index(small, (4,) * 4))
 
 
 SMALL = [DConst(1), DConst(2), CConst()]

@@ -212,6 +212,13 @@ def test_bounded_subuniverse_cap():
         bounded_subuniverse(Params(2), 1, 2, cap=1000)
 
 
+def test_bounded_subuniverse_cap_counts_the_atoms():
+    # no closure round runs at closure depth 0, so only the atoms meet the cap
+    with pytest.raises(BudgetExceededError, match="exceeded cap of 11 elements"):
+        bounded_subuniverse(Params(2), 1, 0, cap=11)
+    assert bounded_subuniverse(Params(2), 1, 0, cap=12) == Params(2).base_atoms(1)
+
+
 def test_element_text():
     assert element_to_text(AGen(1, 2)) == "a(1,2)"
     assert element_to_text(Tagged((DConst(1), CConst()), 0)) == "t([d(1),c],0)"

@@ -38,18 +38,50 @@ def _labels(grid, t, m):
     return [grid._arg_labels(arg, pos, m)[0] for pos, arg in enumerate(args)]
 
 
-def _values(grid, t, m):
-    d = len(grid.domain)
-    ids = np.broadcast_to(grid.eval_ids(t, m), (d,) * m)
-    return [grid.element(int(i)) for i in ids.ravel()]
+class _IdValues:
+    """A test-side map from a grid's ids to the values the term evaluator
+    gives at the cells that hold them, checked as it grows: it must be a
+    function and injective, so ids are equal iff values are.  It reads
+    nothing of the grid but ``eval_ids`` and ``intern``."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.value = {}
+        self._id = {}
+
+    def add(self, i, value):
+        assert self.value.setdefault(i, value) == value  # a function
+        assert self._id.setdefault(value, i) == i  # injective
+
+    def record(self, t, m, cells, values=None):
+        """Map t's id at each cell to t's value there, by the term evaluator
+        unless the values are given."""
+        grid = self.grid
+        if values is None:
+            values = _term_values(t, grid.params, grid.domain, cells)
+        full = np.broadcast_to(grid.eval_ids(t, m), (len(grid.domain),) * m)
+        for cell, value in zip(cells, values, strict=True):
+            self.add(int(full[cell]), value)
+
+
+def _term_values(t, params, domain, cells):
+    return [eval_term(t, {j: domain[k] for j, k in enumerate(cell)}, params) for cell in cells]
+
+
+ATOM_CELLS = list(itertools.product(range(len(ATOMS)), repeat=2))
 
 
 def test_memoized_eval_ids_match_a_fresh_grid():
-    long_lived = SymbolicGrid(P2, ATOMS)
+    # A fresh grid per term and the long-lived one must both give every
+    # cell the id of its value.
+    long_lived = _IdValues(SymbolicGrid(P2, ATOMS))
     for t in enumerate_terms(2, 2, POOL2, P2):
-        assert _values(long_lived, t, 2) == _values(SymbolicGrid(P2, ATOMS), t, 2)
+        values = _term_values(t, P2, ATOMS, ATOM_CELLS)
+        long_lived.record(t, 2, ATOM_CELLS, values)
+        _IdValues(SymbolicGrid(P2, ATOMS)).record(t, 2, ATOM_CELLS, values)
     # the memo is in use: terms share nodes, and nodes share arrays
-    assert len(long_lived._arrays) < len(long_lived._nodes) < len(long_lived._classes)
+    grid = long_lived.grid
+    assert len(grid._arrays) < len(grid._nodes) < len(grid._classes)
 
 
 def test_memoized_ids_are_read_only():
@@ -138,11 +170,8 @@ def test_f_node_ids_fall_back_when_the_id_pack_would_wrap():
     c = CConst()
     assert (grid.intern(c) + 1) ** 4 > 2**63
     t = FApp((Var(0), Const(c), Const(c), Const(c)))
-    ids = grid.eval_ids(t, 1)
-    assert ids.shape == (len(domain),)
-    assert [grid.element(i) for i in ids.tolist()] == [
-        eval_term(t, {0: e}, p4) for e in domain
-    ]
+    assert grid.eval_ids(t, 1).shape == (len(domain),)
+    _IdValues(grid).record(t, 1, [(k,) for k in range(len(domain))])
 
 
 def test_f_node_cap_raises_before_it_allocates():
@@ -234,47 +263,43 @@ def test_intern_rejects_an_ill_formed_tagged_value():
     ):
         with pytest.raises(ValueError, match="ill-formed"):
             grid.intern(bad)
-    assert grid.element(grid.intern(well)) == well
+    id_values = _IdValues(grid)
+    id_values.record(FApp((Var(0), Var(1))), 2, ATOM_CELLS)
+    assert id_values.value[grid.intern(well)] == well
     with pytest.raises(ValueError, match="ill-formed"):
         SymbolicGrid(P2, ATOMS + [Tagged((c, c), 1)])
 
 
-def _assert_ids_match_the_values(grid, t, m, cells):
-    """Each cell's element is t's value there, by the term evaluator."""
-    full = np.broadcast_to(grid.eval_ids(t, m), (len(grid.domain),) * m)
-    for cell in cells:
-        a = {j: grid.domain[k] for j, k in enumerate(cell)}
-        assert grid.element(int(full[cell])) == eval_term(t, a, grid.params)
-
-
-def _assert_ids_are_injective(grid):
-    """Every id's element differs from every other id's: ids are equal iff
-    the values are."""
-    values = [grid.element(i) for i in range(len(grid._elems))]
-    assert len(set(values)) == len(values)
-
-
 def test_ids_equal_iff_values_equal_on_every_cell_over_the_atoms():
-    grid = SymbolicGrid(P2, ATOMS)
-    cells = list(itertools.product(range(len(ATOMS)), repeat=2))
+    id_values = _IdValues(SymbolicGrid(P2, ATOMS))
     for t in enumerate_terms(2, 2, POOL2, P2):
-        _assert_ids_match_the_values(grid, t, 2, cells)
-    _assert_ids_are_injective(grid)
+        id_values.record(t, 2, ATOM_CELLS)
 
 
 def test_ids_equal_iff_values_equal_over_the_verify_n2_domain():
-    # The 68-element domain of verify-n2: every term, every id checked for
-    # injectivity, and a seeded sample of cells per term against the term
-    # evaluator (all 4624 cells of all 4538 terms would take minutes).
+    # The 68-element domain of verify-n2: every term, with a seeded sample
+    # of cells per term against the term evaluator (all 4624 cells of all
+    # 4538 terms would take minutes).
     domain = bounded_subuniverse(P2, 0, 1)
     assert len(domain) == 68
-    grid = SymbolicGrid(P2, domain)
+    id_values = _IdValues(SymbolicGrid(P2, domain))
     rng = np.random.default_rng(14)
     for t in enumerate_terms(2, 2, POOL2, P2):
         cells = [tuple(c) for c in rng.integers(0, len(domain), size=(8, 2)).tolist()]
-        _assert_ids_match_the_values(grid, t, 2, cells)
-    assert None in grid._elems  # f-values unseen by a report have no element yet
-    _assert_ids_are_injective(grid)
+        id_values.record(t, 2, cells)
+
+
+def _subterms(t):
+    """t and every term below it."""
+    yield t
+    if isinstance(t, FApp):
+        children = t.args
+    elif isinstance(t, (UApp, UPQRApp)):
+        children = (t.arg,)
+    else:
+        children = ()
+    for child in children:
+        yield from _subterms(child)
 
 
 def _terms(max_depth):
@@ -293,11 +318,10 @@ def _terms(max_depth):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_terms(3), min_size=1, max_size=4))
 def test_ids_equal_iff_values_equal_on_random_terms(term_list):
-    grid = SymbolicGrid(P2, ATOMS)
-    cells = list(itertools.product(range(len(ATOMS)), repeat=2))
+    id_values = _IdValues(SymbolicGrid(P2, ATOMS))
     for t in term_list:
-        _assert_ids_match_the_values(grid, t, 2, cells)
-    _assert_ids_are_injective(grid)
+        for sub in _subterms(t):
+            id_values.record(sub, 2, ATOM_CELLS)
 
 
 @pytest.mark.parametrize("triple_first", [False, True])
@@ -318,6 +342,8 @@ def test_a_fresh_f_value_takes_the_id_of_an_equal_outside_value(triple_first):
         coord_id = grid.intern(coord)
     k = ATOMS.index(c)
     assert grid.eval_ids(inner, 2)[k, k] == coord_id
-    assert grid.element(int(ids[k, k])) == DConst(1)
-    _assert_ids_match_the_values(grid, t, 2, list(itertools.product(range(len(ATOMS)), repeat=2)))
-    _assert_ids_are_injective(grid)
+    id_values = _IdValues(grid)
+    id_values.add(coord_id, coord)
+    for sub in (inner, t):
+        id_values.record(sub, 2, ATOM_CELLS)
+    assert id_values.value[int(ids[k, k])] == DConst(1)

@@ -233,6 +233,39 @@ def test_term_lemma_fail_record_names_two_distinct_values_in_c(monkeypatch):
     assert rep.counts == {"terms_scanned": 1, "premise_terms": 1}
 
 
+def test_term_lemma_fail_record_at_a_later_term(monkeypatch):
+    # Deny the power-of-u test on u(x1)'s array only: the record names the
+    # first and the next differing C cell by the term evaluator, and the
+    # counts include the premise terms before it.
+    target = UApp(Var(1))
+    grid = SymbolicGrid(P2, list(ATOMS))
+    denied = np.broadcast_to(grid.eval_ids(target, 2), (len(ATOMS),) * 2)
+    real = verifier_mod._u_power_of
+    monkeypatch.setattr(
+        verifier_mod, "_u_power_of",
+        lambda ids, powers: None if np.array_equal(ids, denied) else real(ids, powers),
+    )
+    rep = check_term_lemma(P2, ATOMS, 1, POOL2)
+    assert rep.outcome == "fail"
+    moving = {g(i, 0) for g in (AGen, BGen) for i in (1, 2)}
+
+    def value(cell):
+        return eval_term(target, dict(enumerate(cell)), P2)
+
+    def texts(cell):
+        return {f"x{i}": element_to_text(e) for i, e in enumerate(cell)}
+
+    in_c = [(x, y) for x in ATOMS for y in ATOMS if value((x, y)) in moving]
+    second = next(cell for cell in in_c if value(cell) != value(in_c[0]))
+    assert rep.counterexample == {
+        "term": "u(x1)",
+        "assignment_a": texts(in_c[0]),
+        "assignment_b": texts(second),
+    }
+    # x0, x1, u(x0) and u(x1) all take two values in C
+    assert rep.counts == {"terms_scanned": 4, "premise_terms": 4}
+
+
 def test_expected_top_cube_values():
     def texts(n):
         from commlab.elements import element_to_text
