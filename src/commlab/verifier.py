@@ -40,6 +40,7 @@ from .terms import (
     Var,
     enumerate_terms,
     eval_poly,
+    free_vars,
     term_to_text,
 )
 
@@ -123,46 +124,55 @@ def _corner_violation(
 ) -> Optional[tuple[int, ...]]:
     """First assignment (domain indices p1,q1,...,pm,qm) where vertex 1
     equals all adjacent vertices but the cube is not constant."""
+    _check_corner_cells(len(grid.domain) ** (len(free_vars(t)) + 1))
     return corner_violation_in(grid.eval_codes(t, m))
 
 
-def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
-    """``_corner_violation`` on an array of codes in broadcast shape: one
-    axis per block, of size 1 where the term ignores the block.
-
-    The dense vertex scan runs on the used blocks only.  A block the term
-    ignores leaves every vertex value unchanged, so the violations form a
-    cylinder over it and the first one has p_j = q_j = 0 there.  With fewer
-    than two used blocks every vertex equals vertex 1 or its neighbour
-    across the one used block, so there is no violation.  The scan builds
-    arrays of d ** (2k) cells for k used blocks, so a scan above
-    ``GRID_CELL_CAP`` cells raises before anything is built."""
-    used = [j for j in range(codes.ndim) if codes.shape[j] > 1]
-    if len(used) < 2:
-        return None
-    k, d = len(used), codes.shape[used[0]]
-    if d ** (2 * k) > GRID_CELL_CAP:
+def _check_corner_cells(cells: int) -> None:
+    if cells > GRID_CELL_CAP:
         raise BudgetExceededError(
-            f"corner-lemma vertex scan over {k} blocks needs {d ** (2 * k)} cells "
-            f"per array, above the grid cap of {GRID_CELL_CAP} cells"
+            f"corner-lemma scan needs {cells} cells, above the grid cap of {GRID_CELL_CAP} cells"
         )
-    dense = codes.reshape((d,) * k)
-    axes = np.ogrid[(slice(d),) * (2 * k)]
-    corners = itertools.product((0, 1), repeat=k)  # the last block varies fastest
-    verts = [dense[tuple(axes[2 * j + b] for j, b in enumerate(bits))] for bits in corners]
-    # in place, so that one comparison of d ** (2k) cells is alive at a time
-    mask = np.zeros((d,) * (2 * k), dtype=bool)
-    for v in verts[1:]:
-        mask |= v != verts[0]
-    for j in range(k):
-        mask &= verts[0] == verts[1 << j]
-    hit = _first_index(mask)
-    if hit is None:
-        return None
-    out = [0] * (2 * codes.ndim)
-    for i, j in enumerate(used):
-        out[2 * j], out[2 * j + 1] = hit[2 * i], hit[2 * i + 1]
-    return tuple(out)
+
+
+def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
+    """``_corner_violation`` on an array C of codes in broadcast shape: one
+    axis per block, of size 1 where the term ignores the block, so that
+    p_j = q_j = 0 there.
+
+    Let Q_j(p) be the y with C[p with p_j := y] = C[p].  Then (p, q) is a
+    violation iff q lies in the box Q(p) = Q_1(p) x ... x Q_m(p) and some
+    vertex differs from C[p].  Proof: vertex 1's neighbours equal it iff
+    every q_j is in Q_j(p), so every vertex of such a cube lies in Q(p);
+    and any cell q of Q(p) is the far vertex of the cube (p, q).  So a
+    violation needs a p on whose box C is not constant, and a box with two
+    or more members on fewer than two axes is a line of cells equal to
+    C[p].  The scan counts the members on each axis, comparing within
+    lines (d cells per cell and used block), and builds only the boxes of
+    the cells that pass; both sizes are checked against ``GRID_CELL_CAP``
+    before they are built."""
+    _check_corner_cells(codes.size * max(codes.shape))
+    # counts[j][p] = |Q_j(p)|
+    counts = [
+        (np.expand_dims(codes, j) == np.expand_dims(codes, j + 1)).sum(axis=j)
+        for j in range(codes.ndim)
+    ]
+    candidates = np.argwhere(sum(c > 1 for c in counts) > 1)  # lexicographic in p
+    _check_corner_cells(int(np.prod([c[tuple(candidates.T)] for c in counts], axis=0).sum()))
+    best = None
+    for p in map(tuple, candidates.tolist()):
+        box = [np.flatnonzero(codes[p[:j] + (slice(None),) + p[j + 1:]] == codes[p])
+               for j in range(codes.ndim)]
+        # differs[q]: some vertex of the cube (p, q) differs from C[p], by
+        # folding in the face at p_j along each axis in turn
+        differs = codes[np.ix_(*box)] != codes[p]
+        for j, b in enumerate(box):
+            differs = differs | np.take(differs, [np.searchsorted(b, p[j])], axis=j)
+        q = _first_index(differs)  # lexicographic in q, as each box[j] is sorted
+        if q is not None:
+            pq = tuple(x for j, b in enumerate(box) for x in (p[j], int(b[q[j]])))
+            best = min(best, pq) if best else pq
+    return best
 
 
 def check_corner_lemma(

@@ -503,14 +503,15 @@ def test_a_budget_hit_in_a_worker_exits_2_as_in_a_sequential_run(capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_paper_verify_n3_defaults_match_their_golden_report(tmp_path, jobs):
-    # np1 searches dimension 4 exactly: a vacuous pass, since no depth-1
-    # term of the ternary f uses all four blocks
-    out = tmp_path / "n3.jsonl"
-    argv = ["paper-verify", "--n", "3", "--format", "json", "--no-timing",
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_paper_verify_defaults_match_their_golden_report(tmp_path, n, jobs):
+    # np1 searches dimension n + 1 exactly: a vacuous pass, since no depth-1
+    # term of the n-ary f uses all n + 1 blocks
+    out = tmp_path / f"n{n}.jsonl"
+    argv = ["paper-verify", "--n", n, "--format", "json", "--no-timing",
             "--jobs", jobs, "--out", str(out)]
     assert main(argv) == EXIT_OK
-    assert out.read_bytes() == (GOLDEN / "paper_verify_n3_defaults.jsonl").read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"paper_verify_n{n}_defaults.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize(

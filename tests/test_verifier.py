@@ -155,8 +155,8 @@ def test_corner_scan_on_used_axes_matches_brute_force():
     verdicts = set()
     ignored_block_hits = 0
     for _ in range(300):
-        m = rng.choice((2, 3))
-        d = rng.choice((2, 3, 4))
+        m = rng.choice((2, 3, 4))
+        d = rng.choice((2, 3) if m == 4 else (2, 3, 4))  # the oracle reads d ** (2m) tuples
         shape = tuple(rng.choice((1, d)) for _ in range(m))
         size = int(np.prod(shape))
         codes = np.array(
@@ -167,19 +167,80 @@ def test_corner_scan_on_used_axes_matches_brute_force():
         verdicts.add((m, expected is not None))
         if expected is not None and 1 in shape:
             ignored_block_hits += 1
-    assert verdicts == {(m, v) for m in (2, 3) for v in (True, False)}
+    assert verdicts == {(m, v) for m in (2, 3, 4) for v in (True, False)}
     assert ignored_block_hits > 0
 
 
+def _one_odd_cell(k, d):
+    codes = np.zeros((d,) * k, dtype=np.int64)
+    codes[(d - 1,) * k] = 1
+    return codes
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize(
+    "make, violates",
+    [
+        # every cell but the odd one passes the prefilter, so the box loop runs
+        (_one_odd_cell, True),
+        (lambda k, d: np.zeros((d,) * k, dtype=np.int64), False),
+        (lambda k, d: np.arange(d**k, dtype=np.int64).reshape((d,) * k), False),
+        # the code is the first coordinate, so C is constant on every box;
+        # from k = 3 on the boxes are planes, and the box loop finds no hit
+        (lambda k, d: np.broadcast_to(np.arange(d)[:, None], (d, d ** (k - 1))).reshape((d,) * k),
+         False),
+    ],
+    ids=["one-odd-cell", "constant", "all-distinct", "first-coordinate"],
+)
+def test_corner_scan_structured_codes_match_brute_force(k, make, violates):
+    d = 3 if k < 4 else 2
+    codes = make(k, d)
+    expected = corner_violation_brute(codes, k)
+    assert (expected is not None) == violates
+    assert corner_violation_in(codes) == expected
+    # one ignored block at every position gives the same tuple with 0, 0 there
+    for j in range(k + 1):
+        padded = np.expand_dims(codes, j)
+        hit = corner_violation_in(padded)
+        assert hit == (None if expected is None else expected[: 2 * j] + (0, 0) + expected[2 * j:])
+        assert hit == corner_violation_brute(np.broadcast_to(padded, (d,) * (k + 1)), k + 1)
+
+
+def test_corner_scan_orders_its_tuples_interleaved():
+    # p = (0, 1), q = (2, 2) is the violation with the least p, but the
+    # first tuple (p1, q1, p2, q2) is p = (0, 2), q = (1, 1)
+    codes = np.array([[2, 1, 1], [2, 0, 1], [1, 1, 2]], dtype=np.int64)
+    for p, q in (((0, 1), (2, 2)), ((0, 2), (1, 1))):
+        vertices = [codes[p[0], p[1]], codes[q[0], p[1]], codes[p[0], q[1]], codes[q[0], q[1]]]
+        assert vertices[1] == vertices[2] == vertices[0] != vertices[3]
+    assert corner_violation_in(codes) == corner_violation_brute(codes, 2) == (0, 1, 2, 1)
+
+
 def test_corner_scan_above_the_grid_cap_raises_before_it_builds(monkeypatch):
-    # Two used blocks of 3 values need 3**4 = 81 cells per vertex array; a
-    # cap of 80 refuses the scan, naming the size, and 81 admits it.
-    codes = np.arange(9, dtype=np.int64).reshape(3, 1, 3)
-    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 80)
-    with pytest.raises(BudgetExceededError, match="needs 81 cells"):
-        corner_violation_in(codes)
-    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 81)
-    assert corner_violation_in(codes) is None
+    # The line comparisons of two used blocks of 3 values take 3**3 = 27
+    # cells; the boxes of one odd cell's 8 candidates take 4 * 9 + 4 * 6 =
+    # 60.  A cap one below either size refuses the scan, naming the size.
+    distinct = np.arange(9, dtype=np.int64).reshape(3, 1, 3)
+    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 26)
+    with pytest.raises(BudgetExceededError, match="needs 27 cells"):
+        corner_violation_in(distinct)
+    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 27)
+    assert corner_violation_in(distinct) is None
+    odd = _one_odd_cell(2, 3)
+    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 59)
+    with pytest.raises(BudgetExceededError, match="needs 60 cells"):
+        corner_violation_in(odd)
+    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 60)
+    assert corner_violation_in(odd) == corner_violation_brute(odd, 2)
+    # a term is refused from its free variables, before its codes are built
+    grid = SymbolicGrid(P2, ATOMS)
+    t = next(t for t in enumerate_terms(2, 1, POOL2, P2) if len(free_vars(t)) == 2)
+    built = []
+    monkeypatch.setattr(SymbolicGrid, "eval_codes", lambda *args: built.append(args))
+    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", len(ATOMS) ** 3 - 1)
+    with pytest.raises(BudgetExceededError, match=f"needs {len(ATOMS) ** 3} cells"):
+        verifier_mod._corner_violation(grid, t, 2)
+    assert built == []
 
 
 def test_term_lemma_passes():
