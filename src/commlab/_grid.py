@@ -42,11 +42,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from . import elements, terms
+from . import elements, errors, terms
 from .elements import Element, Params
-from .errors import BudgetExceededError
-
-F_NODE_CAP = 2 * 10**6
+from .errors import check_budget
 
 
 class SymbolicGrid:
@@ -176,8 +174,7 @@ class SymbolicGrid:
         """f over the children's id arrays, in their broadcast shape, one
         table lookup per distinct argument tuple."""
         cells = math.prod(np.broadcast_shapes(*(c.shape for c in children)))
-        if cells > F_NODE_CAP:
-            raise BudgetExceededError(f"f-node grid of {cells} cells exceeds cap {F_NODE_CAP}")
+        check_budget("f-node grid", cells, errors.F_NODE_CAP, "cells")
         rows, inverse = _distinct_tuples(children)
         keys = list(zip(*(r.tolist() for r in rows)))
         ids = list(map(self._f_cache.get, keys))  # most tuples are known

@@ -18,9 +18,9 @@ from functools import partial
 from typing import Optional, Sequence
 
 from . import elements as el
-from . import finengine, terms as terms_mod, verifier
+from . import errors, finengine, terms as terms_mod, verifier
 from .elements import Params, element_to_text
-from .errors import BudgetExceededError, CommlabError, ParseError
+from .errors import CommlabError, ParseError
 from .terms import default_triple_pool, eval_term
 from .textio import parse_term
 
@@ -50,7 +50,7 @@ class RunConfig:
             self.closure_depth = 1 if self.n == 2 else 0
         if self.max_depth is None:
             self.max_depth = 2 if self.n == 2 else 1
-        self.budget = _resolve_budget(self.budget, el.DEFAULT_ELEMENT_CAP)
+        self.budget = _resolve_budget(self.budget, errors.DEFAULT_ELEMENT_CAP)
         for name, value, least in (("max_depth", self.max_depth, 0), ("jobs", self.jobs, 1)):
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -220,7 +220,7 @@ def _literals(t: terms_mod.Term):
 
 
 def cmd_fin(args) -> int:
-    cap = _resolve_budget(None, finengine.DEFAULT_CUBE_CAP)
+    cap = _resolve_budget(None, errors.DEFAULT_CUBE_CAP)
     alg = load_algebra(args.algebra)
     if args.fin_command == "commutator":
         cong = finengine.higher_commutator(
@@ -301,9 +301,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_RESOURCE
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except (ParseError, CommlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -15,12 +15,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import errors
 from ._grid import SymbolicGrid, _first_occurrence
 from .elements import Element, Params, element_to_text
-from .errors import BudgetExceededError, CommlabError
+from .errors import BudgetExceededError, CommlabError, check_budget
 from .terms import Term, enumerate_terms, eval_term, term_to_text
-
-GRID_CELL_CAP = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -299,9 +298,10 @@ def search_tc_witness(
     if not domain:
         raise ValueError("domain must be nonempty")
     domain = list(domain)
-    if m < 2 or len(domain) ** max(m - 1, 2) > GRID_CELL_CAP:
+    if m < 2:
         raise BudgetExceededError(
-            f"no exact search for dimension {m} and {len(domain)} elements: the "
-            f"fiber kernel covers dimensions >= 2 and at most {GRID_CELL_CAP} grid cells"
+            f"no exact search for dimension {m}: the fiber kernel covers dimensions >= 2"
         )
+    cells = len(domain) ** max(m - 1, 2)
+    check_budget("fiber kernel grid", cells, errors.GRID_CELL_CAP, "cells")
     return _scan_terms(enumerate_terms(m, max_depth, triple_pool, params), m, domain, params)

@@ -12,9 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .errors import BudgetExceededError, DomainError, InvalidTripleError
-
-DEFAULT_ELEMENT_CAP = 10**6
+from .errors import DEFAULT_ELEMENT_CAP, DomainError, InvalidTripleError, check_budget
 
 
 @dataclass(frozen=True)
@@ -220,18 +218,17 @@ def bounded_subuniverse(
     closed closure_depth times under f.  Returned in canonical order."""
     if j_max < 0 or closure_depth < 0:
         raise ValueError("j_max and closure_depth must be nonnegative")
+    # the atoms count too, and are counted before they are built
+    atoms = 2 * params.n * (j_max + 1) + params.d_count + 1
+    check_budget("bounded subuniverse", atoms, cap, "elements")
     current: set[Element] = set(params.base_atoms(j_max))
-    over_cap = f"bounded subuniverse exceeded cap of {cap} elements"
-    if len(current) > cap:  # the atoms count too
-        raise BudgetExceededError(over_cap)
     for _ in range(closure_depth):
         new: set[Element] = set()
         for args in itertools.product(sorted(current, key=sort_key), repeat=params.n):
             v = eval_f(args, params)
             if v not in current:
                 new.add(v)
-            if len(current) + len(new) > cap:
-                raise BudgetExceededError(over_cap)
+                check_budget("bounded subuniverse", len(current) + len(new), cap, "elements")
         if not new:
             break
         current |= new

@@ -14,9 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, CommlabError
-
-DEFAULT_CUBE_CAP = 10**6
+from .errors import DEFAULT_CUBE_CAP, CommlabError, check_budget
 
 
 @dataclass(frozen=True)
@@ -171,11 +169,6 @@ def cg(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
             uf.union(a, b)
 
 
-def _check_cap(count: int, cap: int) -> None:
-    if count > cap:
-        raise BudgetExceededError(f"cube subpower exceeded cap of {cap} cubes")
-
-
 def _digits_within(s: int, bound: int) -> int:
     """Largest k with s**k <= bound, for s >= 2."""
     k, power = 0, s
@@ -205,7 +198,7 @@ class _CubeBitmap:
         self.pending += codes.size
         if self.count + self.pending > self.cap:
             self.pending = int(np.count_nonzero(self.new))
-            _check_cap(self.count + self.pending, self.cap)
+            check_budget("cube subpower", self.count + self.pending, self.cap, "cubes")
 
     def take_new(self) -> np.ndarray:
         fresh = np.flatnonzero(self.new)
@@ -250,7 +243,7 @@ class _CubeCodeSet:
         for key in map(tuple, words.reshape(-1, len(self.spans)).tolist()):
             if key not in self.seen:
                 self.new.add(key)
-        _check_cap(len(self.seen) + len(self.new), self.cap)
+        check_budget("cube subpower", len(self.seen) + len(self.new), self.cap, "cubes")
 
     def take_new(self) -> np.ndarray:
         fresh, self.new = self.new, set()

@@ -12,11 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from . import elements
+from . import elements, errors
 from .elements import Element, Params, sort_key, validate_triple
-from .errors import BudgetExceededError
-
-DEFAULT_TERM_CAP = 10**6
+from .errors import check_budget
 
 
 # Every node caches its free variables, as a bit mask, and its hash, both
@@ -162,7 +160,11 @@ def eval_poly(g: UnaryPolynomial, x: Element, params: Params) -> Element:
 
 def default_triple_pool(params: Params) -> list[tuple[Element, Element, Element]]:
     """All valid ordered triples over the d-constants plus c, canonically
-    ordered.  The low-level slice of the (infinite) unary signature."""
+    ordered.  The low-level slice of the (infinite) unary signature.  Each
+    triple adds one term per term of a layer, so their count is checked
+    against the term cap before any is built."""
+    size = params.d_count + 1
+    check_budget("triple pool", size * (size - 1) * (size - 2), errors.DEFAULT_TERM_CAP, "triples")
     pool_elems = [elements.DConst(k) for k in range(1, params.d_count + 1)]
     pool_elems.append(elements.CConst())
     triples = []
@@ -177,7 +179,7 @@ def enumerate_terms(
     max_depth: int,
     triple_pool: Sequence[tuple[Element, Element, Element]],
     params: Params,
-    cap: int = DEFAULT_TERM_CAP,
+    cap: int = errors.DEFAULT_TERM_CAP,
 ) -> Iterator[Term]:
     """Every constant-free term with variables among x0..x{num_vars-1} and
     depth <= max_depth, each exactly once, in canonical order."""
@@ -187,28 +189,24 @@ def enumerate_terms(
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     by_depth: list[list[Term]] = []
     cumulative: list[Term] = []
-
-    def check_cap(size: int) -> None:
-        # Every layer is sized before it is built, so a cap that the next
-        # layer would pass raises without allocating it.
-        if len(cumulative) + size > cap:
-            raise BudgetExceededError(
-                f"term enumeration exceeded cap of {cap}: "
-                f"{len(cumulative)} terms emitted and the next layer holds {size}"
-            )
-
-    check_cap(num_vars)
+    # Every layer is sized before it is built, so a cap that the next layer
+    # would pass raises without allocating it.
+    check_budget("term enumeration to depth 0", num_vars, cap, "terms")
     by_depth.append([Var(i) for i in range(num_vars)])
     cumulative.extend(by_depth[0])
     yield from by_depth[0]
     for d in range(1, max_depth + 1):
         prev_cum_len = len(cumulative) - len(by_depth[d - 1])
-        # The unary applications of the previous layer plus the
-        # f-applications with at least one child from it.
-        check_cap(
-            len(by_depth[d - 1]) * (1 + len(triple_pool))
+        # The terms so far, the unary applications of the previous layer
+        # and the f-applications with at least one child from it.
+        check_budget(
+            f"term enumeration to depth {d}",
+            len(cumulative)
+            + len(by_depth[d - 1]) * (1 + len(triple_pool))
             + len(cumulative) ** params.n
-            - prev_cum_len**params.n
+            - prev_cum_len**params.n,
+            cap,
+            "terms",
         )
         layer: list[Term] = []
         for t in by_depth[d - 1]:

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import elements as el
+from . import errors
 from ._grid import SymbolicGrid
 from .cubes import (
-    GRID_CELL_CAP,
     BlockAssignment,
     Cube,
     _first_index,
@@ -29,7 +29,7 @@ from .cubes import (
     term_cube,
 )
 from .elements import Element, Params, element_to_text, sort_key
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_budget
 from .finengine import UnionFind
 from .terms import (
     FApp,
@@ -80,11 +80,13 @@ class VerificationReport:
 
 def check_nfequal(params: Params, domain: Sequence[Element]) -> VerificationReport:
     """Distinct argument tuples with equal f-values must both lie in the
-    base table (f is injective everywhere else)."""
+    base table (f is injective everywhere else).  Each tuple costs an
+    evaluation and a dict entry, as a cell of an f-node does, so the d^n
+    tuples are held to the f-node cap."""
+    scanned = len(domain) ** params.n
+    check_budget("nfequal", scanned, errors.F_NODE_CAP, "tuples")
     by_value: dict[Element, list[tuple[Element, ...]]] = {}
-    scanned = 0
     for args in itertools.product(domain, repeat=params.n):
-        scanned += 1
         by_value.setdefault(el.eval_f(args, params), []).append(args)
     collisions = 0
     for value, tuples in by_value.items():
@@ -124,15 +126,9 @@ def _corner_violation(
 ) -> Optional[tuple[int, ...]]:
     """First assignment (domain indices p1,q1,...,pm,qm) where vertex 1
     equals all adjacent vertices but the cube is not constant."""
-    _check_corner_cells(len(grid.domain) ** (len(free_vars(t)) + 1))
+    cells = len(grid.domain) ** (len(free_vars(t)) + 1)
+    check_budget("corner-lemma line comparisons", cells, errors.GRID_CELL_CAP, "cells")
     return corner_violation_in(grid.eval_codes(t, m))
-
-
-def _check_corner_cells(cells: int) -> None:
-    if cells > GRID_CELL_CAP:
-        raise BudgetExceededError(
-            f"corner-lemma scan needs {cells} cells, above the grid cap of {GRID_CELL_CAP} cells"
-        )
 
 
 def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -149,16 +145,18 @@ def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
     or more members on fewer than two axes is a line of cells equal to
     C[p].  The scan counts the members on each axis, comparing within
     lines (d cells per cell and used block), and builds only the boxes of
-    the cells that pass; both sizes are checked against ``GRID_CELL_CAP``
+    the cells that pass; both sizes are checked against the grid cap
     before they are built."""
-    _check_corner_cells(codes.size * max(codes.shape))
+    cells = codes.size * max(codes.shape)
+    check_budget("corner-lemma line comparisons", cells, errors.GRID_CELL_CAP, "cells")
     # counts[j][p] = |Q_j(p)|
     counts = [
         (np.expand_dims(codes, j) == np.expand_dims(codes, j + 1)).sum(axis=j)
         for j in range(codes.ndim)
     ]
     candidates = np.argwhere(sum(c > 1 for c in counts) > 1)  # lexicographic in p
-    _check_corner_cells(int(np.prod([c[tuple(candidates.T)] for c in counts], axis=0).sum()))
+    cells = int(np.prod([c[tuple(candidates.T)] for c in counts], axis=0).sum())
+    check_budget("corner-lemma boxes", cells, errors.GRID_CELL_CAP, "cells")
     best = None
     for p in map(tuple, candidates.tolist()):
         box = [np.flatnonzero(codes[p[:j] + (slice(None),) + p[j + 1:]] == codes[p])

@@ -285,7 +285,7 @@ def test_paper_verify_budget_counts_the_atoms(capsys):
     assert main(argv) == EXIT_RESOURCE
     out = capsys.readouterr()
     assert out.out == ""
-    assert "exceeded cap of 3 elements" in out.err
+    assert "bounded subuniverse needs 12 elements, above the cap of 3 elements" in out.err
 
 
 def test_paper_verify_rejects_an_unwritable_out_before_any_check(tmp_path, monkeypatch):
@@ -305,7 +305,7 @@ def test_a_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
     out.write_bytes(b"earlier reports\n")
     argv = ["paper-verify", "--n", "3", "--max-depth", "2", "--out", str(out)]
     assert main(argv) == EXIT_RESOURCE
-    assert "term enumeration exceeded cap" in capsys.readouterr().err
+    assert "term enumeration to depth 2 needs 60746013 terms" in capsys.readouterr().err
     assert out.read_bytes() == b"earlier reports\n"
 
 
@@ -498,7 +498,7 @@ def test_a_budget_hit_in_a_worker_exits_2_as_in_a_sequential_run(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         errs[jobs] = out.err
-    assert "term enumeration exceeded cap" in errs["1"]
+    assert "term enumeration to depth 2 needs 60746013 terms" in errs["1"]
     assert errs["2"] == errs["1"]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import commlab.cubes as cubes_mod
+from commlab import errors
 from commlab._grid import SymbolicGrid
 from commlab.cubes import (
     BlockAssignment,
@@ -525,8 +526,8 @@ def test_search_rejects_oversized_space():
     # for the last pair, so at m = 3 a domain of 4473 elements is past the
     # grid cap of 2 * 10**7 cells and one of 4472 is not.
     domain = [AGen(1, j) for j in range(4473)]
-    assert len(domain) ** 2 > cubes_mod.GRID_CELL_CAP >= (len(domain) - 1) ** 2
-    with pytest.raises(BudgetExceededError, match="grid cells"):
+    assert len(domain) ** 2 > errors.GRID_CELL_CAP >= (len(domain) - 1) ** 2
+    with pytest.raises(BudgetExceededError, match="fiber kernel grid needs 20007729 cells"):
         search_tc_witness(3, 1, domain, POOL2, P2)
 
 
@@ -536,7 +537,7 @@ def test_search_admits_a_domain_whose_full_grid_is_past_the_cap():
     # the top commutator's witness is found and replayed.
     p3 = Params(3)
     domain = p3.base_atoms(0) + [AGen(1, j) for j in range(1, 289)]
-    assert len(domain) == 300 and len(domain) ** 3 > cubes_mod.GRID_CELL_CAP
+    assert len(domain) == 300 and len(domain) ** 3 > errors.GRID_CELL_CAP
     w, stats = search_tc_witness(3, 1, domain, default_triple_pool(p3), p3)
     assert w.to_record()["term"] == "f(x0,x1,x2)"
     assert is_tc_failure(w.cube)
@@ -555,7 +556,7 @@ def test_a_scan_that_stops_early_never_reaches_an_over_cap_layer():
     pool = default_triple_pool(P3)
     rep = search_control(P3, atoms, 2, 1, pool)
     assert rep.passed and rep.counts["terms_scanned"] == 372
-    with pytest.raises(BudgetExceededError, match="term enumeration exceeded cap"):
+    with pytest.raises(BudgetExceededError, match="to depth 2 needs 60746013 terms"):
         check_corner_lemma(P3, 3, atoms, 2, pool)
 
 

@@ -214,7 +214,8 @@ def test_bounded_subuniverse_cap():
 
 def test_bounded_subuniverse_cap_counts_the_atoms():
     # no closure round runs at closure depth 0, so only the atoms meet the cap
-    with pytest.raises(BudgetExceededError, match="exceeded cap of 11 elements"):
+    message = "bounded subuniverse needs 12 elements, above the cap of 11 elements"
+    with pytest.raises(BudgetExceededError, match=message):
         bounded_subuniverse(Params(2), 1, 0, cap=11)
     assert bounded_subuniverse(Params(2), 1, 0, cap=12) == Params(2).base_atoms(1)
 

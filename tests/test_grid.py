@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from commlab import _grid
+from commlab import _grid, errors
 from commlab._grid import SymbolicGrid
 from hypothesis import given, settings, strategies as st
 
@@ -180,10 +180,10 @@ def test_f_node_cap_raises_before_it_allocates():
     domain = [AGen(1, j) for j in range(1500)]
     grid = SymbolicGrid(P2, domain)
     t = FApp((Var(0), Var(1)))
-    assert len(domain) ** 2 > _grid.F_NODE_CAP
+    assert len(domain) ** 2 > errors.F_NODE_CAP
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="f-node"):
+        with pytest.raises(BudgetExceededError, match="f-node grid needs 2250000 cells"):
             grid.eval_ids(t, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

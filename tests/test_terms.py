@@ -119,12 +119,13 @@ def test_enumeration_cap_is_exact_at_a_layer_boundary():
 
 
 def test_enumeration_raises_before_an_oversized_layer():
-    # At n = 3 the depth-2 layer over four variables holds about 1.7e8
-    # f-applications; the cap must stop it before any is built.
+    # At n = 3 the depth-2 layer over four variables holds 168,262,852
+    # terms after the 552 of depth <= 1; the cap must stop it before any is
+    # built.
     p3 = Params(3)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="168262852"):
+        with pytest.raises(BudgetExceededError, match="to depth 2 needs 168263404 terms"):
             list(enumerate_terms(4, 2, default_triple_pool(p3), p3))
         _, peak = tracemalloc.get_traced_memory()
     finally:

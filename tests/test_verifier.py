@@ -16,6 +16,7 @@ from commlab.elements import (
 )
 import commlab.cubes as cubes_mod
 import commlab.verifier as verifier_mod
+from commlab import errors
 from commlab.errors import BudgetExceededError, CommlabError
 from commlab._grid import SymbolicGrid
 from commlab.cubes import BlockAssignment, Cube
@@ -221,23 +222,23 @@ def test_corner_scan_above_the_grid_cap_raises_before_it_builds(monkeypatch):
     # cells; the boxes of one odd cell's 8 candidates take 4 * 9 + 4 * 6 =
     # 60.  A cap one below either size refuses the scan, naming the size.
     distinct = np.arange(9, dtype=np.int64).reshape(3, 1, 3)
-    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 26)
+    monkeypatch.setattr(errors, "GRID_CELL_CAP", 26)
     with pytest.raises(BudgetExceededError, match="needs 27 cells"):
         corner_violation_in(distinct)
-    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 27)
+    monkeypatch.setattr(errors, "GRID_CELL_CAP", 27)
     assert corner_violation_in(distinct) is None
     odd = _one_odd_cell(2, 3)
-    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 59)
+    monkeypatch.setattr(errors, "GRID_CELL_CAP", 59)
     with pytest.raises(BudgetExceededError, match="needs 60 cells"):
         corner_violation_in(odd)
-    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", 60)
+    monkeypatch.setattr(errors, "GRID_CELL_CAP", 60)
     assert corner_violation_in(odd) == corner_violation_brute(odd, 2)
     # a term is refused from its free variables, before its codes are built
     grid = SymbolicGrid(P2, ATOMS)
     t = next(t for t in enumerate_terms(2, 1, POOL2, P2) if len(free_vars(t)) == 2)
     built = []
     monkeypatch.setattr(SymbolicGrid, "eval_codes", lambda *args: built.append(args))
-    monkeypatch.setattr(verifier_mod, "GRID_CELL_CAP", len(ATOMS) ** 3 - 1)
+    monkeypatch.setattr(errors, "GRID_CELL_CAP", len(ATOMS) ** 3 - 1)
     with pytest.raises(BudgetExceededError, match=f"needs {len(ATOMS) ** 3} cells"):
         verifier_mod._corner_violation(grid, t, 2)
     assert built == []
