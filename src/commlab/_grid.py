@@ -239,6 +239,7 @@ class SymbolicGrid:
         rows = [self._arg_rows(arg, pos, m) for pos, arg in enumerate(args)]
         classes, cell_fiber = _distinct_tuples([row_class for _, row_class in rows])
         fibers = _codes([reduced[c] for (reduced, _), c in zip(rows, classes)])
+        cell_fiber = cell_fiber.astype(np.min_scalar_type(classes[0].size - 1), copy=False)
         return (
             np.broadcast_to(fibers, (classes[0].size, d)),
             np.broadcast_to(cell_fiber, (d,) * (m - 1)),
@@ -302,19 +303,29 @@ def _pack(arrays: list[np.ndarray]) -> np.ndarray:
             code = code * base + a
         return code
     full = np.broadcast_arrays(*arrays)
-    flat = np.stack([c.ravel() for c in full], axis=1)
-    _, code = np.unique(flat, axis=0, return_inverse=True)
+    _, code = _unique_rows(np.stack([c.ravel() for c in full], axis=1))
     return code.reshape(full[0].shape)
 
 
 def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """The distinct tuples of the arrays' entries over their broadcast shape,
     in lexicographic order and as one 1-D array per input, and the index of
-    each cell's tuple among them, in that shape."""
+    each cell's tuple among them, in that shape.
+
+    While the positional codes span no more values than there are cells, a
+    counting pass over that span numbers them, and no sort is needed."""
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    _, first, inverse = np.unique(
-        _pack(arrays).ravel(), return_index=True, return_inverse=True
-    )
+    code = _pack(arrays).ravel()
+    base = max(int(a.max()) for a in arrays) + 1
+    if base ** len(arrays) <= code.size:
+        seen = np.zeros(base ** len(arrays), dtype=bool)
+        seen[code] = True
+        distinct = np.flatnonzero(seen)
+        rank = np.zeros(seen.size, dtype=np.min_scalar_type(distinct.size - 1))
+        rank[distinct] = np.arange(distinct.size)
+        tuples = np.unravel_index(distinct, (base,) * len(arrays))
+        return list(tuples), rank[code].reshape(shape)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     at = np.unravel_index(first, shape)
     return [np.broadcast_to(a, shape)[at] for a in arrays], inverse.reshape(shape)
 
@@ -362,5 +373,39 @@ def _row_classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which labels are 0 or 1.  A row of length 1 reduces to 0, 1 or 2."""
     rows = labels.reshape(-1, labels.shape[-1])
     reduced = np.where(rows <= 1, rows, 2 + _first_occurrence(rows))
-    distinct, inverse = np.unique(reduced, axis=0, return_inverse=True)
+    distinct, inverse = _unique_rows(reduced)
     return distinct, inverse.reshape(labels.shape[:-1])
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row unique of a 2-D integer or bool array, with its inverse, as
+    numpy returns them: the distinct rows in lexicographic order, and the
+    1-D index of each row among them.
+
+    Numpy's row unique compares rows field by field.  Here each row is one
+    opaque key, its bytes, read as one unsigned integer when they fit in 8
+    (numpy sorts those far faster than bytes), and one sort of the keys
+    finds the distinct rows.  Key order is not numeric order, so only the
+    distinct rows are then sorted by value."""
+    k, w = rows.shape
+    if k == 0 or w == 0:  # no key of zero width: no rows, or all rows equal
+        return rows[: min(k, 1)], np.zeros(k, dtype=np.intp)
+    rows = np.ascontiguousarray(rows)
+    width = rows.itemsize * w
+    if width <= 8:
+        keys = np.zeros((k, 8), dtype=np.uint8)
+        keys[:, :width] = rows.view(np.uint8)
+        keys = keys.view(np.uint64)
+    else:
+        keys = rows.view(np.dtype((np.void, width)))
+    order = keys.ravel().argsort()
+    srt = rows[order]
+    new = np.ones(k, dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    distinct = srt[new]
+    by_value = np.lexsort(distinct.T[::-1])
+    rank = np.empty_like(by_value)
+    rank[by_value] = np.arange(by_value.size)
+    inverse = np.empty(k, dtype=np.intp)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    return distinct[by_value], inverse

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import errors
-from ._grid import SymbolicGrid, _first_occurrence
+from ._grid import SymbolicGrid, _first_occurrence, _unique_rows
 from .elements import Element, Params, element_to_text
 from .errors import BudgetExceededError, CommlabError, check_budget
 from .terms import Term, enumerate_terms, eval_term, term_to_text
@@ -136,17 +136,16 @@ def _fiber_signatures(
     Signature 0: injective fiber (equal only on the diagonal).  Signature 1:
     constant fiber (always equal).  Further signatures are the distinct
     canonical partitions of the remaining fibers, in lexicographic order.
-    Only the given fibers are sorted, however many cells share them."""
+    Only the given fibers are sorted, however many cells share them.  The
+    signatures take the smallest unsigned dtype that holds them."""
     srt = np.sort(fibers, axis=1)
     injective = (np.diff(srt, axis=1) != 0).all(axis=1)
     constant = srt[:, 0] == srt[:, -1]
     other = ~injective & ~constant
-    partitions, part_sig = np.unique(
-        _first_occurrence(fibers[other]), axis=0, return_inverse=True
-    )
+    partitions, part_sig = _unique_rows(_first_occurrence(fibers[other]))
     sig = np.where(injective, 0, 1)
-    sig[other] = 2 + part_sig.reshape(-1)
-    return sig[cell_fiber], partitions
+    sig[other] = 2 + part_sig
+    return sig.astype(np.min_scalar_type(len(partitions) + 1))[cell_fiber], partitions
 
 
 def _pair_bs(partitions: np.ndarray, d: int) -> np.ndarray:
@@ -154,15 +153,15 @@ def _pair_bs(partitions: np.ndarray, d: int) -> np.ndarray:
     says whether signature s is equal at p and q.  A b depends only on the
     classes of values that every partition labels alike, and is all-true on
     partitions for the pairs inside one class."""
-    classes = np.unique(partitions.T, axis=0)
+    classes, _ = _unique_rows(partitions.T)
     n_classes, n_parts = classes.shape
     part_bs = [np.ones((int(n_classes < d), n_parts), dtype=bool)]
     ci, cj = np.triu_indices(n_classes, 1)
     step = max(1, _PAIR_BLOCK_CELLS // max(n_parts, 1))
     for s in range(0, ci.size, step):
         eq = classes[ci[s : s + step]] == classes[cj[s : s + step]]
-        part_bs.append(np.unique(eq, axis=0))
-    part_b = np.unique(np.concatenate(part_bs), axis=0)
+        part_bs.append(_unique_rows(eq)[0])
+    part_b, _ = _unique_rows(np.concatenate(part_bs))
     fixed = np.zeros((len(part_b), 2), dtype=bool)
     fixed[:, 1] = True  # injective fibers differ at p and q, constant ones do not
     return np.concatenate((fixed, part_b), axis=1)
@@ -210,8 +209,8 @@ def _fiber_witness(
     a_of = _pair_bs(partitions, d)
     b_of, hit = ~a_of, []
     while sig.ndim:
-        rows, row_of = np.unique(sig.reshape(d, -1), axis=0, return_inverse=True)
-        rows, row_of = rows.reshape(-1, *sig.shape[1:]), row_of.reshape(-1)
+        rows, row_of = _unique_rows(sig.reshape(d, -1))
+        rows = rows.reshape(-1, *sig.shape[1:])
         related = np.zeros((len(rows), len(rows)), dtype=bool)
         step = max(1, _PAIR_BLOCK_CELLS // (len(rows) * max(len(rows), rows[0].size)))
         for s in range(0, len(a_of), step):
@@ -222,8 +221,12 @@ def _fiber_witness(
         p = int(np.argmax(related.any(axis=1)[row_of]))
         q = int(np.argmax(related[row_of[p]][row_of]))
         hit += [p, q]
-        pairs, sig = np.unique(sig[p] * a_of.shape[1] + sig[q], return_inverse=True)
-        sp, sq, sig = *divmod(pairs, a_of.shape[1]), sig.reshape(rows.shape[1:])
+        # int64 first: a narrow signature dtype would wrap
+        pairs, sig = np.unique(
+            sig[p].astype(np.int64) * a_of.shape[1] + sig[q], return_inverse=True
+        )
+        sp, sq = divmod(pairs, a_of.shape[1])
+        sig = sig.astype(np.min_scalar_type(pairs.size - 1)).reshape(rows.shape[1:])
         a_of, b_of = a_of[:, sp] & a_of[:, sq], a_of[:, sp] & b_of[:, sq]
 
     def equal(cell: tuple[int, ...]) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from commlab import _grid, errors
 from commlab._grid import SymbolicGrid
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from commlab.elements import AGen, BGen, CConst, DConst, Params, Tagged, bounded_subuniverse
 from commlab.errors import BudgetExceededError
@@ -347,3 +348,76 @@ def test_a_fresh_f_value_takes_the_id_of_an_equal_outside_value(triple_first):
     for sub in (inner, t):
         id_values.record(sub, 2, ATOM_CELLS)
     assert id_values.value[int(ids[k, k])] == DConst(1)
+
+
+def _assert_numpy_row_unique(rows):
+    distinct, inverse = _grid._unique_rows(rows)
+    expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert distinct.dtype == expected.dtype
+    assert distinct.shape == expected.shape
+    assert np.array_equal(distinct, expected)
+    assert inverse.shape == (rows.shape[0],)
+    assert np.array_equal(inverse, expected_inverse.reshape(-1))
+
+
+# Entries a few apart, so rows repeat, and entries whose bytes sort unlike
+# their values: negative int64s after the positive ones, 256 before 1.
+_ROW_ENTRIES = {
+    np.int64: st.one_of(
+        st.integers(-2, 2), st.sampled_from([-(2**63), -256, 256, 2**63 - 1])
+    ),
+    np.uint8: st.sampled_from([0, 1, 2, 127, 128, 255]),
+    np.bool_: st.booleans(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(_ROW_ENTRIES)).flatmap(
+        lambda dtype: hnp.arrays(
+            dtype,
+            st.tuples(st.integers(0, 12), st.integers(0, 5)),
+            elements=_ROW_ENTRIES[dtype],
+        )
+    ),
+    st.booleans(),
+)
+def test_unique_rows_is_numpys_row_unique(rows, transposed):
+    # transposed: a view that is not C-contiguous, as a transpose passes it
+    _assert_numpy_row_unique(rows.T if transposed else rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.zeros((0, 3), dtype=np.int64),
+        np.zeros((4, 0), dtype=np.int64),
+        np.zeros((0, 0), dtype=np.uint8),
+        np.array([[3], [-1], [3], [0]], dtype=np.int64),
+        np.full((5, 4), -7, dtype=np.int64),
+        np.ones((3, 2), dtype=bool),
+    ],
+    ids=["no-rows", "no-columns", "empty", "one-column", "all-equal", "all-equal-bool"],
+)
+def test_unique_rows_edge_shapes(rows):
+    _assert_numpy_row_unique(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[
+        hnp.arrays(np.int64, st.sampled_from([(1, 1), (4, 1), (1, 5), (4, 5)]),
+                   elements=st.integers(0, 9))
+        for _ in range(n)
+    ])
+))
+def test_distinct_tuples_match_a_row_unique_of_every_cell(arrays):
+    # Small grids over labels up to 9 take both ways: counted where the
+    # codes span no more values than there are cells, sorted otherwise.
+    full = np.broadcast_arrays(*arrays)
+    expected, expected_inverse = np.unique(
+        np.stack([a.ravel() for a in full], axis=1), axis=0, return_inverse=True
+    )
+    tuples, inverse = _grid._distinct_tuples(list(arrays))
+    assert np.array_equal(np.stack(tuples, axis=1), expected)
+    assert np.array_equal(inverse, expected_inverse.reshape(full[0].shape))
