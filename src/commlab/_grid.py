@@ -239,7 +239,6 @@ class SymbolicGrid:
         rows = [self._arg_rows(arg, pos, m) for pos, arg in enumerate(args)]
         classes, cell_fiber = _distinct_tuples([row_class for _, row_class in rows])
         fibers = _codes([reduced[c] for (reduced, _), c in zip(rows, classes)])
-        cell_fiber = cell_fiber.astype(np.min_scalar_type(classes[0].size - 1), copy=False)
         return (
             np.broadcast_to(fibers, (classes[0].size, d)),
             np.broadcast_to(cell_fiber, (d,) * (m - 1)),
@@ -291,32 +290,34 @@ def _strip_wrappers(t: terms.Term) -> terms.Term:
     return t
 
 
-def _pack(arrays: list[np.ndarray]) -> np.ndarray:
+def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """One int64 code per cell of the arrays' broadcast shape, equal where
-    the tuples of their entries are equal and ordered like those tuples.
-    The positional pack needs base**len(arrays) <= 2**63; past that the
-    distinct tuples are numbered instead, so no code wraps."""
+    the tuples of their entries are equal and ordered like those tuples,
+    and the base, one more than the largest entry.  The positional pack
+    needs base**len(arrays) <= 2**63; past that the distinct tuples are
+    numbered instead, so no code wraps."""
     base = max(int(a.max()) for a in arrays) + 1
     if base ** len(arrays) <= 2**63:
         code = arrays[0].astype(np.int64)
         for a in arrays[1:]:
             code = code * base + a
-        return code
+        return code, base
     full = np.broadcast_arrays(*arrays)
     _, code = _unique_rows(np.stack([c.ravel() for c in full], axis=1))
-    return code.reshape(full[0].shape)
+    return code.reshape(full[0].shape), base
 
 
 def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """The distinct tuples of the arrays' entries over their broadcast shape,
     in lexicographic order and as one 1-D array per input, and the index of
-    each cell's tuple among them, in that shape.
+    each cell's tuple among them, in that shape and in the smallest unsigned
+    dtype that holds it.
 
     While the positional codes span no more values than there are cells, a
     counting pass over that span numbers them, and no sort is needed."""
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    code = _pack(arrays).ravel()
-    base = max(int(a.max()) for a in arrays) + 1
+    code, base = _pack(arrays)
+    code = code.ravel()
     if base ** len(arrays) <= code.size:
         seen = np.zeros(base ** len(arrays), dtype=bool)
         seen[code] = True
@@ -327,13 +328,14 @@ def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.nda
         return list(tuples), rank[code].reshape(shape)
     _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     at = np.unravel_index(first, shape)
+    inverse = inverse.astype(np.min_scalar_type(first.size - 1), copy=False)
     return [np.broadcast_to(a, shape)[at] for a in arrays], inverse.reshape(shape)
 
 
 def _codes(labels: list[np.ndarray]) -> np.ndarray:
     """Equality codes from the pattern labels of f's n >= 2 arguments, in
     their broadcast shape."""
-    code = _pack(labels)
+    code, _ = _pack(labels)
     # Cells whose arguments lie in f0's domain (labels 0 and 1) take a
     # d-value; off the domain f tags its argument tuple, so the d-values
     # get negative codes, apart from every nonnegative label code.

@@ -421,3 +421,4 @@ def test_distinct_tuples_match_a_row_unique_of_every_cell(arrays):
     tuples, inverse = _grid._distinct_tuples(list(arrays))
     assert np.array_equal(np.stack(tuples, axis=1), expected)
     assert np.array_equal(inverse, expected_inverse.reshape(full[0].shape))
+    assert inverse.dtype == np.min_scalar_type(len(expected) - 1)
