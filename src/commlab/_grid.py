@@ -4,11 +4,12 @@ Every value the grid meets has an integer id, and evaluation handles ids
 only, so term values over a whole assignment grid become numpy gathers.
 
 - f is a hash-cons table from the tuple of its argument ids to the id of its
-  value (Filliatre and Conchon, "Type-safe modular hash-consing", 2006).  Off
-  its base table f tags every argument tuple with a fresh value, so such a
-  value is the same thing as its argument tuple: a tuple outside f0's domain
-  gets a fresh id and its argument ids are recorded, with no ``Element``
-  built.  A tuple in f0's domain interns its d-constant.
+  value (Filliatre and Conchon, "Type-safe modular hash-consing", 2006).  The
+  table starts with f0's 2^n rows, read from ``elements.f0_value``.  Off
+  them f tags every argument tuple with a fresh value, so such a value is
+  the same thing as its argument tuple: every other tuple gets a fresh id,
+  in bulk, with no ``Element`` built.  The codes below read the d-values
+  from the same rows.
 - Atoms are interned through a dict.  A ``Tagged`` value from outside (a
   domain element or a triple coordinate) interns its arguments and goes
   through f's table, so ids are equal exactly when the values are.
@@ -37,6 +38,7 @@ label array.  Ids stay valid because interning only appends.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Iterable, Optional
 
@@ -66,6 +68,13 @@ class SymbolicGrid:
         n = params.n
         self._a_ids = [self.intern(elements.AGen(i, 0)) for i in range(1, n + 1)]
         self._b_ids = [self.intern(elements.BGen(i, 0)) for i in range(1, n + 1)]
+        # f's base table: the d id of each row, and its code -d.k indexed
+        # by the row's b-bits, first position most significant
+        self._f0_codes = np.empty(2**n, dtype=np.int64)
+        for bits, key in enumerate(itertools.product(*zip(self._a_ids, self._b_ids))):
+            d = elements.f0_value([self._elems[i] for i in key], params)
+            self._f_cache[key] = self.intern(d)
+            self._f0_codes[bits] = -d.k
         self._domain_ids = np.array([self.intern(e) for e in self.domain], dtype=np.int64)
         if np.unique(self._domain_ids).size != len(self.domain):
             raise ValueError("domain contains duplicates")
@@ -76,26 +85,25 @@ class SymbolicGrid:
             # value would take the id of the well-formed one
             if not elements.well_formed(e, self.params):
                 raise ValueError(f"ill-formed tagged value {elements.element_to_text(e)}")
-            return self._f(tuple(self.intern(a) for a in e.args))
+            return self._f([tuple(self.intern(a) for a in e.args)])[0]
         i = self._atoms.get(e)
         if i is None:
-            i = self._atoms[e] = self._new_id(e)
+            i = self._atoms[e] = len(self._elems)
+            self._elems.append(e)
         return i
 
-    def _new_id(self, e: Optional[Element]) -> int:
-        self._elems.append(e)
-        return len(self._elems) - 1
-
-    def _f(self, key: tuple[int, ...]) -> int:
-        """The id of f's value at the argument ids key."""
-        i = self._f_cache.get(key)
-        if i is None:
-            if all(k == a or k == b for k, a, b in zip(key, self._a_ids, self._b_ids)):
-                i = self.intern(elements.f0_value([self._elems[k] for k in key], self.params))
-            else:
-                i = self._new_id(None)
-            self._f_cache[key] = i
-        return i
+    def _f(self, keys: list[tuple[int, ...]]) -> list[int]:
+        """The ids of f's values at the argument-id keys.  f0's rows are in
+        the table from the start, so a key not yet in it lies off f0 and
+        takes a fresh id: the new keys get consecutive ids, in one step."""
+        ids = list(map(self._f_cache.get, keys))  # most keys are known
+        if None in ids:
+            new = dict.fromkeys(key for key, i in zip(keys, ids) if i is None)
+            start = len(self._elems)
+            self._f_cache.update(zip(new, range(start, start + len(new))))
+            self._elems.extend([None] * len(new))
+            ids = list(map(self._f_cache.get, keys))
+        return ids
 
     def _map_unary(self, cache: dict[int, int], on_atom: Callable, arr: np.ndarray) -> np.ndarray:
         """arr under a unary operation that fixes every f-value and is
@@ -176,11 +184,7 @@ class SymbolicGrid:
         cells = math.prod(np.broadcast_shapes(*(c.shape for c in children)))
         check_budget("f-node grid", cells, errors.F_NODE_CAP, "cells")
         rows, inverse = _distinct_tuples(children)
-        keys = list(zip(*(r.tolist() for r in rows)))
-        ids = list(map(self._f_cache.get, keys))  # most tuples are known
-        for pos, i in enumerate(ids):
-            if i is None:
-                ids[pos] = self._f(keys[pos])
+        ids = self._f(list(zip(*(r.tolist() for r in rows))))
         return np.array(ids, dtype=np.int64)[inverse]
 
     def eval_codes(self, t: terms.Term, m: int) -> np.ndarray:
@@ -194,7 +198,8 @@ class SymbolicGrid:
         ids, renumbered by first occurrence with the position's a and b ids
         pinned to 0 and 1."""
         args = _strip_wrappers(t).args
-        return _codes([self._arg_labels(arg, pos, m)[0] for pos, arg in enumerate(args)])
+        labels = [self._arg_labels(arg, pos, m)[0] for pos, arg in enumerate(args)]
+        return _codes(labels, self._f0_codes)
 
     def _arg_labels(self, arg: terms.Term, pos: int, m: int) -> tuple[np.ndarray, int]:
         """The read-only pinned labels of an f-argument at a position, and
@@ -238,7 +243,7 @@ class SymbolicGrid:
         args = _strip_wrappers(t).args
         rows = [self._arg_rows(arg, pos, m) for pos, arg in enumerate(args)]
         classes, cell_fiber = _distinct_tuples([row_class for _, row_class in rows])
-        fibers = _codes([reduced[c] for (reduced, _), c in zip(rows, classes)])
+        fibers = _codes([reduced[c] for (reduced, _), c in zip(rows, classes)], self._f0_codes)
         return (
             np.broadcast_to(fibers, (classes[0].size, d)),
             np.broadcast_to(cell_fiber, (d,) * (m - 1)),
@@ -332,21 +337,19 @@ def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.nda
     return [np.broadcast_to(a, shape)[at] for a in arrays], inverse.reshape(shape)
 
 
-def _codes(labels: list[np.ndarray]) -> np.ndarray:
+def _codes(labels: list[np.ndarray], f0_codes: np.ndarray) -> np.ndarray:
     """Equality codes from the pattern labels of f's n >= 2 arguments, in
-    their broadcast shape."""
+    their broadcast shape; ``f0_codes`` is the grid's base-table codes."""
     code, _ = _pack(labels)
     # Cells whose arguments lie in f0's domain (labels 0 and 1) take a
     # d-value; off the domain f tags its argument tuple, so the d-values
     # get negative codes, apart from every nonnegative label code.
     in_dmn = functools.reduce(np.logical_and, [lab <= 1 for lab in labels])
     if np.any(in_dmn):
-        k = 0
-        for lab in labels[:-1]:
-            k = 2 * k + (lab == 1)
-        # the last argument counts only when all the others are b's
-        d_index = k + ((k == 2 ** (len(labels) - 1) - 1) & (labels[-1] == 1))
-        code = np.where(in_dmn, -1 - d_index, code)
+        bits = 0
+        for lab in labels:
+            bits = 2 * bits + (lab == 1)
+        code = np.where(in_dmn, f0_codes[bits], code)
     return code
 
 

@@ -9,8 +9,8 @@ values here are immutable; structural equality is element equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 from .errors import DEFAULT_ELEMENT_CAP, DomainError, InvalidTripleError, check_budget
 

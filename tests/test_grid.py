@@ -9,7 +9,16 @@ from commlab._grid import SymbolicGrid
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from commlab.elements import AGen, BGen, CConst, DConst, Params, Tagged, bounded_subuniverse
+from commlab.elements import (
+    AGen,
+    BGen,
+    CConst,
+    DConst,
+    Params,
+    Tagged,
+    bounded_subuniverse,
+    f0_value,
+)
 from commlab.errors import BudgetExceededError
 from commlab.terms import (
     Const,
@@ -231,6 +240,30 @@ def test_eval_codes_equality_is_value_equality():
         codes = np.broadcast_to(grid.eval_codes(t, 2), full)
         ids = np.broadcast_to(grid.eval_ids(t, 2), full)
         assert _first_occurrence_relabel(codes) == _first_occurrence_relabel(ids)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_eval_codes_match_the_term_evaluator_on_f0s_rows(n):
+    # Over the 2n generators a(i,0), b(i,0) the root f(x0, ..., x(n-1))
+    # meets every row of f0's table, the all-b row included, so every
+    # d-value's code is read from the grid's base table.
+    p = Params(n)
+    gens = [AGen(i, 0) for i in range(1, n + 1)] + [BGen(i, 0) for i in range(1, n + 1)]
+    grid = SymbolicGrid(p, gens)
+    for row in itertools.product(*zip(gens[:n], gens[n:])):
+        key = tuple(grid.intern(e) for e in row)
+        assert grid._f_cache[key] == grid.intern(f0_value(row, p))
+    t = FApp(tuple(Var(i) for i in range(n)))
+    cells = list(itertools.product(range(2 * n), repeat=n))
+    codes = np.broadcast_to(grid.eval_codes(t, n), (2 * n,) * n).ravel().tolist()
+    code_of = {}
+    for code, value in zip(codes, _term_values(t, p, gens, cells), strict=True):
+        assert code_of.setdefault(value, code) == code  # equal values, equal codes
+        if isinstance(value, DConst):
+            assert code == -value.k
+    assert len(set(code_of.values())) == len(code_of)  # and the other way round
+    d_values = {v for v in code_of if isinstance(v, DConst)}
+    assert d_values == {DConst(k) for k in range(1, p.d_count + 1)}
 
 
 @pytest.mark.parametrize("m", [2, 3])
