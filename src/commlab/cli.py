@@ -177,8 +177,9 @@ def cmd_paper_verify(args) -> int:
         max_depth=args.max_depth, budget=args.budget,
         seed=args.seed, jobs=args.jobs, fmt=args.format, out=args.out,
         include_timing=not args.no_timing,
-    )
-    # opened before any check runs, and emptied only once the reports are ready
+    ).resolve()
+    # opened once the bounds are valid but before any check runs, and
+    # emptied only once the reports are ready
     stream = open(config.out, "a") if config.out else sys.stdout
     try:
         reports = run_paper_verify(config)

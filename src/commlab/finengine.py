@@ -7,6 +7,7 @@ first argument most significant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,6 +54,22 @@ class FiniteAlgebra:
     @classmethod
     def from_tables(cls, size: int, ops: Iterable[tuple[str, int, Sequence[int]]]):
         return cls(size, tuple(Operation(s, a, tuple(t)) for s, a, t in ops))
+
+    @functools.cached_property
+    def translations(self) -> np.ndarray:
+        """Every basic translation x -> op(c1, .., x, .., ck) as one row of the
+        s images, for each operation, argument position and constant tuple."""
+        s = self.size
+        rows = [np.empty((0, s), dtype=np.intp)]
+        for op in self.operations:
+            if op.arity == 0:
+                continue
+            table = np.array(op.table, dtype=np.intp).reshape((s,) * op.arity)
+            for pos in range(op.arity):
+                rows.append(table.swapaxes(pos, -1).reshape(-1, s))
+        images = np.concatenate(rows)
+        images.flags.writeable = False  # shared by every cg call on this algebra
+        return images
 
 
 class UnionFind:
@@ -131,33 +148,19 @@ class Congruence:
         return len(self.blocks) == 1
 
 
-def _translations(alg: FiniteAlgebra) -> np.ndarray:
-    """Every basic translation x -> op(c1, .., x, .., ck) as one row of the
-    s images, for each operation, argument position and constant tuple."""
-    s = alg.size
-    rows = [np.empty((0, s), dtype=np.intp)]
-    for op in alg.operations:
-        if op.arity == 0:
-            continue
-        table = np.array(op.table, dtype=np.intp).reshape((s,) * op.arity)
-        for pos in range(op.arity):
-            rows.append(table.swapaxes(pos, -1).reshape(-1, s))
-    return np.concatenate(rows)
-
-
 def cg(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing the pairs: union-find rounds over the
-    translation table.  Each round labels every element by its class root,
-    gathers the labels of all translation images, and unions the image
-    pairs whose labels differ from those of the class root's images, until
-    none do."""
+    algebra's translations.  Each round labels every element by its class
+    root, gathers the labels of all translation images, and unions the
+    image pairs whose labels differ from those of the class root's images,
+    until none do."""
     s = alg.size
     uf = UnionFind(s)
     for a, b in pairs:
         if not (0 <= a < s and 0 <= b < s):
             raise ValueError(f"pair ({a}, {b}) outside universe 0..{s - 1}")
         uf.union(a, b)
-    images = _translations(alg)
+    images = alg.translations
     while True:
         labels = np.array([uf.find(x) for x in range(s)], dtype=np.intp)
         image_labels = labels[images]
@@ -167,14 +170,6 @@ def cg(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
             return Congruence.from_union_find(uf, s)
         for a, b in zip(image_labels[bad].tolist(), root_labels[bad].tolist()):
             uf.union(a, b)
-
-
-def _digits_within(s: int, bound: int) -> int:
-    """Largest k with s**k <= bound, for s >= 2."""
-    k, power = 0, s
-    while power <= bound:
-        k, power = k + 1, power * s
-    return k
 
 
 class _CubeBitmap:
@@ -216,48 +211,33 @@ class _CubeBitmap:
 
 
 class _CubeCodeSet:
-    """Cube membership as a set of packed codes, for universes whose
-    s**nverts codes are too many for a bitmap.  The vertices are split into
-    words of k digits with s**k <= 2**63, so no word wraps int64, and word
-    tuples sort like the vertex tuples they pack."""
+    """Cube membership as a set of row bytes, for universes whose s**nverts
+    codes are too many for a bitmap.  Each vertex is stored big-endian in the
+    least unsigned width that holds s - 1, so byte order is vertex order."""
 
     def __init__(self, s: int, nverts: int, cap: int):
-        self.s, self.cap = s, cap
-        k = _digits_within(s, 2**63)
-        self.spans = [(lo, min(lo + k, nverts)) for lo in range(0, nverts, k)]
-        self.weights = [
-            s ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64) for lo, hi in self.spans
-        ]
-        self.seen: set[tuple[int, ...]] = set()
-        self.new: set[tuple[int, ...]] = set()
-
-    @property
-    def count(self) -> int:
-        return len(self.seen)
+        self.nverts, self.cap = nverts, cap
+        self.dtype = np.min_scalar_type(s - 1).newbyteorder(">")
+        self.row = np.dtype((np.void, self.dtype.itemsize * nverts))
+        self.seen: set[bytes] = set()
+        self.new: set[bytes] = set()
 
     def add(self, cubes: np.ndarray) -> None:
-        words = np.stack(
-            [cubes[..., lo:hi] @ w for (lo, hi), w in zip(self.spans, self.weights)],
-            axis=-1,
-        )
-        for key in map(tuple, words.reshape(-1, len(self.spans)).tolist()):
-            if key not in self.seen:
-                self.new.add(key)
+        rows = np.ascontiguousarray(cubes.reshape(-1, self.nverts), dtype=self.dtype)
+        self.new |= set(rows.view(self.row).ravel().tolist()).difference(self.seen)
         check_budget("cube subpower", len(self.seen) + len(self.new), self.cap, "cubes")
 
     def take_new(self) -> np.ndarray:
         fresh, self.new = self.new, set()
         self.seen |= fresh
-        return self._decode(list(fresh))
+        return self._decode(fresh)
 
     def sorted_cubes(self) -> np.ndarray:
         return self._decode(sorted(self.seen))
 
-    def _decode(self, keys: list) -> np.ndarray:
-        words = np.array(keys, dtype=np.int64).reshape(len(keys), len(self.spans))
-        return np.concatenate(
-            [words[:, j, None] // w % self.s for j, w in enumerate(self.weights)], axis=1
-        )
+    def _decode(self, keys: Iterable[bytes]) -> np.ndarray:
+        rows = np.frombuffer(b"".join(keys), dtype=self.dtype)
+        return rows.reshape(-1, self.nverts).astype(np.intp)
 
 
 # Cubes whose s**(2**m) codes fit below this bound use the bitmap.
@@ -315,20 +295,23 @@ def _generator_cubes(alg: FiniteAlgebra, alphas: Sequence[Congruence]) -> np.nda
     return np.concatenate(cubes)
 
 
-def _closure(
-    alg: FiniteAlgebra, alphas: Sequence[Congruence], cap: int
+def cube_subpower(
+    alg: FiniteAlgebra,
+    alphas: Sequence[Congruence],
+    cap: int = DEFAULT_CUBE_CAP,
 ) -> np.ndarray:
-    """The cube subpower as an (n, 2**m) array in ascending code order,
-    closed semi-naively: each round applies every operation only to the
-    argument tuples that hold a cube found in the round before."""
+    """Subalgebra of the 2^m-th power generated by the block-edge cubes of
+    the given congruences; contains exactly the term cubes.  Returned as an
+    (n, 2**m) intp array with its rows in ascending order.  Closed
+    semi-naively: each round applies every operation only to the argument
+    tuples that hold a cube found in the round before.  Raises
+    BudgetExceededError if and only if it holds more than cap cubes."""
     m = len(alphas)
     if m < 1:
         raise ValueError("need at least one congruence")
     s, nverts = alg.size, 2**m
-    if s == 1 or nverts <= _digits_within(s, _BITMAP_MAX_CODES):
-        members = _CubeBitmap(s, nverts, cap)
-    else:
-        members = _CubeCodeSet(s, nverts, cap)
+    membership = _CubeBitmap if s**nverts <= _BITMAP_MAX_CODES else _CubeCodeSet
+    members = membership(s, nverts, cap)
     members.add(_generator_cubes(alg, alphas))
     tables = [
         (op.arity, np.array(op.table, dtype=np.intp))
@@ -344,18 +327,6 @@ def _closure(
         n_old = len(cubes)
         cubes = np.concatenate([cubes, members.take_new()])
     return members.sorted_cubes()
-
-
-def cube_subpower(
-    alg: FiniteAlgebra,
-    alphas: Sequence[Congruence],
-    cap: int = DEFAULT_CUBE_CAP,
-) -> list[tuple[int, ...]]:
-    """Subalgebra of the 2^m-th power generated by the block-edge cubes of
-    the given congruences; contains exactly the term cubes.  Canonical
-    (sorted) storage order.  Raises BudgetExceededError if and only if it
-    holds more than cap cubes."""
-    return list(map(tuple, _closure(alg, alphas, cap).tolist()))
 
 
 def _forced_pairs(cubes: np.ndarray, delta: Congruence) -> np.ndarray:
@@ -378,7 +349,7 @@ def higher_commutator(
     edges inside delta also has its critical edge inside delta."""
     if len(alphas) < 2:
         raise ValueError("higher commutator needs at least two arguments")
-    cubes = _closure(alg, alphas, cap)
+    cubes = cube_subpower(alg, alphas, cap)
     pairs = np.empty((0, 2), dtype=np.intp)
     delta = Congruence.identity(alg.size)
     while True:
@@ -397,7 +368,7 @@ def tc_holds(
         raise ValueError("dimension must be >= 2")
     if delta.size != alg.size:
         raise ValueError("congruence universe does not match the algebra")
-    cubes = _closure(alg, [Congruence.full(alg.size)] * m, cap)
+    cubes = cube_subpower(alg, [Congruence.full(alg.size)] * m, cap)
     return not len(_forced_pairs(cubes, delta))
 
 
@@ -431,8 +402,6 @@ def supernilpotence_degree(
 def is_simple(alg: FiniteAlgebra) -> bool:
     if alg.size < 2:
         raise ValueError("simplicity is defined for size >= 2")
-    for x in range(alg.size):
-        for y in range(x + 1, alg.size):
-            if not cg(alg, [(x, y)]).is_full:
-                return False
-    return True
+    return all(
+        cg(alg, [pair]).is_full for pair in itertools.combinations(range(alg.size), 2)
+    )

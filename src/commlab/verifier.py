@@ -536,11 +536,12 @@ def run_chain_roundtrips(
     seed: int = 0,
 ) -> VerificationReport:
     """Seeded random (p, q, r) triples: every emitted chain must verify,
-    and one deliberately corrupted chain must be rejected."""
+    and the last one with steps, deliberately corrupted, must be rejected.
+    Without such a chain the control is untried, and the check fails."""
     rng = random.Random(seed)
     checked = 0
     attempts = 0
-    last_good: Optional[MalcevChain] = None
+    last_stepped: Optional[MalcevChain] = None
     while checked < count:
         attempts += 1
         if attempts > 100 * count:
@@ -563,25 +564,28 @@ def run_chain_roundtrips(
                 },
                 counts={"verified": checked},
             )
-        last_good = chain
+        if chain.steps:
+            last_stepped = chain
         checked += 1
     # mutation control: corrupting a step must be caught
-    mutation_ok = True
-    if last_good is not None and last_good.steps:
-        step = last_good.steps[-1]
+    mutation_ok = False
+    if last_stepped is not None:
+        step = last_stepped.steps[-1]
         bad_out = (step.output_pair[0], el.DConst(1))
         if bad_out == step.output_pair:
             bad_out = (step.output_pair[0], el.DConst(2))
         bad = MalcevChain(
-            last_good.source,
-            last_good.steps[:-1] + (ChainStep(step.poly, step.input_index, bad_out),),
-            last_good.target,
+            last_stepped.source,
+            last_stepped.steps[:-1] + (ChainStep(step.poly, step.input_index, bad_out),),
+            last_stepped.target,
         )
         mutation_ok = not verify_chain(bad, params)
     return VerificationReport(
         "simplicity_chains",
         {"n": params.n, "count": count, "seed": seed},
         "pass" if mutation_ok else "fail",
-        counterexample=None if mutation_ok else {"mutation": "accepted"},
+        counterexample=None if mutation_ok else {
+            "mutation": "untried" if last_stepped is None else "accepted"
+        },
         counts={"verified": checked, "mutation_rejected": int(mutation_ok)},
     )

@@ -300,6 +300,16 @@ def test_paper_verify_rejects_an_unwritable_out_before_any_check(tmp_path, monke
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--jobs", "0"), ("--max-depth", "-1"), ("--budget", "0")]
+)
+def test_a_bad_bound_creates_no_out_file(tmp_path, capsys, flag, value):
+    out = tmp_path / "new.jsonl"
+    assert main(["paper-verify", flag, value, "--out", str(out)]) == EXIT_RESOURCE
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
     out = tmp_path / "reports.jsonl"
     out.write_bytes(b"earlier reports\n")

@@ -43,6 +43,13 @@ def full(alg):
     return Congruence.full(alg.size)
 
 
+def subpower_rows(alg, alphas, **kwargs):
+    """cube_subpower's array as the oracle's list of row tuples."""
+    cubes = cube_subpower(alg, alphas, **kwargs)
+    assert cubes.dtype == np.intp and cubes.shape[1:] == (2 ** len(alphas),)
+    return list(map(tuple, cubes.tolist()))
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         FiniteAlgebra.from_tables(2, [("bad", 2, [0, 1, 1])])
@@ -84,6 +91,16 @@ def test_cg_z4():
     assert cg(Z4, [(0, 1)]).is_full
 
 
+def test_translations_are_built_once_per_algebra():
+    z4 = FiniteAlgebra.from_tables(4, [("add", 2, Z4.operations[0].table)])
+    images = z4.translations
+    # x -> c + x and x -> x + c for each constant c
+    assert images.tolist() == [[(c + x) % 4 for x in range(4)] for c in range(4)] * 2
+    assert not images.flags.writeable
+    assert not is_simple(z4) and cg(z4, [(0, 1)]).is_full
+    assert z4.translations is images
+
+
 def test_cg_output_is_compatible():
     rng = random.Random(11)
     for _ in range(30):
@@ -95,7 +112,7 @@ def test_cg_output_is_compatible():
 
 
 def test_cube_subpower_semilattice():
-    cubes = cube_subpower(SEMILATTICE, [full(SEMILATTICE)] * 2)
+    cubes = subpower_rows(SEMILATTICE, [full(SEMILATTICE)] * 2)
     assert cubes == [
         (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
         (0, 1, 0, 0), (0, 1, 0, 1), (1, 0, 0, 0), (1, 0, 1, 0),
@@ -104,7 +121,7 @@ def test_cube_subpower_semilattice():
 
 
 def test_cube_subpower_contains_generators_and_diagonal():
-    cubes = set(cube_subpower(Z2, [full(Z2)] * 2))
+    cubes = set(subpower_rows(Z2, [full(Z2)] * 2))
     for a in range(2):
         for b in range(2):
             assert (a, a, b, b) in cubes
@@ -165,8 +182,8 @@ def test_cube_subpower_cap_boundary(membership):
         (NO_OPS, [full(NO_OPS)] * 2),
     ]
     for alg, alphas in cases:
-        cubes = cube_subpower(alg, alphas)
-        assert cube_subpower(alg, alphas, cap=len(cubes)) == cubes
+        cubes = subpower_rows(alg, alphas)
+        assert subpower_rows(alg, alphas, cap=len(cubes)) == cubes
         with pytest.raises(BudgetExceededError):
             cube_subpower(alg, alphas, cap=len(cubes) - 1)
 
@@ -183,7 +200,7 @@ def test_cube_subpower_matches_naive_oracle(membership):
             [Congruence.full(s)] + [Congruence.identity(s)] * (m - 1),
             [random_partition(rng, s) for _ in range(m)],
         ):
-            assert cube_subpower(alg, alphas) == cube_subpower_naive(alg, alphas), (
+            assert subpower_rows(alg, alphas) == cube_subpower_naive(alg, alphas), (
                 s, m, [(op.arity, op.table) for op in alg.operations],
                 [a.blocks for a in alphas],
             )
@@ -197,34 +214,51 @@ def test_cg_matches_partition_oracle_on_sweep_algebras():
 
 
 def test_cube_subpower_above_the_bitmap_bound():
-    # 2^(2^5) codes: past the bitmap, inside one int64 word
+    # 2^(2^5) codes: past the bitmap, so the cubes are byte keys
     alphas = [full(Z2)] * 5
     assert 2**32 > finengine._BITMAP_MAX_CODES
-    cubes = cube_subpower(Z2, alphas)
+    cubes = subpower_rows(Z2, alphas)
     assert len(cubes) == 2**6
     assert cubes == cube_subpower_naive(Z2, alphas)
 
 
 def test_cube_subpower_codes_past_int64_do_not_wrap():
-    # 2^64 and 4^32 codes: two packed words per cube
+    # 2^64 and 4^32 codes: past what one int64 code could hold
     z2_cases = [[full(Z2)] * 6, [full(Z2)] + [Congruence.identity(2)] * 5]
     for alphas in z2_cases:
-        cubes = cube_subpower(Z2, alphas)
+        cubes = subpower_rows(Z2, alphas)
         assert cubes == cube_subpower_naive(Z2, alphas)
-    assert len(cube_subpower(Z2, z2_cases[0])) == 2**7
+    assert len(subpower_rows(Z2, z2_cases[0])) == 2**7
     four = FiniteAlgebra.from_tables(
         4, [("g", 2, [(3 * i + j) % 4 for i in range(4) for j in range(4)]), ("one", 0, [1])]
     )
     alphas = [Congruence.identity(4)] * 5
-    cubes = cube_subpower(four, alphas)
+    cubes = subpower_rows(four, alphas)
     assert cubes == cube_subpower_naive(four, alphas)
     assert cubes == [(v,) * 32 for v in range(4)]
+
+
+def test_cube_subpower_with_two_byte_vertices():
+    # 300 elements: each vertex takes two bytes, and 255 < 256 must sort
+    # as numbers do, not as their low bytes do
+    s = 300
+    alg = FiniteAlgebra.from_tables(
+        s, [("neg", 1, [s - 1 - x for x in range(s)]), ("top", 0, [s - 1])]
+    )
+    pairs = congruence_from_pairs(s, [(2 * i, 2 * i + 1) for i in range(s // 2)])
+    halves = congruence_from_pairs(s, [(i, i + s // 2) for i in range(s // 2)])
+    alphas = [pairs, halves]
+    assert s ** 4 > finengine._BITMAP_MAX_CODES
+    cubes = cube_subpower(alg, alphas)
+    rows = list(map(tuple, cubes.tolist()))
+    assert rows == sorted(rows) == cube_subpower_naive(alg, alphas)
+    assert cubes.max() == s - 1
 
 
 def test_three_element_binary_algebra_closes_at_dimension_3():
     rng = random.Random(3)
     alg = FiniteAlgebra.from_tables(3, [("g", 2, [rng.randrange(3) for _ in range(9)])])
-    cubes = cube_subpower(alg, [full(alg)] * 3)
+    cubes = subpower_rows(alg, [full(alg)] * 3)
     assert len(cubes) == 3**8 == len(set(cubes))
     rows = np.array(cubes)
     weights = 3 ** np.arange(7, -1, -1)

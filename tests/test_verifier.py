@@ -426,3 +426,37 @@ def test_chain_roundtrips_report():
     rep = run_chain_roundtrips(P2, domain, count=20, seed=3)
     assert rep.passed
     assert rep.counts == {"verified": 20, "mutation_rejected": 1}
+
+
+def _counting_verify_chain(monkeypatch):
+    calls = []
+
+    def counted(chain, params):
+        calls.append(chain)
+        return verify_chain(chain, params)
+
+    monkeypatch.setattr(verifier_mod, "verify_chain", counted)
+    return calls
+
+
+def test_chain_roundtrips_corrupt_a_chain_with_steps(monkeypatch):
+    # at seed 2 the last of the 50 sampled chains has no steps, so the
+    # mutation control must fall back to an earlier chain
+    calls = _counting_verify_chain(monkeypatch)
+    rep = run_chain_roundtrips(P2, bounded_subuniverse(P2, 0, 1), count=50, seed=2)
+    assert not calls[49].steps
+    assert len(calls) == 51
+    assert calls[50].steps and not verify_chain(calls[50], P2)
+    assert rep.passed
+    assert rep.counts == {"verified": 50, "mutation_rejected": 1}
+
+
+def test_chain_roundtrips_without_steps_fail_the_untried_control(monkeypatch):
+    # p, q and r drawn from two d-constants: every r is p or q, so no
+    # chain has a step to corrupt
+    calls = _counting_verify_chain(monkeypatch)
+    rep = run_chain_roundtrips(P2, [DConst(1), DConst(2)], count=5, seed=0)
+    assert len(calls) == 5
+    assert not rep.passed
+    assert rep.counterexample == {"mutation": "untried"}
+    assert rep.counts == {"verified": 5, "mutation_rejected": 0}
