@@ -11,10 +11,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import errors
 from .errors import DEFAULT_CUBE_CAP, CommlabError, check_budget
 
 
@@ -121,12 +122,13 @@ class Congruence:
         return cls(size, (tuple(range(size)),))
 
     @classmethod
-    def from_union_find(cls, uf: UnionFind, size: int) -> "Congruence":
+    def from_labels(cls, labels: Sequence[int]) -> "Congruence":
+        """The partition into elements of equal label.  Grouped in element
+        order, each block is sorted and first seen at its least element."""
         groups: dict[int, list[int]] = {}
-        for x in range(size):
-            groups.setdefault(uf.find(x), []).append(x)
-        blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])
-        return cls(size, tuple(blocks))
+        for x, label in enumerate(labels):
+            groups.setdefault(label, []).append(x)
+        return cls(len(labels), tuple(map(tuple, groups.values())))
 
     def class_map(self) -> list[int]:
         cm = [0] * self.size
@@ -148,28 +150,32 @@ class Congruence:
         return len(self.blocks) == 1
 
 
+def _close(alg: FiniteAlgebra, uf: UnionFind) -> np.ndarray:
+    """Close uf under the algebra's translations and return each element's
+    class root.  Each round labels every element by its root, gathers the
+    labels of all translation images, and unions the image pairs whose
+    labels differ from those of the root's images, until none do."""
+    images = alg.translations
+    while True:
+        labels = np.array([uf.find(x) for x in range(alg.size)], dtype=np.intp)
+        image_labels = labels[images]
+        root_labels = image_labels[:, labels]
+        bad = image_labels != root_labels
+        if not bad.any():
+            return labels
+        for a, b in zip(image_labels[bad].tolist(), root_labels[bad].tolist()):
+            uf.union(a, b)
+
+
 def cg(alg: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence containing the pairs: union-find rounds over the
-    algebra's translations.  Each round labels every element by its class
-    root, gathers the labels of all translation images, and unions the
-    image pairs whose labels differ from those of the class root's images,
-    until none do."""
+    """Least congruence containing the pairs."""
     s = alg.size
     uf = UnionFind(s)
     for a, b in pairs:
         if not (0 <= a < s and 0 <= b < s):
             raise ValueError(f"pair ({a}, {b}) outside universe 0..{s - 1}")
         uf.union(a, b)
-    images = alg.translations
-    while True:
-        labels = np.array([uf.find(x) for x in range(s)], dtype=np.intp)
-        image_labels = labels[images]
-        root_labels = image_labels[:, labels]
-        bad = image_labels != root_labels
-        if not bad.any():
-            return Congruence.from_union_find(uf, s)
-        for a, b in zip(image_labels[bad].tolist(), root_labels[bad].tolist()):
-            uf.union(a, b)
+    return Congruence.from_labels(_close(alg, uf).tolist())
 
 
 class _CubeBitmap:
@@ -178,12 +184,12 @@ class _CubeBitmap:
     current round that are not in `seen`."""
 
     def __init__(self, s: int, nverts: int, cap: int):
-        self.s, self.cap = s, cap
+        self.s, self.nverts, self.cap = s, nverts, cap
         self.weights = s ** np.arange(nverts - 1, -1, -1, dtype=np.int64)
         self.seen = np.zeros(s**nverts, dtype=bool)
         self.new = np.zeros_like(self.seen)
         self.count = 0
-        # upper bound on the cubes in `new`; recounted when it passes the cap
+        # upper bound on the cubes in `new`; recounted when it passes a cap
         self.pending = 0
 
     def add(self, cubes: np.ndarray) -> None:
@@ -191,9 +197,11 @@ class _CubeBitmap:
         codes = codes[~self.seen[codes]]
         self.new[codes] = True
         self.pending += codes.size
-        if self.count + self.pending > self.cap:
+        if self.count + self.pending > min(self.cap, errors.GRID_CELL_CAP // self.nverts):
             self.pending = int(np.count_nonzero(self.new))
-            check_budget("cube subpower", self.count + self.pending, self.cap, "cubes")
+            n = self.count + self.pending
+            check_budget("cube subpower", n, self.cap, "cubes")
+            check_budget("cube subpower", n * self.nverts, errors.GRID_CELL_CAP, "cells")
 
     def take_new(self) -> np.ndarray:
         fresh = np.flatnonzero(self.new)
@@ -225,7 +233,9 @@ class _CubeCodeSet:
     def add(self, cubes: np.ndarray) -> None:
         rows = np.ascontiguousarray(cubes.reshape(-1, self.nverts), dtype=self.dtype)
         self.new |= set(rows.view(self.row).ravel().tolist()).difference(self.seen)
-        check_budget("cube subpower", len(self.seen) + len(self.new), self.cap, "cubes")
+        n = len(self.seen) + len(self.new)
+        check_budget("cube subpower", n, self.cap, "cubes")
+        check_budget("cube subpower", n * self.nverts, errors.GRID_CELL_CAP, "cells")
 
     def take_new(self) -> np.ndarray:
         fresh, self.new = self.new, set()
@@ -305,11 +315,16 @@ def cube_subpower(
     (n, 2**m) intp array with its rows in ascending order.  Closed
     semi-naively: each round applies every operation only to the argument
     tuples that hold a cube found in the round before.  Raises
-    BudgetExceededError if and only if it holds more than cap cubes."""
+    BudgetExceededError once it holds more than cap cubes or more than
+    errors.GRID_CELL_CAP cells (cubes times 2**m), and before it builds the
+    generators if they alone, counted with repeats, pass the cell cap."""
     m = len(alphas)
     if m < 1:
         raise ValueError("need at least one congruence")
     s, nverts = alg.size, 2**m
+    generators = sum(len(b) ** 2 for alpha in alphas for b in alpha.blocks)
+    generators += sum(op.arity == 0 for op in alg.operations)
+    check_budget("cube subpower", generators * nverts, errors.GRID_CELL_CAP, "cells")
     membership = _CubeBitmap if s**nverts <= _BITMAP_MAX_CODES else _CubeCodeSet
     members = membership(s, nverts, cap)
     members.add(_generator_cubes(alg, alphas))
@@ -329,11 +344,11 @@ def cube_subpower(
     return members.sorted_cubes()
 
 
-def _forced_pairs(cubes: np.ndarray, delta: Congruence) -> np.ndarray:
+def _forced_pairs(cubes: np.ndarray, labels: Sequence[int]) -> np.ndarray:
     """Critical edges (last two vertices) of the cubes whose other matched
-    edges lie in delta but whose critical edge does not, as a (k, 2) array."""
-    cm = np.array(delta.class_map(), dtype=np.intp)
-    classes = cm[cubes]
+    edges join elements of equal label but whose critical edge does not, as
+    a (k, 2) array."""
+    classes = np.asarray(labels, dtype=np.intp)[cubes]
     ok = classes[:, -2] != classes[:, -1]
     for t in range(0, cubes.shape[1] - 2, 2):
         ok &= classes[:, t] == classes[:, t + 1]
@@ -346,18 +361,20 @@ def higher_commutator(
     cap: int = DEFAULT_CUBE_CAP,
 ) -> Congruence:
     """Least congruence delta such that every term cube with all matched
-    edges inside delta also has its critical edge inside delta."""
+    edges inside delta also has its critical edge inside delta.  The rounds
+    extend one union-find: close it, then union the critical edges that its
+    labels do not yet join."""
     if len(alphas) < 2:
         raise ValueError("higher commutator needs at least two arguments")
     cubes = cube_subpower(alg, alphas, cap)
-    pairs = np.empty((0, 2), dtype=np.intp)
-    delta = Congruence.identity(alg.size)
+    uf = UnionFind(alg.size)
     while True:
-        forced = _forced_pairs(cubes, delta)
+        labels = _close(alg, uf)
+        forced = _forced_pairs(cubes, labels)
         if not len(forced):
-            return delta
-        pairs = np.concatenate([pairs, forced])
-        delta = cg(alg, pairs.tolist())
+            return Congruence.from_labels(labels.tolist())
+        for a, b in forced.tolist():
+            uf.union(a, b)
 
 
 def tc_holds(
@@ -369,7 +386,7 @@ def tc_holds(
     if delta.size != alg.size:
         raise ValueError("congruence universe does not match the algebra")
     cubes = cube_subpower(alg, [Congruence.full(alg.size)] * m, cap)
-    return not len(_forced_pairs(cubes, delta))
+    return not len(_forced_pairs(cubes, delta.class_map()))
 
 
 def central_series(
@@ -388,15 +405,6 @@ def central_series(
             )
         series.append(theta)
     return series
-
-
-def supernilpotence_degree(
-    alg: FiniteAlgebra, max_m: int, cap: int = DEFAULT_CUBE_CAP
-) -> Optional[int]:
-    for m, theta in zip(itertools.count(2), central_series(alg, max_m, cap=cap)):
-        if theta.is_identity:
-            return m
-    return None
 
 
 def is_simple(alg: FiniteAlgebra) -> bool:

@@ -109,14 +109,6 @@ Term = Union[Var, Const, UApp, UPQRApp, FApp]
 Assignment = Mapping[int, Element]
 
 
-def depth(t: Term) -> int:
-    if isinstance(t, (Var, Const)):
-        return 0
-    if isinstance(t, (UApp, UPQRApp)):
-        return 1 + depth(t.arg)
-    return 1 + max(depth(a) for a in t.args)
-
-
 _FREE_SETS: dict[int, frozenset[int]] = {}
 
 
@@ -179,7 +171,6 @@ def enumerate_terms(
     max_depth: int,
     triple_pool: Sequence[tuple[Element, Element, Element]],
     params: Params,
-    cap: int = errors.DEFAULT_TERM_CAP,
 ) -> Iterator[Term]:
     """Every constant-free term with variables among x0..x{num_vars-1} and
     depth <= max_depth, each exactly once, in canonical order."""
@@ -191,7 +182,7 @@ def enumerate_terms(
     cumulative: list[Term] = []
     # Every layer is sized before it is built, so a cap that the next layer
     # would pass raises without allocating it.
-    check_budget("term enumeration to depth 0", num_vars, cap, "terms")
+    check_budget("term enumeration to depth 0", num_vars, errors.DEFAULT_TERM_CAP, "terms")
     by_depth.append([Var(i) for i in range(num_vars)])
     cumulative.extend(by_depth[0])
     yield from by_depth[0]
@@ -205,7 +196,7 @@ def enumerate_terms(
             + len(by_depth[d - 1]) * (1 + len(triple_pool))
             + len(cumulative) ** params.n
             - prev_cum_len**params.n,
-            cap,
+            errors.DEFAULT_TERM_CAP,
             "terms",
         )
         layer: list[Term] = []

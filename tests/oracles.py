@@ -18,7 +18,7 @@ import numpy as np
 
 from commlab.elements import eval_u
 from commlab.finengine import Congruence, FiniteAlgebra
-from commlab.terms import eval_term
+from commlab.terms import Const, UApp, UPQRApp, Var, eval_term
 
 
 def all_partitions(s: int) -> list[tuple[int, ...]]:
@@ -94,6 +94,15 @@ def scan_terms_naive(terms, m: int, domain: Sequence, params):
                     )
                     return (t, blocks, tuple(cube)), terms_scanned, assignments
     return None, terms_scanned, assignments
+
+
+def depth(t) -> int:
+    """Nesting depth of a term: 0 at a variable or constant."""
+    if isinstance(t, (Var, Const)):
+        return 0
+    if isinstance(t, (UApp, UPQRApp)):
+        return 1 + depth(t.arg)
+    return 1 + max(depth(a) for a in t.args)
 
 
 def count_terms(num_vars: int, max_depth: int, pool_size: int, params) -> int:

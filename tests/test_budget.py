@@ -29,6 +29,10 @@ ATOMS = P2.base_atoms(0)  # 8 elements
 F01 = FApp((Var(0), Var(1)))
 Z4 = FiniteAlgebra.from_tables(4, [("add", 2, [(i + j) % 4 for i in range(4) for j in range(4)])])
 Z4_CUBES = len(cube_subpower(Z4, [Congruence.full(4)] * 2))
+# POINTED's subpower at m = 2 is its 6 distinct generators; its 4 + 4
+# block-edge cubes and its constant cube, counted with repeats, hold 36 cells.
+POINTED = FiniteAlgebra.from_tables(2, [("zero", 0, [0])])
+XOR2 = FiniteAlgebra.from_tables(2, [("xor", 2, [0, 1, 1, 0])])
 ONE_ODD_CELL = np.zeros((3, 3), dtype=np.int64)
 ONE_ODD_CELL[2, 2] = 1
 
@@ -48,15 +52,21 @@ def _code_set_subpower(monkeypatch, cap):
     return cube_subpower(Z4, [Congruence.full(4)] * 2, cap=cap)
 
 
+def _code_set_cells(monkeypatch, cap):
+    monkeypatch.setattr(finengine, "_BITMAP_MAX_CODES", 1)
+    monkeypatch.setattr(errors, "GRID_CELL_CAP", cap)
+    return cube_subpower(Z4, [Congruence.full(4)] * 2)
+
+
 # (what, needed, unit, run(monkeypatch, cap)): one case per check_budget call
 CASES = {
     "terms-depth-0": (
         "term enumeration to depth 0", 3, "terms",
-        lambda mp, cap: list(enumerate_terms(3, 0, POOL2, P2, cap=cap)),
+        _patched("DEFAULT_TERM_CAP", lambda: list(enumerate_terms(3, 0, POOL2, P2))),
     ),
     "terms-depth-1": (
         "term enumeration to depth 1", 56, "terms",
-        lambda mp, cap: list(enumerate_terms(2, 1, POOL2, P2, cap=cap)),
+        _patched("DEFAULT_TERM_CAP", lambda: list(enumerate_terms(2, 1, POOL2, P2))),
     ),
     "triple-pool": (
         "triple pool", 24, "triples",
@@ -101,6 +111,15 @@ CASES = {
         lambda mp, cap: cube_subpower(Z4, [Congruence.full(4)] * 2, cap=cap),
     ),
     "cube-subpower-code-set": ("cube subpower", Z4_CUBES, "cubes", _code_set_subpower),
+    "cube-subpower-generator-cells": (
+        "cube subpower", 36, "cells",
+        _patched("GRID_CELL_CAP", lambda: cube_subpower(POINTED, [Congruence.full(2)] * 2)),
+    ),
+    "cube-subpower-bitmap-cells": (
+        "cube subpower", 4 * Z4_CUBES, "cells",
+        _patched("GRID_CELL_CAP", lambda: cube_subpower(Z4, [Congruence.full(4)] * 2)),
+    ),
+    "cube-subpower-code-set-cells": ("cube subpower", 4 * Z4_CUBES, "cells", _code_set_cells),
 }
 
 
@@ -137,6 +156,19 @@ def test_the_pool_at_n12_raises_before_it_builds():
     try:
         with pytest.raises(BudgetExceededError, match="triple pool needs 8602521600 triples"):
             default_triple_pool(Params(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+
+
+def test_a_cube_subpower_at_m24_raises_before_it_builds():
+    alphas = [Congruence.full(2)] * 24
+    tracemalloc.start()
+    try:
+        # 24 * 4 block-edge cubes of 2**24 vertices each
+        with pytest.raises(BudgetExceededError, match="cube subpower needs 1610612736 cells"):
+            cube_subpower(XOR2, alphas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

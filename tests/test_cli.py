@@ -246,6 +246,18 @@ def test_fin_honours_the_budget_as_cube_cap(tmp_path, capsys, monkeypatch):
     assert main(["fin", "commutator", z4, "--m", "2"]) == EXIT_OK
 
 
+def test_fin_commutator_past_the_cell_cap_exits_2(tmp_path, capsys):
+    # 306 cubes of 2**16 vertices pass the cell cap long before the closure
+    # of 2**17 cubes is built
+    z2 = write_algebra(tmp_path, "z2.json", 2, [("xor", 2, [0, 1, 1, 0])])
+    assert main(["fin", "commutator", z2, "--m", "16"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: cube subpower needs 20054016 cells, above the cap of 20000000 cells"
+    ]
+
+
 def test_fin_series_that_fails_to_descend_exits_2(tmp_path, capsys, monkeypatch):
     def rising(alg, alphas, cap):
         size = alg.size

@@ -14,7 +14,6 @@ from commlab.finengine import (
     cube_subpower,
     higher_commutator,
     is_simple,
-    supernilpotence_degree,
     tc_holds,
 )
 from oracles import (
@@ -293,6 +292,16 @@ def test_ground_truth_simplicity():
     assert is_simple(SEMILATTICE)
 
 
+def test_is_simple_matches_the_congruence_lattice_oracle():
+    rng = random.Random(7)  # 48 simple draws and 12 others
+    verdicts = []
+    for _ in range(60):
+        alg = random_algebra(rng)
+        verdicts.append(is_simple(alg))
+        assert verdicts[-1] == (len(oracle_congruences(alg)) == 2)
+    assert True in verdicts and False in verdicts
+
+
 def test_tc_holds():
     assert tc_holds(Z2, 2, Congruence.identity(2))
     assert not tc_holds(SEMILATTICE, 2, Congruence.identity(2))
@@ -316,8 +325,6 @@ def test_tc_holds_rejects_a_delta_over_another_universe(alg, delta):
 def test_central_series_and_degrees():
     assert [c.blocks for c in central_series(Z2, 4)] == [((0,), (1,))] * 3
     assert [c.blocks for c in central_series(SEMILATTICE, 3)] == [((0, 1),)] * 2
-    assert supernilpotence_degree(Z2, 4) == 2
-    assert supernilpotence_degree(SEMILATTICE, 4) is None
 
 
 def test_higher_commutator_dim3_matches_oracle_on_named_algebras():

@@ -27,11 +27,12 @@ from commlab.terms import (
     UPQRApp,
     Var,
     default_triple_pool,
-    depth,
     enumerate_terms,
     eval_term,
     free_vars,
 )
+
+from oracles import depth
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)

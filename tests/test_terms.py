@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from commlab import errors
 from commlab.elements import AGen, BGen, CConst, DConst, Params, Tagged
 from commlab.errors import BudgetExceededError, InvalidTripleError
 from commlab.terms import (
@@ -13,7 +14,6 @@ from commlab.terms import (
     UPQRApp,
     Var,
     default_triple_pool,
-    depth,
     enumerate_terms,
     eval_poly,
     eval_term,
@@ -21,7 +21,7 @@ from commlab.terms import (
     term_to_text,
 )
 
-from oracles import count_terms, is_power_of_u_on, u_power
+from oracles import count_terms, depth, is_power_of_u_on, u_power
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -98,9 +98,10 @@ def test_enumeration_order_and_depth_layers():
     assert terms[-1] == FApp((Var(1), Var(1)))
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(errors, "DEFAULT_TERM_CAP", 100)
     with pytest.raises(BudgetExceededError):
-        list(enumerate_terms(2, 2, POOL2, P2, cap=100))
+        list(enumerate_terms(2, 2, POOL2, P2))
 
 
 def test_enumeration_rejects_a_negative_depth():
@@ -108,11 +109,13 @@ def test_enumeration_rejects_a_negative_depth():
         list(enumerate_terms(2, -1, POOL2, P2))
 
 
-def test_enumeration_cap_is_exact_at_a_layer_boundary():
+def test_enumeration_cap_is_exact_at_a_layer_boundary(monkeypatch):
     # Layers are sized before they are built: the 56 terms of depth <= 1
     # fit a cap of 56, and a cap of 55 raises before the depth-1 layer.
-    assert len(list(enumerate_terms(2, 1, POOL2, P2, cap=56))) == 56
-    terms = enumerate_terms(2, 1, POOL2, P2, cap=55)
+    monkeypatch.setattr(errors, "DEFAULT_TERM_CAP", 56)
+    assert len(list(enumerate_terms(2, 1, POOL2, P2))) == 56
+    monkeypatch.setattr(errors, "DEFAULT_TERM_CAP", 55)
+    terms = enumerate_terms(2, 1, POOL2, P2)
     assert [next(terms), next(terms)] == [Var(0), Var(1)]
     with pytest.raises(BudgetExceededError, match="cap of 55"):
         next(terms)
