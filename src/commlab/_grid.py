@@ -147,8 +147,6 @@ class SymbolicGrid:
             shape = [1] * m
             shape[t.idx] = len(self.domain)
             return self._array_class(self._domain_ids.reshape(shape))
-        if isinstance(t, terms.Const):
-            return self._array_class(np.full((1,) * m, self.intern(t.value), dtype=np.int64))
         if isinstance(t, terms.FApp):
             op, args = terms.FApp, t.args
         elif isinstance(t, terms.UApp):

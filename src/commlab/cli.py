@@ -305,6 +305,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, CommlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RecursionError:  # a term, element or JSON input nested past the stack
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def console_main() -> None:

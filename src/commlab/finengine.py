@@ -142,10 +142,6 @@ class Congruence:
         return all(len({cm[x] for x in b}) == 1 for b in self.blocks)
 
     @property
-    def is_identity(self) -> bool:
-        return len(self.blocks) == self.size
-
-    @property
     def is_full(self) -> bool:
         return len(self.blocks) == 1
 
@@ -287,10 +283,7 @@ def _generator_cubes(alg: FiniteAlgebra, alphas: Sequence[Congruence]) -> np.nda
     plus the constant cube of each nullary operation."""
     m = len(alphas)
     nverts = 2**m
-    bits = np.array(
-        [[(i >> (m - 1 - j)) & 1 for i in range(nverts)] for j in range(m)],
-        dtype=np.intp,
-    )
+    bits = np.arange(nverts, dtype=np.intp) >> np.arange(m - 1, -1, -1, dtype=np.intp)[:, None] & 1
     cubes = [
         np.array([[op.table[0]] * nverts], dtype=np.intp)
         for op in alg.operations

@@ -3,151 +3,113 @@
 Elements: a(i,j)  b(i,j)  d(k)  c  t([e1,...,en],tag)
 Terms:    x0  u(t)  upqr{p;q;r}(t)  f(t1,...,tn)  plus element literals
           as constant leaves.  Whitespace-insensitive.
+
+The parser is a recursive descent over tokens with one token of lookahead.
+Lists are read in their form's loop, so a nesting level costs one frame.
 """
 
-from __future__ import annotations
-
-from . import elements as el
-from . import terms as terms_mod
-from .elements import Element
+from . import elements as el, terms as terms_mod
 from .errors import ParseError
-from .terms import Term
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Tokens and their starts: ``upqr``, a run of digits or one other
+    character, whitespace between; ("", len(text)) ends the list."""
+    tokens, pos, end = [], 0, len(text)
+    while True:
+        while pos < end and text[pos].isspace():
+            pos += 1
+        if pos == end:
+            return tokens + [("", end)]
+        stop = pos + 4 if text.startswith("upqr", pos) else pos + 1
+        while text[pos].isdigit() and stop < end and text[stop].isdigit():
+            stop += 1
+        tokens.append((text[pos:stop], pos))
+        pos = stop
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.tokens, self.starts = zip(*_tokenize(text))
+        self.at = 0  # the lookahead token's index; it only moves forward
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, what: str) -> ParseError:
+        return ParseError(what, self.starts[self.at])
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def accept(self, token: str) -> bool:
+        found = self.tokens[self.at] == token
+        self.at += found
+        return found
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def starts_with(self, prefix: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(prefix, self.pos)
-
-    def take(self, prefix: str):
-        self.skip_ws()
-        if not self.text.startswith(prefix, self.pos):
-            raise ParseError(f"expected {prefix!r}", self.pos)
-        self.pos += len(prefix)
+    def expect(self, token: str) -> None:
+        if not self.accept(token):
+            raise self.error(f"expected {token!r}")
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", self.pos)
-        return int(self.text[start : self.pos])
+        token = self.tokens[self.at]
+        if not token[:1].isdigit():
+            raise self.error("expected an integer")
+        self.at += 1
+        return int(token)
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def seq(self, *parts) -> list:
+        """Expect each string part and read each other part, a method."""
+        values = []
+        for part in parts:
+            if isinstance(part, str):
+                self.expect(part)
+            else:
+                values.append(part())
+        return values
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self) -> Element:
-        ch = self.peek()
-        if ch == "a" or ch == "b":
-            self.pos += 1
-            self.expect("(")
-            i = self.integer()
-            self.expect(",")
-            j = self.integer()
-            self.expect(")")
-            return el.AGen(i, j) if ch == "a" else el.BGen(i, j)
-        if ch == "d":
-            self.pos += 1
-            self.expect("(")
-            k = self.integer()
-            self.expect(")")
-            return el.DConst(k)
-        if ch == "c":
-            self.pos += 1
+    def element(self) -> el.Element:
+        head = self.tokens[self.at]
+        if head not in ("a", "b", "c", "d", "t"):
+            raise self.error("expected an element")
+        self.at += 1
+        if head == "c":
             return el.CConst()
-        if ch == "t":
-            self.pos += 1
-            self.expect("(")
-            self.expect("[")
-            args = [self.element()]
-            while self.peek() == ",":
-                self.pos += 1
-                args.append(self.element())
-            self.expect("]")
-            self.expect(",")
-            tag = self.integer()
-            self.expect(")")
-            return el.Tagged(tuple(args), tag)
-        raise ParseError("expected an element", self.pos)
+        if head == "d":
+            return el.DConst(*self.seq("(", self.integer, ")"))
+        if head != "t":
+            i, j = self.seq("(", self.integer, ",", self.integer, ")")
+            return el.AGen(i, j) if head == "a" else el.BGen(i, j)
+        self.seq("(", "[")
+        args = [self.element()]
+        while self.accept(","):
+            args.append(self.element())
+        return el.Tagged(tuple(args), *self.seq("]", ",", self.integer, ")"))
 
-    # -- terms -------------------------------------------------------------
-
-    def term(self) -> Term:
-        self.skip_ws()
-        if self.starts_with("x"):
-            self.pos += 1
+    def term(self) -> terms_mod.Term:
+        head = self.tokens[self.at]
+        if head not in ("x", "u", "f", "upqr"):
+            return terms_mod.Const(self.element())
+        self.at += 1
+        if head == "x":
             return terms_mod.Var(self.integer())
-        if self.starts_with("upqr"):
-            self.take("upqr")
-            self.expect("{")
-            p = self.element()
-            self.expect(";")
-            q = self.element()
-            self.expect(";")
-            r = self.element()
-            self.expect("}")
-            self.expect("(")
-            arg = self.term()
-            self.expect(")")
-            return terms_mod.UPQRApp(p, q, r, arg)
-        if self.starts_with("u") and not self.starts_with("upqr"):
-            # distinguish u(...) from nothing else starting with u
-            save = self.pos
-            self.pos += 1
-            if self.peek() == "(":
-                self.pos += 1
-                arg = self.term()
-                self.expect(")")
-                return terms_mod.UApp(arg)
-            self.pos = save
-        if self.starts_with("f"):
-            save = self.pos
-            self.pos += 1
-            if self.peek() == "(":
-                self.pos += 1
-                args = [self.term()]
-                while self.peek() == ",":
-                    self.pos += 1
-                    args.append(self.term())
-                self.expect(")")
-                return terms_mod.FApp(tuple(args))
-            self.pos = save
-        return terms_mod.Const(self.element())
+        if head == "upqr":
+            triple = self.seq("{", self.element, ";", self.element, ";", self.element, "}", "(")
+        elif not self.accept("("):  # and no element starts with u or f
+            raise ParseError("expected an element", self.starts[self.at - 1])
+        args = [self.term()]
+        while head == "f" and self.accept(","):
+            args.append(self.term())
+        self.expect(")")
+        if head == "f":
+            return terms_mod.FApp(tuple(args))
+        return terms_mod.UApp(*args) if head == "u" else terms_mod.UPQRApp(*triple, *args)
+
+    def end(self, value, form: str):
+        if self.tokens[self.at]:
+            raise self.error(f"trailing input after {form}")
+        return value
 
 
-def parse_element(text: str) -> Element:
-    p = _Parser(text)
-    e = p.element()
-    if not p.at_end():
-        raise ParseError("trailing input after element", p.pos)
-    return e
+def parse_element(text: str) -> el.Element:
+    parser = _Parser(text)
+    return parser.end(parser.element(), "element")
 
 
-def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    if not p.at_end():
-        raise ParseError("trailing input after term", p.pos)
-    return t
+def parse_term(text: str) -> terms_mod.Term:
+    parser = _Parser(text)
+    return parser.end(parser.term(), "term")

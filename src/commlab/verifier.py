@@ -206,11 +206,10 @@ def check_corner_lemma(
 
 def _u_powers(grid: SymbolicGrid, params: Params) -> list[np.ndarray]:
     """Ids of u^k applied to every domain element, for k = 0..2n+1."""
-    powers = []
-    cur = list(grid.domain)
+    powers, t = [], Var(0)
     for _ in range(2 * params.n + 2):
-        powers.append(np.array([grid.intern(e) for e in cur], dtype=np.int64))
-        cur = [el.eval_u(e, params) for e in cur]
+        powers.append(grid.eval_ids(t, 1))
+        t = UApp(t)
     return powers
 
 

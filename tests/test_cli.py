@@ -106,6 +106,37 @@ def test_eval_command_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_nested_too_deeply(capsys, status):
+    assert status == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input nested too deeply\n"
+
+
+def test_eval_of_a_u_nesting_past_the_stack_exits_2(capsys):
+    # u(u(...u(c)...)) 1,000 deep: the parser runs out of stack
+    _assert_nested_too_deeply(capsys, main(["eval", "u(" * 1000 + "c" + ")" * 1000]))
+
+
+def test_eval_of_an_f_nesting_past_the_stack_exits_2(capsys):
+    # f(f(...f(c,c)...,c),c) 400 deep parses and evaluates; writing the
+    # value out runs out of stack
+    expr = "f(" * 400 + "c,c)" + ",c)" * 399
+    _assert_nested_too_deeply(capsys, main(["eval", expr]))
+
+
+def test_fin_simple_on_an_algebra_file_nested_past_the_stack_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    _assert_nested_too_deeply(capsys, main(["fin", "simple", str(path)]))
+
+
+def test_fin_tc_on_a_delta_nested_past_the_stack_exits_2(tmp_path, capsys):
+    path = write_algebra(tmp_path, "z2.json", 2, [("add", 2, [0, 1, 1, 0])])
+    delta = "[" * 5000 + "]" * 5000
+    _assert_nested_too_deeply(capsys, main(["fin", "tc", path, "--delta", delta]))
+
+
 def test_eval_open_term_reports_error(capsys):
     assert main(["eval", "f(x0,x1)"]) == EXIT_RESOURCE
 

@@ -21,7 +21,6 @@ from commlab.elements import (
 )
 from commlab.errors import BudgetExceededError
 from commlab.terms import (
-    Const,
     FApp,
     UApp,
     UPQRApp,
@@ -161,8 +160,7 @@ def test_eval_codes_falls_back_when_the_label_pack_would_wrap():
     p4 = Params(4)
     domain = [AGen(1, j) for j in range(1, 131071)]
     grid = SymbolicGrid(p4, domain)
-    c = Const(CConst())
-    t = FApp((Var(0), c, c, c))
+    t = FApp((Var(0),) * 4)
     assert max(int(lab.max()) for lab in _labels(grid, t, 1)) == 2**17 - 1
     codes = grid.eval_codes(t, 1)
     ids = grid.eval_ids(t, 1)
@@ -178,9 +176,8 @@ def test_f_node_ids_fall_back_when_the_id_pack_would_wrap():
     p4 = Params(4)
     domain = [AGen(1, j) for j in range(1, 131071)]
     grid = SymbolicGrid(p4, domain)
-    c = CConst()
-    assert (grid.intern(c) + 1) ** 4 > 2**63
-    t = FApp((Var(0), Const(c), Const(c), Const(c)))
+    t = FApp((Var(0),) * 4)
+    assert (int(grid.eval_ids(Var(0), 1).max()) + 1) ** 4 > 2**63
     assert grid.eval_ids(t, 1).shape == (len(domain),)
     _IdValues(grid).record(t, 1, [(k,) for k in range(len(domain))])
 

@@ -2,10 +2,11 @@ import pickle
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from commlab import errors
 from commlab.elements import AGen, BGen, CConst, DConst, Params, Tagged
-from commlab.errors import BudgetExceededError, InvalidTripleError
+from commlab.errors import BudgetExceededError, InvalidTripleError, ParseError
 from commlab.terms import (
     Const,
     FApp,
@@ -155,6 +156,46 @@ def test_term_text_round_trip():
         Const(Tagged((CConst(), CConst()), 0)),
     ):
         assert parse_term(term_to_text(t)) == t
+
+
+_atoms = st.one_of(
+    st.builds(AGen, st.integers(1, 12), st.integers(0, 12)),
+    st.builds(BGen, st.integers(1, 12), st.integers(0, 12)),
+    st.builds(DConst, st.integers(1, 12)),
+    st.just(CConst()),
+)
+_literals = st.recursive(
+    _atoms,
+    lambda ch: st.builds(Tagged, st.lists(ch, min_size=1, max_size=3).map(tuple), st.integers(0, 12)),
+    max_leaves=4,
+)
+_terms = st.recursive(
+    st.builds(Var, st.integers(0, 12)) | st.builds(Const, _literals),
+    lambda ch: st.one_of(
+        st.builds(UApp, ch),
+        st.builds(lambda triple, arg: UPQRApp(*triple, arg), st.sampled_from(POOL2), ch),
+        st.lists(ch, min_size=1, max_size=3).map(lambda args: FApp(tuple(args))),
+    ),
+    max_leaves=8,
+)
+
+
+@given(_terms)
+def test_term_text_round_trip_property(t):
+    from commlab.textio import parse_term
+
+    assert parse_term(term_to_text(t)) == t
+
+
+@given(_terms)
+def test_deleting_one_bracket_of_a_term_text_raises(t):
+    from commlab.textio import parse_term
+
+    text = term_to_text(t)
+    for i, ch in enumerate(text):
+        if ch in "()[]{}":
+            with pytest.raises(ParseError):
+                parse_term(text[:i] + text[i + 1 :])
 
 
 def _rebuilt(t):
