@@ -1,9 +1,9 @@
 """m-dimensional term cubes and term-condition witness search.
 
-Vertex convention: writing i-1 in binary as m bits, block j receives the
-bit of weight 2^(m-j), i.e. the last block varies fastest.  Consecutive
-vertices therefore differ only in block m and the critical edge is the
-final pair (r_{2^m - 1}, r_{2^m}).
+Vertex convention: the vertices are the block choices in product order,
+``itertools.product`` over the blocks' (p, q) pairs, so the last block
+varies fastest.  Consecutive vertices therefore differ only in block m and
+the critical edge is the final pair (r_{2^m - 1}, r_{2^m}).
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ class BlockAssignment:
             {"p": [element_to_text(p)], "q": [element_to_text(q)]} for p, q in self.blocks
         ]
 
-    def assignment(self, bits: Sequence[int]) -> dict[int, Element]:
-        return {j: q if bit else p for j, ((p, q), bit) in enumerate(zip(self.blocks, bits))}
-
 
 @dataclass(frozen=True)
 class TCWitness:
@@ -74,21 +71,13 @@ class TCWitness:
         }
 
 
-def vertex_assignment(m: int, i: int) -> tuple[int, ...]:
-    """Bit per block for vertex i (1-based); bit 1 selects the q tuple."""
-    if not 1 <= i <= 2**m:
-        raise IndexError(f"vertex index {i} out of range for dimension {m}")
-    return tuple((i - 1) >> (m - j) & 1 for j in range(1, m + 1))
-
-
 def term_cube(t: Term, blocks: BlockAssignment, m: int, params: Params) -> Cube:
     if len(blocks.blocks) != m:
         raise ValueError(f"expected {m} blocks, got {len(blocks.blocks)}")
-    verts = []
-    for i in range(1, 2**m + 1):
-        a = blocks.assignment(vertex_assignment(m, i))
-        verts.append(eval_term(t, a, params))
-    return Cube(m, tuple(verts))
+    return Cube(m, tuple(
+        eval_term(t, dict(enumerate(vertex)), params)
+        for vertex in itertools.product(*blocks.blocks)
+    ))
 
 
 def is_tc_failure(c: Cube) -> bool:

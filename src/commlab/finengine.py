@@ -85,14 +85,11 @@ class UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, x: int, y: int) -> bool:
+    def union(self, x: int, y: int) -> None:
         x, y = self.find(x), self.find(y)
-        if x == y:
-            return False
         if y < x:
             x, y = y, x
         self.parent[y] = x
-        return True
 
 
 @dataclass(frozen=True)
@@ -205,23 +202,17 @@ class _CubeBitmap:
         self.new[fresh] = False
         self.count += fresh.size
         self.pending = 0
-        return self._decode(fresh)
-
-    def sorted_cubes(self) -> np.ndarray:
-        return self._decode(np.flatnonzero(self.seen))
-
-    def _decode(self, codes: np.ndarray) -> np.ndarray:
-        return codes[:, None] // self.weights % self.s
+        return fresh[:, None] // self.weights % self.s
 
 
 class _CubeCodeSet:
     """Cube membership as a set of row bytes, for universes whose s**nverts
-    codes are too many for a bitmap.  Each vertex is stored big-endian in the
-    least unsigned width that holds s - 1, so byte order is vertex order."""
+    codes are too many for a bitmap.  Each vertex is stored in the least
+    unsigned width that holds s - 1."""
 
     def __init__(self, s: int, nverts: int, cap: int):
         self.nverts, self.cap = nverts, cap
-        self.dtype = np.min_scalar_type(s - 1).newbyteorder(">")
+        self.dtype = np.min_scalar_type(s - 1)
         self.row = np.dtype((np.void, self.dtype.itemsize * nverts))
         self.seen: set[bytes] = set()
         self.new: set[bytes] = set()
@@ -236,13 +227,7 @@ class _CubeCodeSet:
     def take_new(self) -> np.ndarray:
         fresh, self.new = self.new, set()
         self.seen |= fresh
-        return self._decode(fresh)
-
-    def sorted_cubes(self) -> np.ndarray:
-        return self._decode(sorted(self.seen))
-
-    def _decode(self, keys: Iterable[bytes]) -> np.ndarray:
-        rows = np.frombuffer(b"".join(keys), dtype=self.dtype)
+        rows = np.frombuffer(b"".join(fresh), dtype=self.dtype)
         return rows.reshape(-1, self.nverts).astype(np.intp)
 
 
@@ -305,7 +290,7 @@ def cube_subpower(
 ) -> np.ndarray:
     """Subalgebra of the 2^m-th power generated by the block-edge cubes of
     the given congruences; contains exactly the term cubes.  Returned as an
-    (n, 2**m) intp array with its rows in ascending order.  Closed
+    (n, 2**m) intp array, its rows sorted once into ascending order.  Closed
     semi-naively: each round applies every operation only to the argument
     tuples that hold a cube found in the round before.  Raises
     BudgetExceededError once it holds more than cap cubes or more than
@@ -334,7 +319,7 @@ def cube_subpower(
                 members.add(table[idx])
         n_old = len(cubes)
         cubes = np.concatenate([cubes, members.take_new()])
-    return members.sorted_cubes()
+    return cubes[np.lexsort(cubes.T[::-1])]
 
 
 def _forced_pairs(cubes: np.ndarray, labels: Sequence[int]) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Elements: a(i,j)  b(i,j)  d(k)  c  t([e1,...,en],tag)
 Terms:    x0  u(t)  upqr{p;q;r}(t)  f(t1,...,tn)  plus element literals
-          as constant leaves.  Whitespace-insensitive.
+          as constant leaves.  Whitespace-insensitive; integers are runs of
+          ASCII digits.
 
 The parser is a recursive descent over tokens with one token of lookahead.
 Lists are read in their form's loop, so a nesting level costs one frame.
@@ -13,7 +14,7 @@ from .errors import ParseError
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    """Tokens and their starts: ``upqr``, a run of digits or one other
+    """Tokens and their starts: ``upqr``, a run of ASCII digits or one other
     character, whitespace between; ("", len(text)) ends the list."""
     tokens, pos, end = [], 0, len(text)
     while True:
@@ -22,7 +23,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         if pos == end:
             return tokens + [("", end)]
         stop = pos + 4 if text.startswith("upqr", pos) else pos + 1
-        while text[pos].isdigit() and stop < end and text[stop].isdigit():
+        while "0" <= text[pos] <= "9" and stop < end and "0" <= text[stop] <= "9":
             stop += 1
         tokens.append((text[pos:stop], pos))
         pos = stop
@@ -47,10 +48,14 @@ class _Parser:
 
     def integer(self) -> int:
         token = self.tokens[self.at]
-        if not token[:1].isdigit():
+        if not "0" <= token[:1] <= "9":  # other Unicode digits are no integer
             raise self.error("expected an integer")
+        try:
+            value = int(token)
+        except ValueError:  # past the interpreter's limit on digits
+            raise self.error("integer too long") from None
         self.at += 1
-        return int(token)
+        return value
 
     def seq(self, *parts) -> list:
         """Expect each string part and read each other part, a method."""
@@ -63,22 +68,27 @@ class _Parser:
         return values
 
     def element(self) -> el.Element:
-        head = self.tokens[self.at]
+        head, start = self.tokens[self.at], self.starts[self.at]
         if head not in ("a", "b", "c", "d", "t"):
             raise self.error("expected an element")
         self.at += 1
         if head == "c":
             return el.CConst()
+        if head == "t":
+            self.seq("(", "[")
+            args = [self.element()]
+            while self.accept(","):
+                args.append(self.element())
+            return el.Tagged(tuple(args), *self.seq("]", ",", self.integer, ")"))
         if head == "d":
-            return el.DConst(*self.seq("(", self.integer, ")"))
-        if head != "t":
-            i, j = self.seq("(", self.integer, ",", self.integer, ")")
-            return el.AGen(i, j) if head == "a" else el.BGen(i, j)
-        self.seq("(", "[")
-        args = [self.element()]
-        while self.accept(","):
-            args.append(self.element())
-        return el.Tagged(tuple(args), *self.seq("]", ",", self.integer, ")"))
+            make, indices = el.DConst, self.seq("(", self.integer, ")")
+        else:
+            make = el.AGen if head == "a" else el.BGen
+            indices = self.seq("(", self.integer, ",", self.integer, ")")
+        try:
+            return make(*indices)
+        except ValueError as exc:  # an index out of range, as in a(0,0)
+            raise ParseError(str(exc), start) from None
 
     def term(self) -> terms_mod.Term:
         head = self.tokens[self.at]

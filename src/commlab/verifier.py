@@ -85,6 +85,7 @@ def check_nfequal(params: Params, domain: Sequence[Element]) -> VerificationRepo
     tuples are held to the f-node cap."""
     scanned = len(domain) ** params.n
     check_budget("nfequal", scanned, errors.F_NODE_CAP, "tuples")
+    report_params = {"n": params.n, "domain_size": len(domain)}
     by_value: dict[Element, list[tuple[Element, ...]]] = {}
     for args in itertools.product(domain, repeat=params.n):
         by_value.setdefault(el.eval_f(args, params), []).append(args)
@@ -97,7 +98,7 @@ def check_nfequal(params: Params, domain: Sequence[Element]) -> VerificationRepo
             if not el.in_dmn_f0(args, params):
                 return VerificationReport(
                     "nfequal",
-                    {"n": params.n, "domain_size": len(domain)},
+                    report_params,
                     "fail",
                     counterexample={
                         "value": element_to_text(value),
@@ -109,7 +110,7 @@ def check_nfequal(params: Params, domain: Sequence[Element]) -> VerificationRepo
                 )
     return VerificationReport(
         "nfequal",
-        {"n": params.n, "domain_size": len(domain)},
+        report_params,
         "pass",
         counts={"tuples_scanned": scanned, "collision_values": collisions},
     )
@@ -125,7 +126,9 @@ def _corner_violation(
     grid: SymbolicGrid, t: Term, m: int
 ) -> Optional[tuple[int, ...]]:
     """First assignment (domain indices p1,q1,...,pm,qm) where vertex 1
-    equals all adjacent vertices but the cube is not constant."""
+    equals all adjacent vertices but the cube is not constant.  The scan's
+    line comparisons, d per code, are held to the grid cap before the
+    codes are built."""
     cells = len(grid.domain) ** (len(free_vars(t)) + 1)
     check_budget("corner-lemma line comparisons", cells, errors.GRID_CELL_CAP, "cells")
     return corner_violation_in(grid.eval_codes(t, m))
@@ -145,10 +148,8 @@ def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
     or more members on fewer than two axes is a line of cells equal to
     C[p].  The scan counts the members on each axis, comparing within
     lines (d cells per cell and used block), and builds only the boxes of
-    the cells that pass; both sizes are checked against the grid cap
-    before they are built."""
-    cells = codes.size * max(codes.shape)
-    check_budget("corner-lemma line comparisons", cells, errors.GRID_CELL_CAP, "cells")
+    the cells that pass.  The caller holds the line comparisons to the
+    grid cap; the boxes are checked against it before they are built."""
     # counts[j][p] = |Q_j(p)|
     counts = [
         (np.expand_dims(codes, j) == np.expand_dims(codes, j + 1)).sum(axis=j)
@@ -538,6 +539,7 @@ def run_chain_roundtrips(
     and the last one with steps, deliberately corrupted, must be rejected.
     Without such a chain the control is untried, and the check fails."""
     rng = random.Random(seed)
+    report_params = {"n": params.n, "count": count, "seed": seed}
     checked = 0
     attempts = 0
     last_stepped: Optional[MalcevChain] = None
@@ -554,7 +556,7 @@ def run_chain_roundtrips(
         if not verify_chain(chain, params):
             return VerificationReport(
                 "simplicity_chains",
-                {"n": params.n, "count": count, "seed": seed},
+                report_params,
                 "fail",
                 counterexample={
                     "p": element_to_text(p),
@@ -581,7 +583,7 @@ def run_chain_roundtrips(
         mutation_ok = not verify_chain(bad, params)
     return VerificationReport(
         "simplicity_chains",
-        {"n": params.n, "count": count, "seed": seed},
+        report_params,
         "pass" if mutation_ok else "fail",
         counterexample=None if mutation_ok else {
             "mutation": "untried" if last_stepped is None else "accepted"

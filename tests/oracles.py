@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from commlab.elements import eval_u
-from commlab.finengine import Congruence, FiniteAlgebra
+from commlab.finengine import Congruence, FiniteAlgebra, Operation
 from commlab.terms import Const, UApp, UPQRApp, Var, eval_term
 
 
@@ -141,21 +141,22 @@ def is_power_of_u_on(t, samples: Sequence[dict], max_power: int, params):
     return None
 
 
+def apply(alg: FiniteAlgebra, op: Operation, args: Sequence[int]) -> int:
+    """op at args: its table is row-major, the first argument most significant."""
+    idx = 0
+    for a in args:
+        idx = idx * alg.size + a
+    return op.table[idx]
+
+
 def cube_subpower_naive(
     alg: FiniteAlgebra, alphas: Sequence[Congruence]
 ) -> list[tuple[int, ...]]:
     """Sorted closure of the block-edge cubes under every operation, by
     applying each operation to every argument tuple of cubes found so far
     and keeping the tuples that hold a cube of the previous round."""
-    s = alg.size
     m = len(alphas)
     nverts = 2**m
-
-    def apply(table, args):
-        idx = 0
-        for a in args:
-            idx = idx * s + a
-        return table[idx]
 
     gens: set[tuple[int, ...]] = set()
     for j, alpha in enumerate(alphas):
@@ -181,7 +182,7 @@ def cube_subpower_naive(
                 if not any(c in frontier_set for c in combo):
                     continue
                 cube = tuple(
-                    apply(op.table, [c[i] for c in combo]) for i in range(nverts)
+                    apply(alg, op, [c[i] for c in combo]) for i in range(nverts)
                 )
                 if cube not in seen:
                     new.add(cube)
@@ -208,13 +209,13 @@ def _compatible(alg: FiniteAlgebra, cm: Sequence[int]) -> bool:
         if op.arity == 0:
             continue
         for args in itertools.product(range(alg.size), repeat=op.arity):
-            v = alg.apply(op, args)
+            v = apply(alg, op, args)
             for pos in range(op.arity):
                 for y in range(alg.size):
                     if cm[y] != cm[args[pos]]:
                         continue
                     alt = args[:pos] + (y,) + args[pos + 1 :]
-                    if cm[alg.apply(op, alt)] != cm[v]:
+                    if cm[apply(alg, op, alt)] != cm[v]:
                         return False
     return True
 

@@ -96,12 +96,7 @@ CASES = {
         "corner-lemma line comparisons", 512, "cells",
         _patched("GRID_CELL_CAP", lambda: _corner_violation(SymbolicGrid(P2, ATOMS), F01, 2)),
     ),
-    "corner-codes": (
-        "corner-lemma line comparisons", 27, "cells",
-        _patched("GRID_CELL_CAP", lambda: corner_violation_in(np.arange(9).reshape(3, 1, 3))),
-    ),
-    # the line comparisons take 3**3 = 27 cells and the boxes of the odd
-    # cell's 8 candidates 4 * 9 + 4 * 6 = 60
+    # the boxes of the odd cell's 8 candidates take 4 * 9 + 4 * 6 = 60 cells
     "corner-boxes": (
         "corner-lemma boxes", 60, "cells",
         _patched("GRID_CELL_CAP", lambda: corner_violation_in(ONE_ODD_CELL)),

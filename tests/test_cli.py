@@ -106,6 +106,14 @@ def test_eval_command_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_of_a_non_ascii_digit_exits_2(capsys):
+    # d(\u0662) holds an Arabic-Indic two, which is no integer of the grammar
+    assert main(["eval", "f(d(1),d(\u0662))"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected an integer (at position 9)\n"
+
+
 def _assert_nested_too_deeply(capsys, status):
     assert status == EXIT_RESOURCE
     captured = capsys.readouterr()

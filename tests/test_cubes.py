@@ -20,7 +20,6 @@ from commlab.cubes import (
     located_cube,
     search_tc_witness,
     term_cube,
-    vertex_assignment,
 )
 from commlab.elements import (
     AGen,
@@ -55,15 +54,26 @@ POOL2 = default_triple_pool(P2)
 ATOMS = P2.base_atoms(0)
 
 
-def test_vertex_assignment_convention():
-    # the last block varies fastest
-    assert vertex_assignment(2, 1) == (0, 0)
-    assert vertex_assignment(2, 2) == (0, 1)
-    assert vertex_assignment(2, 3) == (1, 0)
-    assert vertex_assignment(3, 6) == (1, 0, 1)
-    assert vertex_assignment(3, 8) == (1, 1, 1)
-    with pytest.raises(IndexError):
-        vertex_assignment(2, 5)
+# Per vertex (1-based), whether each block takes its q: vertex i gives
+# block j the bit of weight 2^(m-j) of i - 1, so the last block varies fastest.
+Q_CHOICES = {
+    2: [(0, 0), (0, 1), (1, 0), (1, 1)],
+    3: [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+        (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_term_cube_vertex_order(m):
+    blocks = BlockAssignment(tuple((DConst(2 * j + 1), DConst(2 * j + 2)) for j in range(m)))
+    for j, pq in enumerate(blocks.blocks):
+        cube = term_cube(Var(j), blocks, m, P2)
+        assert cube.vertices == tuple(pq[bits[j]] for bits in Q_CHOICES[m])
+    # the vertices of f(x0,...) in order: f is injective off the base table
+    cube = term_cube(FApp(tuple(Var(j) for j in range(m))), blocks, m, Params(m))
+    assert [v.args for v in cube.vertices] == [
+        tuple(pq[bit] for pq, bit in zip(blocks.blocks, bits)) for bits in Q_CHOICES[m]
+    ]
 
 
 def test_cube_vertex_count():
@@ -71,11 +81,12 @@ def test_cube_vertex_count():
         Cube(2, (DConst(1),) * 3)
 
 
-def test_block_assignment_mapping():
-    # variable j takes block j's p at bit 0 and its q at bit 1
+def test_term_cube_gives_variable_j_block_j_plus_1():
+    # variable j takes block j + 1's p where that block's bit is 0, its q at 1
     ba = BlockAssignment(((DConst(1), CConst()), (DConst(3), DConst(1))))
-    assert ba.assignment((0, 1)) == {0: DConst(1), 1: DConst(1)}
-    assert ba.assignment((1, 0)) == {0: CConst(), 1: DConst(3)}
+    cube = term_cube(FApp((Var(0), Var(1))), ba, 2, P2)
+    assert cube.vertices[1].args == (DConst(1), DConst(1))  # bits (0, 1)
+    assert cube.vertices[2].args == (CConst(), DConst(3))  # bits (1, 0)
     assert BlockAssignment.from_indices((0, 2, 1, 0), [DConst(1), DConst(3), CConst()]) == ba
     assert ba.to_record() == [{"p": ["d(1)"], "q": ["c"]}, {"p": ["d(3)"], "q": ["d(1)"]}]
 

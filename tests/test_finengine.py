@@ -17,6 +17,7 @@ from commlab.finengine import (
     tc_holds,
 )
 from oracles import (
+    apply,
     congruence_from_pairs,
     cube_subpower_naive,
     is_compatible,
@@ -60,8 +61,8 @@ def test_table_validation():
 
 def test_apply_row_major_first_argument_most_significant():
     op = SEMILATTICE.operations[0]
-    assert SEMILATTICE.apply(op, (0, 1)) == 0
-    assert SEMILATTICE.apply(op, (1, 1)) == 1
+    assert apply(SEMILATTICE, op, (0, 1)) == SEMILATTICE.apply(op, (0, 1)) == 0
+    assert apply(SEMILATTICE, op, (1, 1)) == SEMILATTICE.apply(op, (1, 1)) == 1
 
 
 def test_congruence_canonical_form():

@@ -198,6 +198,28 @@ def test_deleting_one_bracket_of_a_term_text_raises(t):
                 parse_term(text[:i] + text[i + 1 :])
 
 
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        ("term", "x\u0661", 1),  # an Arabic-Indic one: digits are ASCII only
+        ("term", "x\u00b2", 1),  # a superscript two
+        ("element", "d(\u0662)", 2),
+        ("term", "x" + "1" * 5000, 1),  # past the interpreter's limit on digits
+        ("element", "a(0,0)", 0),  # the constructors' range checks
+        ("element", "d(0)", 0),
+        ("term", "f(c,t([b(0,2)],0))", 7),
+    ],
+    ids=["arabic-indic", "superscript", "element-digit", "too-long", "a-index", "d-index",
+         "nested-index"],
+)
+def test_a_bad_integer_or_index_raises_a_parse_error_at_its_start(parse, text, position):
+    from commlab.textio import parse_element, parse_term
+
+    with pytest.raises(ParseError) as info:
+        (parse_term if parse == "term" else parse_element)(text)
+    assert info.value.position == position
+
+
 def _rebuilt(t):
     """An equal term built again node by node, sharing no node with t."""
     if isinstance(t, Var):

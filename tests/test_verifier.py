@@ -218,15 +218,8 @@ def test_corner_scan_orders_its_tuples_interleaved():
 
 
 def test_corner_scan_above_the_grid_cap_raises_before_it_builds(monkeypatch):
-    # The line comparisons of two used blocks of 3 values take 3**3 = 27
-    # cells; the boxes of one odd cell's 8 candidates take 4 * 9 + 4 * 6 =
-    # 60.  A cap one below either size refuses the scan, naming the size.
-    distinct = np.arange(9, dtype=np.int64).reshape(3, 1, 3)
-    monkeypatch.setattr(errors, "GRID_CELL_CAP", 26)
-    with pytest.raises(BudgetExceededError, match="needs 27 cells"):
-        corner_violation_in(distinct)
-    monkeypatch.setattr(errors, "GRID_CELL_CAP", 27)
-    assert corner_violation_in(distinct) is None
+    # The boxes of one odd cell's 8 candidates take 4 * 9 + 4 * 6 = 60
+    # cells.  A cap one below refuses the scan, naming the size.
     odd = _one_odd_cell(2, 3)
     monkeypatch.setattr(errors, "GRID_CELL_CAP", 59)
     with pytest.raises(BudgetExceededError, match="needs 60 cells"):
