@@ -292,7 +292,8 @@ def cube_subpower(
     the given congruences; contains exactly the term cubes.  Returned as an
     (n, 2**m) intp array, its rows sorted once into ascending order.  Closed
     semi-naively: each round applies every operation only to the argument
-    tuples that hold a cube found in the round before.  Raises
+    tuples that hold a cube found in the round before, and stops early
+    once it holds every cube of the power.  Raises
     BudgetExceededError once it holds more than cap cubes or more than
     errors.GRID_CELL_CAP cells (cubes times 2**m), and before it builds the
     generators if they alone, counted with repeats, pass the cell cap."""
@@ -303,7 +304,8 @@ def cube_subpower(
     generators = sum(len(b) ** 2 for alpha in alphas for b in alpha.blocks)
     generators += sum(op.arity == 0 for op in alg.operations)
     check_budget("cube subpower", generators * nverts, errors.GRID_CELL_CAP, "cells")
-    membership = _CubeBitmap if s**nverts <= _BITMAP_MAX_CODES else _CubeCodeSet
+    full_power = s**nverts
+    membership = _CubeBitmap if full_power <= _BITMAP_MAX_CODES else _CubeCodeSet
     members = membership(s, nverts, cap)
     members.add(_generator_cubes(alg, alphas))
     tables = [
@@ -313,7 +315,8 @@ def cube_subpower(
     ]
     cubes = members.take_new()
     n_old = 0
-    while n_old < len(cubes):
+    # a closure that holds all s**nverts cubes is the full power
+    while n_old < len(cubes) < full_power:
         for arity, table in tables:
             for idx in _frontier_index_blocks(cubes, n_old, arity, s):
                 members.add(table[idx])
@@ -385,9 +388,37 @@ def central_series(
     return series
 
 
+def _spread_full(alg: FiniteAlgebra, full: np.ndarray) -> None:
+    """Mark in place, to a fixpoint, every pair (x, y) that some translation
+    t sends to a marked pair (t(x), t(y)).  Cg(x, y) contains Cg(t(x), t(y)),
+    so a pair marked as generating the full congruence spreads the mark.
+    Gathers one block of translations at a time, at most _BLOCK_CELLS cells
+    unless one translation's s*s pairs are more."""
+    s = alg.size
+    images = alg.translations
+    step = max(1, _BLOCK_CELLS // (s * s))
+    while True:
+        marked = np.count_nonzero(full)
+        for lo in range(0, len(images), step):
+            t = images[lo : lo + step]
+            full |= full[t[:, :, None], t[:, None, :]].any(axis=0)
+        if np.count_nonzero(full) == marked:
+            return
+
+
 def is_simple(alg: FiniteAlgebra) -> bool:
-    if alg.size < 2:
+    """Whether every pair of distinct elements generates the full
+    congruence.  Calls cg only on the pairs that no earlier full pair
+    reaches through translations."""
+    s = alg.size
+    if s < 2:
         raise ValueError("simplicity is defined for size >= 2")
-    return all(
-        cg(alg, [pair]).is_full for pair in itertools.combinations(range(alg.size), 2)
-    )
+    full = np.zeros((s, s), dtype=bool)
+    for a, b in itertools.combinations(range(s), 2):
+        if full[a, b]:
+            continue
+        if not cg(alg, [(a, b)]).is_full:
+            return False
+        full[a, b] = full[b, a] = True
+        _spread_full(alg, full)
+    return True

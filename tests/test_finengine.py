@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -213,6 +214,28 @@ def test_cg_matches_partition_oracle_on_sweep_algebras():
                 assert cg(alg, [(x, y)]).blocks == oracle_cg(alg, [(x, y)]).blocks
 
 
+def test_cube_subpower_stops_at_the_full_power(membership, monkeypatch):
+    rng = random.Random(1)
+    alg = FiniteAlgebra.from_tables(
+        4, [(f"g{i}", 2, [rng.randrange(4) for _ in range(16)]) for i in range(2)]
+    )
+    alphas = [full(alg)] * 2
+    rounds = []
+    blocks = finengine._frontier_index_blocks
+
+    def recorded(cubes, n_old, arity, s):
+        rounds.append((len(cubes), n_old))
+        return blocks(cubes, n_old, arity, s)
+
+    monkeypatch.setattr(finengine, "_frontier_index_blocks", recorded)
+    cubes = subpower_rows(alg, alphas)
+    # the last round found cubes, so the frontier was not empty, yet no
+    # round ran on all 4^4 of them
+    assert max(rounds)[0] < 4**4
+    assert cubes == cube_subpower_naive(alg, alphas)
+    assert cubes == list(itertools.product(range(4), repeat=4))
+
+
 def test_cube_subpower_above_the_bitmap_bound():
     # 2^(2^5) codes: past the bitmap, so the cubes are byte keys
     alphas = [full(Z2)] * 5
@@ -301,6 +324,80 @@ def test_is_simple_matches_the_congruence_lattice_oracle():
         verdicts.append(is_simple(alg))
         assert verdicts[-1] == (len(oracle_congruences(alg)) == 2)
     assert True in verdicts and False in verdicts
+
+
+@pytest.fixture
+def cg_calls(monkeypatch):
+    """The pair lists of every cg call made through the module name."""
+    calls = []
+
+    def counted(alg, pairs):
+        calls.append(list(pairs))
+        return cg(alg, calls[-1])
+
+    monkeypatch.setattr(finengine, "cg", counted)
+    return calls
+
+
+# Simple, but no chain of translations sends (0, 2) to (0, 1): is_simple
+# needs a second cg call for the pair that the first one's marks miss.
+TWO_CALLS = FiniteAlgebra.from_tables(3, [("p", 1, [0, 2, 2]), ("q", 1, [1, 0, 2])])
+
+
+def test_is_simple_matches_the_oracle_when_one_cg_call_is_not_enough(cg_calls):
+    rng = random.Random(1)
+    algebras = [TWO_CALLS] + [
+        FiniteAlgebra.from_tables(
+            s, [(f"g{i}", 1, [rng.randrange(s) for _ in range(s)]) for i in range(2)]
+        )
+        for s in (3, 4)
+        for _ in range(200)
+    ]
+    several = 0
+    for alg in algebras:
+        cg_calls.clear()
+        simple = is_simple(alg)
+        assert simple == (len(oracle_congruences(alg)) == 2), alg
+        several += simple and len(cg_calls) > 1
+    assert several >= 10
+    cg_calls.clear()
+    assert is_simple(TWO_CALLS) and cg_calls == [[(0, 1)], [(0, 2)]]
+
+
+Z2_SQUARED = FiniteAlgebra.from_tables(
+    4, [("add", 2, [i ^ j for i in range(4) for j in range(4)])]
+)
+
+
+def two_element_algebras():
+    """The 2-element algebra with no operations, and each with one unary or
+    one binary table."""
+    return [FiniteAlgebra.from_tables(2, [])] + [
+        FiniteAlgebra.from_tables(2, [("g", arity, table)])
+        for arity in (1, 2)
+        for table in itertools.product(range(2), repeat=2**arity)
+    ]
+
+
+def test_is_simple_matches_the_oracle_on_small_named_algebras():
+    for alg in [Z2_SQUARED, NO_OPS, Z4] + two_element_algebras():
+        assert is_simple(alg) == (len(oracle_congruences(alg)) == 2), alg
+    assert not is_simple(Z2_SQUARED) and not is_simple(NO_OPS)
+    assert all(map(is_simple, two_element_algebras()))
+
+
+def test_is_simple_calls_cg_at_most_twice_on_a_random_16_element_algebra(cg_calls):
+    rng = random.Random(16)
+    alg = FiniteAlgebra.from_tables(16, [("g", 2, [rng.randrange(16) for _ in range(256)])])
+    assert is_simple(alg)
+    # one call per pair would be 16 * 15 / 2 = 120
+    assert 1 <= len(cg_calls) <= 2
+
+
+def test_is_simple_stops_at_the_first_pair_that_is_not_full(cg_calls):
+    assert not is_simple(Z4)
+    # Cg(0, 1) is full, Cg(0, 2) is the cosets of {0, 2}: no third call
+    assert cg_calls == [[(0, 1)], [(0, 2)]]
 
 
 def test_tc_holds():
