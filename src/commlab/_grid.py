@@ -14,7 +14,17 @@ only, so term values over a whole assignment grid become numpy gathers.
   domain element or a triple coordinate) interns its arguments and goes
   through f's table, so ids are equal exactly when the values are.
 - u fixes every f-value, and u_pqr cycles the ids of its triple and shifts
-  the generators, so the unary maps build elements for atoms only.
+  the generators, so each unary map is an int array over the ids, the
+  identity but on atoms and the triple, and applying it is one gather.
+
+The grid evaluates a term layer (``terms.term_layers``) at once, as an
+array of id classes, one per term: the id arrays deduplicated by shape and
+bytes, so equal classes mean equal arrays.  A node is an operation and
+its children's classes; the memo maps each node to its class, so a unary
+node is evaluated once per distinct child class and an f-node once per
+distinct tuple of child classes, however many terms share it.  A layer's
+new f-nodes go through f's table in batches of one shape, each no larger
+than one full grid.  A single ``Term`` is evaluated through the same memo.
 
 Two output modes:
 
@@ -27,16 +37,16 @@ Two output modes:
   interning the (potentially huge) set of top-level f-images when only
   the equality pattern of a cube matters.
 
-One memo holds the id arrays, in three tables: (term, m) -> class,
-(operation, child classes) -> class, and class -> read-only id array, the
-arrays deduplicated by shape and bytes.  So each distinct node is evaluated
-once, however many terms share it.  The pattern labels of an f-argument are
-memoized per (class, position), and the last-axis row classes per distinct
-label array.  Ids stay valid because interning only appends.
+The pattern labels of an f-argument are memoized per (class, position),
+and the last-axis row classes per distinct label array.  ``first_hit``
+scans layers by the class ids of those labels, the pattern keys, and
+builds a ``Term`` only for the first term of each key.  Ids stay valid
+because interning only appends.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -54,11 +64,10 @@ class SymbolicGrid:
         self.params = params
         self.domain = list(domain)
         self._atoms: dict[Element, int] = {}
+        self._atom_ids: list[int] = []  # increasing
         self._elems: list[Optional[Element]] = []  # atoms; None for an f-value
         self._f_cache: dict[tuple[int, ...], int] = {}
-        self._u_cache: dict[int, int] = {}
-        self._upqr_caches: dict[tuple[Element, Element, Element], dict[int, int]] = {}
-        self._classes: dict[tuple[terms.Term, int], int] = {}
+        self._unary_maps: dict[object, np.ndarray] = {}
         self._nodes: dict[tuple, int] = {}
         self._arrays: list[np.ndarray] = []
         self._array_classes: dict[tuple[tuple, bytes], int] = {}
@@ -90,6 +99,7 @@ class SymbolicGrid:
         if i is None:
             i = self._atoms[e] = len(self._elems)
             self._elems.append(e)
+            self._atom_ids.append(i)
         return i
 
     def _f(self, keys: list[tuple[int, ...]]) -> list[int]:
@@ -105,67 +115,118 @@ class SymbolicGrid:
             ids = list(map(self._f_cache.get, keys))
         return ids
 
-    def _map_unary(self, cache: dict[int, int], on_atom: Callable, arr: np.ndarray) -> np.ndarray:
-        """arr under a unary operation that fixes every f-value and is
-        ``on_atom`` on atoms; ``cache`` holds the ids mapped so far."""
-        uniq = np.unique(arr)
-        out = np.empty(uniq.shape, dtype=np.int64)
-        for pos, i in enumerate(uniq.tolist()):
-            v = cache.get(i)
-            if v is None:
-                atom = self._elems[i]
-                v = cache[i] = i if atom is None else self.intern(on_atom(atom))
-            out[pos] = v
-        return out[np.searchsorted(uniq, arr)]
-
-    def _upqr_cache(self, t: terms.UPQRApp) -> dict[int, int]:
-        """u_pqr's id map, started with the cycle on its triple; the node
-        validated the triple when it was built."""
-        triple = (t.p, t.q, t.r)
-        cache = self._upqr_caches.get(triple)
-        if cache is None:
-            p, q, r = (self.intern(e) for e in triple)
-            cache = self._upqr_caches[triple] = {p: q, q: r, r: p}
-        return cache
+    def _map_unary(self, op, arr: np.ndarray) -> np.ndarray:
+        """arr under u (op ``terms.UApp``) or u_pqr (op its triple), by a
+        gather from the op's id map.  The map covers the ids up to the
+        largest it has been given; growing it maps only the new atoms, as
+        both operations fix every f-value.  u_pqr cycles its triple, which
+        the node validated when it was built, and shifts every other atom."""
+        table = self._unary_maps.get(op, np.zeros(0, dtype=np.int64))
+        size = int(arr.max()) + 1
+        if table.size < size:
+            grown = np.arange(table.size, size, dtype=np.int64)
+            lo = bisect.bisect_left(self._atom_ids, table.size)
+            hi = bisect.bisect_left(self._atom_ids, size)
+            if op is terms.UApp:
+                on_atom = functools.partial(elements.eval_u, params=self.params)
+            else:
+                on_atom = elements.shift_generator
+            for i in self._atom_ids[lo:hi]:
+                grown[i - table.size] = self.intern(on_atom(self._elems[i]))
+            table = np.concatenate((table, grown))
+            if op is not terms.UApp:
+                p, q, r = (self.intern(e) for e in op)
+                for x, y in ((p, q), (q, r), (r, p)):
+                    if x < size:
+                        table[x] = y
+            self._unary_maps[op] = table
+        return table[arr]
 
     def eval_ids(self, t: terms.Term, m: int) -> np.ndarray:
         """Read-only interned ids of t over the m-axis domain grid (broadcast shape)."""
-        key = (t, m)
-        cls = self._classes.get(key)
-        if cls is None:
-            cls = self._classes[key] = self._eval_class(t, m)
+        return self._arrays[self.id_class(t, m)]
+
+    def class_ids(self, cls: int) -> np.ndarray:
+        """The read-only id array of a class."""
         return self._arrays[cls]
 
     def id_class(self, t: terms.Term, m: int) -> int:
         """The class of t's id array over the m-axis grid: equal classes,
         equal arrays, and the other way round."""
-        self.eval_ids(t, m)
-        return self._classes[(t, m)]
-
-    def _eval_class(self, t: terms.Term, m: int) -> int:
         if isinstance(t, terms.Var):
-            shape = [1] * m
-            shape[t.idx] = len(self.domain)
-            return self._array_class(self._domain_ids.reshape(shape))
+            return self._var_class(t.idx, m)
         if isinstance(t, terms.FApp):
-            op, args = terms.FApp, t.args
-        elif isinstance(t, terms.UApp):
-            op, args = terms.UApp, (t.arg,)
-        else:
-            op, args = (t.p, t.q, t.r), (t.arg,)
-        node = (op, tuple(self.id_class(a, m) for a in args))
+            return self._f_classes([tuple(self.id_class(a, m) for a in t.args)])[0]
+        op = terms.UApp if isinstance(t, terms.UApp) else (t.p, t.q, t.r)
+        return self._unary_class(op, self.id_class(t.arg, m))
+
+    def layer_classes(self, layer: terms.TermLayer, m: int, below: np.ndarray) -> np.ndarray:
+        """The id class of each term of a layer over the m-axis grid;
+        ``below`` holds the classes of the terms at every earlier position."""
+        parts = [np.array([self._var_class(i, m) for i in range(layer.num_vars)], dtype=np.intp)]
+        parts.append(self._unary_classes(terms.UApp, below[layer.u]))
+        for triple, row in zip(layer.triples, layer.upqr):
+            parts.append(self._unary_classes(triple, below[row]))
+        if len(layer.f):
+            nodes, inverse = _unique_rows(below[layer.f])
+            parts.append(np.array(self._f_classes(list(map(tuple, nodes.tolist()))))[inverse])
+        return np.concatenate(parts)
+
+    def _var_class(self, idx: int, m: int) -> int:
+        node = (terms.Var, idx, m)
         cls = self._nodes.get(node)
         if cls is None:
-            children = [self._arrays[c] for c in node[1]]
-            if op is terms.FApp:
-                ids = self._f_ids(children)
-            elif op is terms.UApp:
-                on_atom = functools.partial(elements.eval_u, params=self.params)
-                ids = self._map_unary(self._u_cache, on_atom, children[0])
-            else:
-                ids = self._map_unary(self._upqr_cache(t), elements.shift_generator, children[0])
-            cls = self._nodes[node] = self._array_class(ids)
+            shape = [1] * m
+            shape[idx] = len(self.domain)
+            cls = self._nodes[node] = self._array_class(self._domain_ids.reshape(shape))
         return cls
+
+    def _unary_classes(self, op, children: np.ndarray) -> np.ndarray:
+        """The class of op over each of the children's classes, evaluated
+        once per distinct child class."""
+        distinct, inverse = np.unique(children, return_inverse=True)
+        classes = [self._unary_class(op, c) for c in distinct.tolist()]
+        return np.array(classes, dtype=np.intp)[inverse]
+
+    def _unary_class(self, op, child: int) -> int:
+        node = (op, child)
+        cls = self._nodes.get(node)
+        if cls is None:
+            cls = self._nodes[node] = self._array_class(self._map_unary(op, self._arrays[child]))
+        return cls
+
+    def _f_classes(self, nodes: list[tuple[int, ...]]) -> list[int]:
+        """The classes of f over the distinct tuples of child classes; the
+        new nodes are evaluated together (``_eval_f_nodes``)."""
+        classes = [self._nodes.get((terms.FApp, node)) for node in nodes]
+        if None in classes:
+            self._eval_f_nodes([node for node, cls in zip(nodes, classes) if cls is None])
+            classes = [self._nodes[(terms.FApp, node)] for node in nodes]
+        return classes
+
+    def _eval_f_nodes(self, nodes: list[tuple[int, ...]]) -> None:
+        """Evaluate f-nodes that are not in the memo.  Nodes whose children
+        have the same shapes go through f's table together: each child
+        position stacks its arrays along a new first axis, in batches of
+        at most one full grid's cells, and never above the f-node cap that
+        each node is held to."""
+        by_shapes: dict[tuple, list[tuple[int, ...]]] = {}
+        for node in nodes:
+            by_shapes.setdefault(tuple(self._arrays[c].shape for c in node), []).append(node)
+        for shapes, group in by_shapes.items():
+            shape = np.broadcast_shapes(*shapes)
+            cells = math.prod(shape)
+            check_budget("f-node grid", cells, errors.F_NODE_CAP, "cells")
+            full = min(len(self.domain) ** len(shape), errors.F_NODE_CAP)
+            step = max(1, full // cells)
+            for s in range(0, len(group), step):
+                batch = group[s : s + step]
+                children = [
+                    np.stack([self._arrays[node[pos]] for node in batch])
+                    for pos in range(len(shapes))
+                ]
+                for node, ids in zip(batch, self._f_ids(children)):
+                    self._nodes[(terms.FApp, node)] = self._array_class(ids)
 
     def _array_class(self, ids: np.ndarray) -> int:
         ids.flags.writeable = False
@@ -179,8 +240,6 @@ class SymbolicGrid:
     def _f_ids(self, children: list[np.ndarray]) -> np.ndarray:
         """f over the children's id arrays, in their broadcast shape, one
         table lookup per distinct argument tuple."""
-        cells = math.prod(np.broadcast_shapes(*(c.shape for c in children)))
-        check_budget("f-node grid", cells, errors.F_NODE_CAP, "cells")
         rows, inverse = _distinct_tuples(children)
         ids = self._f(list(zip(*(r.tolist() for r in rows))))
         return np.array(ids, dtype=np.int64)[inverse]
@@ -200,12 +259,17 @@ class SymbolicGrid:
         return _codes(labels, self._f0_codes)
 
     def _arg_labels(self, arg: terms.Term, pos: int, m: int) -> tuple[np.ndarray, int]:
-        """The read-only pinned labels of an f-argument at a position, and
-        the class id of that label array, memoized per (id class, pos)."""
-        ids = self.eval_ids(arg, m)
-        key = (self._classes[(arg, m)], pos)
+        """``_labels_of`` an f-argument's class at its position."""
+        return self._labels_of(self.id_class(arg, m), pos)
+
+    def _labels_of(self, cls: int, pos: int) -> tuple[np.ndarray, int]:
+        """The read-only pinned labels of an id class as an f-argument at a
+        position, and the class id of that label array, memoized per
+        (id class, pos)."""
+        key = (cls, pos)
         hit = self._labels.get(key)
         if hit is None:
+            ids = self._arrays[cls]
             pinned = [self._a_ids[pos], self._b_ids[pos]]
             uniq, first, inverse = np.unique(
                 np.concatenate((pinned, ids.ravel())), return_index=True, return_inverse=True
@@ -218,13 +282,6 @@ class SymbolicGrid:
             hit = labels, classes.setdefault((labels.shape, labels.tobytes()), len(classes))
             self._labels[key] = hit
         return hit
-
-    def pattern_key(self, t: terms.Term, m: int) -> tuple:
-        """Equal keys, equal codes: the class ids of the label arrays of the
-        root's arguments.  The root, wrappers stripped, must be an
-        f-application."""
-        args = _strip_wrappers(t).args
-        return tuple(self._arg_labels(arg, pos, m)[1] for pos, arg in enumerate(args))
 
     def fibers(self, t: terms.Term, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct fibers of t's equality codes along the last axis, as
@@ -256,35 +313,58 @@ class SymbolicGrid:
         return rows
 
     def first_hit(
-        self, term_iter: Iterable[terms.Term], m: int, blocks: int, decide: Callable
+        self, layers: Iterable[terms.TermLayer], m: int, blocks: int, decide: Callable
     ) -> tuple[int, Optional[terms.Term], Optional[tuple]]:
-        """(scanned, term, hit) for the first term whose hit
+        """(scanned, term, hit) for the first term of the layers whose hit
         ``decide(self, t, m)`` is not None, or (scanned, None, None).
 
-        The terms are read lazily and the scan stops at its hit, so
-        ``scanned`` is the hit's index + 1, or all of the terms, and a term
-        cap that only a later layer would pass is never reached.
+        The layers are read one at a time and the scan stops at its hit, so
+        ``scanned`` is the hit's position + 1, or every term of the layers,
+        and a term cap that only a later layer would pass is never reached.
+        A layer's classes are built when the next layer needs them as
+        children, so no root's ids are built.
 
-        Terms with fewer than ``blocks`` free variables are skipped.  Every
-        enumerated term is over x0..x(m-1), so the witness search passes m
-        (the terms that use all blocks) and the corner lemma 2; either way
-        the terms that reach ``decide`` are f-rooted, wrappers stripped.
-        ``decide`` must depend on the pattern key only (the witness kernel
-        reads ``fibers``, the corner lemma ``eval_codes``), so it runs once
-        per key; only keys without a hit are kept."""
-        no_hit: set[tuple] = set()
-        scanned = 0
-        for scanned, t in enumerate(term_iter, 1):
-            if len(terms.free_vars(t)) < blocks:
+        Terms with fewer than ``blocks`` >= 2 free variables are skipped.
+        Every term is over x0..x(m-1), so the witness search passes m (the
+        terms that use all blocks) and the corner lemma 2; either way the
+        terms that reach ``decide`` are f-rooted, wrappers stripped.
+        ``decide`` must depend on the pattern key only, the label classes
+        of the root's arguments (the witness kernel reads ``fibers``, the
+        corner lemma ``eval_codes``), so it runs once per key, on the key's
+        first term, which is the only term built."""
+        seen: list[terms.TermLayer] = []
+        classes = masks = np.zeros(0, dtype=np.intp)
+        no_hit: set[tuple[int, ...]] = set()
+        for layer in layers:
+            if seen:
+                classes = np.concatenate((classes, self.layer_classes(seen[-1], m, classes)))
+            seen.append(layer)
+            f_masks = np.bitwise_or.reduce(masks[layer.f], axis=1)
+            masks = np.concatenate((
+                masks, 1 << np.arange(layer.num_vars), masks[layer.u], masks[layer.upqr].ravel(),
+                f_masks,
+            ))
+            # A wrapper has its child's key, which the scan met in the layer
+            # below, so only the f-roots can bring a key to decide.
+            roots = np.flatnonzero(sum((f_masks >> j) & 1 for j in range(m)) >= blocks)
+            if not roots.size:
                 continue
-            key = self.pattern_key(t, m)
-            if key in no_hit:
-                continue
-            hit = decide(self, t, m)
-            if hit is not None:
-                return scanned, t, hit
-            no_hit.add(key)
-        return scanned, None, None
+            # roots with equal child classes have equal keys: the first root
+            # of each tuple of child classes, in canonical order
+            children = classes[layer.f[roots]]
+            _, first = np.unique(_unique_rows(children)[1], return_index=True)
+            f_start = masks.size - len(layer.f)
+            for i in np.sort(first).tolist():
+                key = tuple(self._labels_of(c, pos)[1] for pos, c in enumerate(children[i].tolist()))
+                if key in no_hit:
+                    continue
+                pos = f_start + int(roots[i])
+                t = terms.term_at(seen, pos)
+                hit = decide(self, t, m)
+                if hit is not None:
+                    return pos + 1, t, hit
+                no_hit.add(key)
+        return masks.size, None, None
 
 
 def _strip_wrappers(t: terms.Term) -> terms.Term:
@@ -317,22 +397,34 @@ def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.nda
     dtype that holds it.
 
     While the positional codes span no more values than there are cells, a
-    counting pass over that span numbers them, and no sort is needed."""
+    counting pass over that span numbers them, and no sort is needed.  A
+    positional code is unpacked into its tuple; a numbered one is looked up
+    at its first cell."""
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     code, base = _pack(arrays)
     code = code.ravel()
-    if base ** len(arrays) <= code.size:
-        seen = np.zeros(base ** len(arrays), dtype=bool)
+    span = base ** len(arrays)
+    if span <= code.size:
+        seen = np.zeros(span, dtype=bool)
         seen[code] = True
         distinct = np.flatnonzero(seen)
-        rank = np.zeros(seen.size, dtype=np.min_scalar_type(distinct.size - 1))
+        rank = np.zeros(span, dtype=np.min_scalar_type(distinct.size - 1))
         rank[distinct] = np.arange(distinct.size)
-        tuples = np.unravel_index(distinct, (base,) * len(arrays))
-        return list(tuples), rank[code].reshape(shape)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    at = np.unravel_index(first, shape)
-    inverse = inverse.astype(np.min_scalar_type(first.size - 1), copy=False)
-    return [np.broadcast_to(a, shape)[at] for a in arrays], inverse.reshape(shape)
+        inverse = rank[code]
+    elif span <= 2**63:
+        distinct, inverse = np.unique(code, return_inverse=True)
+        inverse = inverse.astype(np.min_scalar_type(distinct.size - 1), copy=False)
+    else:
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        at = np.unravel_index(first, shape)
+        inverse = inverse.astype(np.min_scalar_type(first.size - 1), copy=False)
+        return [np.broadcast_to(a, shape)[at] for a in arrays], inverse.reshape(shape)
+    tuples = []
+    for _ in arrays[1:]:
+        distinct, entry = np.divmod(distinct, base)
+        tuples.append(entry)
+    tuples.append(distinct)
+    return tuples[::-1], inverse.reshape(shape)
 
 
 def _codes(labels: list[np.ndarray], f0_codes: np.ndarray) -> np.ndarray:

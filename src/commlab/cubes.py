@@ -19,7 +19,7 @@ from . import errors
 from ._grid import SymbolicGrid, _first_occurrence, _unique_rows
 from .elements import Element, Params, element_to_text
 from .errors import BudgetExceededError, CommlabError, check_budget
-from .terms import Term, enumerate_terms, eval_term, term_to_text
+from .terms import Term, TermLayer, eval_term, term_layers, term_to_text
 
 
 @dataclass(frozen=True)
@@ -252,16 +252,16 @@ def _lex_rank(hit: Sequence[int], d: int) -> int:
 
 
 def _scan_terms(
-    term_iter: Iterable[Term], m: int, domain: list[Element], params: Params
+    layers: Iterable[TermLayer], m: int, domain: list[Element], params: Params
 ) -> tuple[Optional[TCWitness], SearchStats]:
-    """First witness among the terms, or None, and the counts of a
-    lexicographic scan over every (p1, q1, ..., pm, qm) up to it.
+    """First witness among the terms of the layers, or None, and the counts
+    of a lexicographic scan over every (p1, q1, ..., pm, qm) up to it.
 
     Only the terms that use all m blocks reach the kernel: a term ignoring
     block m has an equal critical edge outright, and one ignoring block
     j < m maps the critical edge onto a matched edge by flipping bit j."""
     grid = SymbolicGrid(params, domain)
-    scanned, t, hit = grid.first_hit(term_iter, m, m, _grid_term_has_witness)
+    scanned, t, hit = grid.first_hit(layers, m, m, _grid_term_has_witness)
     space = len(domain) ** (2 * m)
     if t is None:
         return None, SearchStats(scanned, scanned * space)
@@ -296,4 +296,4 @@ def search_tc_witness(
         )
     cells = len(domain) ** max(m - 1, 2)
     check_budget("fiber kernel grid", cells, errors.GRID_CELL_CAP, "cells")
-    return _scan_terms(enumerate_terms(m, max_depth, triple_pool, params), m, domain, params)
+    return _scan_terms(term_layers(m, max_depth, triple_pool, params), m, domain, params)

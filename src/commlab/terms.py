@@ -3,7 +3,9 @@
 Plain terms are constant-free; constant leaves only appear inside unary
 polynomial bodies.  Enumeration is canonical (by depth, then constructor
 order Var < UApp < UPQRApp < FApp, then children) so that every witness
-search has a well-defined first hit.
+search has a well-defined first hit.  ``term_layers`` is that order, one
+depth layer at a time, as arrays of child positions; ``enumerate_terms``
+builds its terms, and ``term_at`` one term from its position.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from . import elements, errors
 from .elements import Element, Params, sort_key, validate_triple
@@ -166,6 +170,120 @@ def default_triple_pool(params: Params) -> list[tuple[Element, Element, Element]
     return triples
 
 
+@dataclass(frozen=True)
+class TermLayer:
+    """One depth layer of the canonical term order, as index arrays.  A
+    term's position is its index in that order; children are named by
+    position.  In order, the layer holds the variables x0..x{num_vars-1}
+    (depth 0 only), ``UApp`` of each position in ``u``, ``UPQRApp`` of each
+    triple over the positions in its row of ``upqr``, triple by triple, and
+    ``FApp`` of each row of ``f``, which is in ``itertools.product`` order."""
+
+    start: int  # the position of the layer's first term
+    num_vars: int
+    u: np.ndarray
+    triples: tuple[tuple[Element, Element, Element], ...]
+    upqr: np.ndarray  # (len(triples), len(u))
+    f: np.ndarray  # (terms, arity)
+
+    @property
+    def size(self) -> int:
+        return self.num_vars + self.u.size + self.upqr.size + len(self.f)
+
+
+def term_layers(
+    num_vars: int,
+    max_depth: int,
+    triple_pool: Sequence[tuple[Element, Element, Element]],
+    params: Params,
+) -> Iterator[TermLayer]:
+    """The canonical order of the constant-free terms with variables among
+    x0..x{num_vars-1} and depth <= max_depth, layer by layer: by depth, then
+    constructor order Var < UApp < UPQRApp < FApp, then children.  Every
+    layer is sized before it is built, so a cap that the next layer would
+    pass raises without allocating it."""
+    if num_vars < 1:
+        raise ValueError("need at least one variable")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    check_budget("term enumeration to depth 0", num_vars, errors.DEFAULT_TERM_CAP, "terms")
+    none = np.zeros(0, dtype=np.intp)
+    layer = TermLayer(0, num_vars, none, (), none.reshape(0, 0), none.reshape(0, params.n))
+    yield layer
+    triples = tuple(triple_pool)
+    for d in range(1, max_depth + 1):
+        low, total = layer.start, layer.start + layer.size
+        # The terms so far, the unary applications of the previous layer
+        # and the f-applications with at least one child from it.
+        check_budget(
+            f"term enumeration to depth {d}",
+            total + layer.size * (1 + len(triples)) + total**params.n - low**params.n,
+            errors.DEFAULT_TERM_CAP,
+            "terms",
+        )
+        if d == 1:
+            for p, q, r in triples:
+                validate_triple(p, q, r)
+        below = np.arange(low, total)
+        layer = TermLayer(
+            total, 0, below, triples,
+            np.broadcast_to(below, (len(triples), below.size)),
+            _f_children(params.n, total, low),
+        )
+        yield layer
+
+
+def _f_children(n: int, size: int, low: int) -> np.ndarray:
+    """The n-tuples over range(size) with an entry >= low, in product
+    order, as an (N, n) array: built from the last position, the tuples
+    with such an entry, and all tuples, one position longer each round."""
+    heads = np.arange(size, dtype=np.intp)
+    some = np.zeros((0, 0), dtype=np.intp)
+    every = np.zeros((1, 0), dtype=np.intp)
+    for k in range(n):
+        some = np.concatenate((_prefixed(heads[:low], some), _prefixed(heads[low:], every)))
+        if k < n - 1:
+            every = _prefixed(heads, every)
+    return some
+
+
+def _prefixed(heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each head followed by each row, heads slowest."""
+    out = np.empty((heads.size, len(rows), rows.shape[1] + 1), dtype=np.intp)
+    out[:, :, 0] = heads[:, None]
+    out[:, :, 1:] = rows
+    return out.reshape(-1, rows.shape[1] + 1)
+
+
+def layer_terms(layer: TermLayer, built: Sequence[Term]) -> list[Term]:
+    """The layer's terms in order; ``built`` holds the terms at every
+    earlier position."""
+    out: list[Term] = [Var(i) for i in range(layer.num_vars)]
+    out += [UApp(built[i]) for i in layer.u.tolist()]
+    for (p, q, r), row in zip(layer.triples, layer.upqr.tolist()):
+        out += [UPQRApp(p, q, r, built[i]) for i in row]
+    out += [FApp(tuple(map(built.__getitem__, row))) for row in layer.f.tolist()]
+    return out
+
+
+def term_at(layers: Sequence[TermLayer], pos: int) -> Term:
+    """The term at a position, built from its children's positions;
+    ``layers`` holds the layers up to the term's."""
+    layer = next(lay for lay in reversed(layers) if lay.start <= pos)
+    k = pos - layer.start
+    if k < layer.num_vars:
+        return Var(k)
+    k -= layer.num_vars
+    if k < layer.u.size:
+        return UApp(term_at(layers, int(layer.u[k])))
+    k -= layer.u.size
+    if k < layer.upqr.size:
+        row, col = divmod(k, layer.upqr.shape[1])
+        return UPQRApp(*layer.triples[row], term_at(layers, int(layer.upqr[row, col])))
+    k -= layer.upqr.size
+    return FApp(tuple(term_at(layers, int(i)) for i in layer.f[k]))
+
+
 def enumerate_terms(
     num_vars: int,
     max_depth: int,
@@ -173,47 +291,13 @@ def enumerate_terms(
     params: Params,
 ) -> Iterator[Term]:
     """Every constant-free term with variables among x0..x{num_vars-1} and
-    depth <= max_depth, each exactly once, in canonical order."""
-    if num_vars < 1:
-        raise ValueError("need at least one variable")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    by_depth: list[list[Term]] = []
-    cumulative: list[Term] = []
-    # Every layer is sized before it is built, so a cap that the next layer
-    # would pass raises without allocating it.
-    check_budget("term enumeration to depth 0", num_vars, errors.DEFAULT_TERM_CAP, "terms")
-    by_depth.append([Var(i) for i in range(num_vars)])
-    cumulative.extend(by_depth[0])
-    yield from by_depth[0]
-    for d in range(1, max_depth + 1):
-        prev_cum_len = len(cumulative) - len(by_depth[d - 1])
-        # The terms so far, the unary applications of the previous layer
-        # and the f-applications with at least one child from it.
-        check_budget(
-            f"term enumeration to depth {d}",
-            len(cumulative)
-            + len(by_depth[d - 1]) * (1 + len(triple_pool))
-            + len(cumulative) ** params.n
-            - prev_cum_len**params.n,
-            errors.DEFAULT_TERM_CAP,
-            "terms",
-        )
-        layer: list[Term] = []
-        for t in by_depth[d - 1]:
-            layer.append(UApp(t))
-        for (p, q, r) in triple_pool:
-            for t in by_depth[d - 1]:
-                layer.append(UPQRApp(p, q, r, t))
-        # f-applications: children drawn from depth <= d-1 in canonical
-        # order, at least one child of exact depth d-1.
-        for combo in itertools.product(range(len(cumulative)), repeat=params.n):
-            if max(combo) < prev_cum_len:
-                continue
-            layer.append(FApp(tuple(cumulative[i] for i in combo)))
-        yield from layer
-        by_depth.append(layer)
-        cumulative.extend(layer)
+    depth <= max_depth, each exactly once, in canonical order: the terms of
+    ``term_layers``, built one layer at a time."""
+    built: list[Term] = []
+    for layer in term_layers(num_vars, max_depth, triple_pool, params):
+        new = layer_terms(layer, built)
+        yield from new
+        built += new
 
 
 def term_to_text(t: Term) -> str:

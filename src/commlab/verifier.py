@@ -7,7 +7,6 @@ the claimed property at these bounds", never a proof.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import random
@@ -34,13 +33,15 @@ from .finengine import UnionFind
 from .terms import (
     FApp,
     Term,
+    TermLayer,
     UApp,
     UnaryPolynomial,
     UPQRApp,
     Var,
-    enumerate_terms,
     eval_poly,
     free_vars,
+    term_at,
+    term_layers,
     term_to_text,
 )
 
@@ -186,9 +187,9 @@ def check_corner_lemma(
     grid = SymbolicGrid(params, list(domain))
     d = len(domain)
     report_params = {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth}
-    term_iter = enumerate_terms(m, max_depth, triple_pool, params)
+    layers = term_layers(m, max_depth, triple_pool, params)
     # a term over fewer than two blocks has no violation (corner_violation_in)
-    scanned, t, hit = grid.first_hit(term_iter, m, 2, _corner_violation)
+    scanned, t, hit = grid.first_hit(layers, m, 2, _corner_violation)
     counts = {"terms_scanned": scanned, "assignments_scanned": scanned * d ** (2 * m)}
     if t is None:
         return VerificationReport("corner_lemma", report_params, "pass", counts=counts)
@@ -237,57 +238,74 @@ def check_term_lemma(
     """A two-variable term taking two distinct values inside the
     order-(2n+1) cycle's moving letters must act as a power of u on one of
     its variables.  Both tests read only the term's id array, so they run
-    once per id class, and each class's C cells are read once; the counts
-    and the fail record stay per term."""
+    once per id class of a layer's class array; the counts come from the
+    class array, and the fail record names the first failing term, built
+    from its position."""
     grid = SymbolicGrid(params, list(domain))
     d = len(domain)
     n = params.n
     report_params = {"n": n, "domain_size": d, "max_depth": max_depth, "num_vars": 2}
     c_ids = [grid.intern(gen(i, 0)) for i in range(1, n + 1) for gen in (el.AGen, el.BGen)]
-    powers = _u_powers(grid, params)
-    # class -> premise; a class that fails does so at its first term, so
-    # every class kept here passed the power-of-u test
-    premises: dict[int, bool] = {}
-    terms_scanned = 0
-    checked = 0
-    for t in enumerate_terms(2, max_depth, triple_pool, params):
-        terms_scanned += 1
-        cls = grid.id_class(t, 2)
-        premise = premises.get(cls)
-        if premise is None:
-            ids = np.broadcast_to(grid.eval_ids(t, 2), (d, d))
-            in_c = _in_c(ids, c_ids)
-            c_values = ids[in_c]
-            # the premise: some C value differs from the first
-            second = int(np.argmax(c_values != c_values[0])) if c_values.size else 0
-            premise = premises[cls] = second > 0
-            if premise and _u_power_of(ids, powers) is None:
-                cells = np.argwhere(in_c)  # in C order, as c_values
+    c_table = np.full(max(c_ids) + 2, -1)
+    c_table[c_ids] = np.arange(len(c_ids))
 
-                def cell_assignment(cell):
-                    return {f"x{i}": element_to_text(domain[int(cell[i])]) for i in range(2)}
-                return VerificationReport(
-                    "term_lemma",
-                    report_params,
-                    "fail",
-                    counterexample={
-                        "term": term_to_text(t),
-                        "assignment_a": cell_assignment(cells[0]),
-                        "assignment_b": cell_assignment(cells[second]),
-                    },
-                    counts={"terms_scanned": terms_scanned, "premise_terms": checked + 1},
-                )
-        checked += premise
+    def c_index(ids: np.ndarray) -> np.ndarray:
+        """Each id's index in C, or -1 outside it."""
+        return c_table[np.minimum(ids, c_table.size - 1)]
+
+    powers = _u_powers(grid, params)
+    # class -> (premise, fails): the premise is that two distinct values of
+    # the array lie in C, and it fails where no power of u matches the array
+    verdicts: dict[int, tuple[bool, bool]] = {}
+    layers: list[TermLayer] = []
+    classes = np.zeros(0, dtype=np.intp)
+    premise_terms = 0
+    for layer in term_layers(2, max_depth, triple_pool, params):
+        layers.append(layer)
+        layer_classes = grid.layer_classes(layer, 2, classes)
+        classes = np.concatenate((classes, layer_classes))
+        distinct, inverse = np.unique(layer_classes, return_inverse=True)
+        for cls in distinct.tolist():
+            if cls not in verdicts:
+                ids = grid.class_ids(cls)
+                premise = np.count_nonzero(np.bincount(c_index(ids).ravel() + 1)[1:]) >= 2
+                fails = premise and _u_power_of(np.broadcast_to(ids, (d, d)), powers) is None
+                verdicts[cls] = premise, fails
+        premise, fails = np.array([verdicts[cls] for cls in distinct.tolist()], dtype=bool).T
+        premise, fails = premise[inverse], fails[inverse]
+        if fails.any():
+            k = int(np.argmax(fails))
+            t = term_at(layers, layer.start + k)
+            ids = np.broadcast_to(grid.class_ids(int(layer_classes[k])), (d, d))
+            in_c = c_index(ids) >= 0
+            c_values = ids[in_c]
+            # the first C cell, and the first after it that holds another value
+            cells = np.argwhere(in_c)  # in C order, as c_values
+            second = int(np.argmax(c_values != c_values[0]))
+
+            def cell_assignment(cell):
+                return {f"x{i}": element_to_text(domain[int(cell[i])]) for i in range(2)}
+            return VerificationReport(
+                "term_lemma",
+                report_params,
+                "fail",
+                counterexample={
+                    "term": term_to_text(t),
+                    "assignment_a": cell_assignment(cells[0]),
+                    "assignment_b": cell_assignment(cells[second]),
+                },
+                counts={
+                    "terms_scanned": layer.start + k + 1,
+                    "premise_terms": premise_terms + int(premise[: k + 1].sum()),
+                },
+            )
+        premise_terms += int(premise.sum())
     return VerificationReport(
         "term_lemma",
         report_params,
         "pass",
-        counts={"terms_scanned": terms_scanned, "premise_terms": checked},
+        counts={"terms_scanned": classes.size, "premise_terms": premise_terms},
     )
-
-
-def _in_c(ids: np.ndarray, c_ids: Sequence[int]) -> np.ndarray:
-    return functools.reduce(np.logical_or, [ids == c for c in c_ids])
 
 
 def expected_top_cube(params: Params) -> tuple[Element, ...]:

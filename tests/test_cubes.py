@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import commlab.cubes as cubes_mod
+import commlab.verifier as verifier_mod
 from commlab import errors
 from commlab._grid import SymbolicGrid
 from commlab.cubes import (
@@ -38,6 +39,7 @@ from commlab.terms import (
     default_triple_pool,
     enumerate_terms,
     free_vars,
+    term_layers,
     term_to_text,
 )
 from commlab.verifier import (
@@ -47,6 +49,7 @@ from commlab.verifier import (
     search_np1_failure,
 )
 
+from gridscan import first_hit_per_term, pattern_key
 from oracles import scan_terms_naive
 
 P2 = Params(2)
@@ -108,43 +111,99 @@ def test_is_tc_failure_cases():
 
 @pytest.mark.parametrize("blocks", [2, 3])
 def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
-    # Only terms with at least ``blocks`` free variables reach decide, and
-    # the count is of every term read, skipped ones included.
-    term_list = [
-        UApp(Var(0)),
-        FApp((Var(0), Var(0))),
-        FApp((Var(0), Var(1))),
-        FApp((Var(2), UApp(Var(0)))),
-        FApp((Var(0), FApp((Var(1), Var(2))))),
-    ]
+    # Only terms with at least ``blocks`` free variables reach decide, the
+    # first of each pattern key, and the count is of every term of the
+    # layers, skipped ones included.
+    terms = list(enumerate_terms(3, 2, POOL2, P2))
     decided = []
 
     def decide(grid, t, m):
         decided.append(t)
-        return (0,) if t == term_list[-1] else None
 
     grid = SymbolicGrid(P2, ATOMS)
-    assert grid.first_hit(term_list, 3, blocks, decide) == (5, term_list[-1], (0,))
-    assert decided == [t for t in term_list if len(free_vars(t)) >= blocks]
+    assert grid.first_hit(term_layers(3, 2, POOL2, P2), 3, blocks, decide) == (
+        len(terms), None, None
+    )
+    over_blocks = [t for t in terms if len(free_vars(t)) >= blocks]
+    firsts = {}
+    for t in over_blocks:
+        firsts.setdefault(pattern_key(grid, t, 3), t)
+    assert decided == list(firsts.values())
+    assert len(decided) < len(over_blocks) < len(terms)
 
 
 def test_first_hit_reads_its_terms_lazily_and_counts_them():
-    # The scan stops at its hit: a term stream that would raise past the
-    # hit is never read that far.  With no hit it counts every term.
+    # The scan stops at its hit: a hit in layer 1 never sizes layer 2.
+    # With no hit it counts every term of the layers, and it builds the
+    # classes of a layer only as the children of the next.
+    terms = list(enumerate_terms(2, 1, POOL2, P2))
     hit_term = FApp((Var(0), Var(1)))
 
-    def stream():
-        yield UApp(Var(0))
-        yield hit_term
-        raise AssertionError("read past the hit")
+    def layers():
+        yield from itertools.islice(term_layers(2, 2, POOL2, P2), 2)
+        raise AssertionError("sized the layer past the hit")
 
     def decide(grid, t, m):
         return (1,) if t == hit_term else None
 
     grid = SymbolicGrid(P2, ATOMS)
-    assert grid.first_hit(stream(), 2, 2, decide) == (2, hit_term, (1,))
-    no_hit = (UApp(Var(0)), FApp((Var(1), Var(0))), Var(1))
-    assert grid.first_hit(iter(no_hit), 2, 2, decide) == (3, None, None)
+    assert grid.first_hit(layers(), 2, 2, decide) == (terms.index(hit_term) + 1, hit_term, (1,))
+    grid = SymbolicGrid(P2, ATOMS)
+    never = term_layers(2, 1, POOL2, P2)
+    assert grid.first_hit(never, 2, 2, lambda grid, t, m: None) == (len(terms), None, None)
+    # the last layer is never a layer of children, so no f-root's ids are built
+    assert not [node for node in grid._nodes if node[0] is FApp]
+
+
+def _recording(decide, calls):
+    def record(grid, t, m):
+        calls.append(t)
+        return decide(grid, t, m)
+
+    return record
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "corner"])
+@pytest.mark.parametrize(
+    "params,m,depth",
+    [(P2, 2, 2), (P2, 3, 2), (Params(3), 2, 1), (Params(3), 3, 1)],
+    ids=["n2-m2-d2", "n2-m3-d2", "n3-m2-d1", "n3-m3-d1"],
+)
+def test_first_hit_matches_a_per_term_scan(params, m, depth, kernel):
+    # On the atoms, the class-level scan gives the (scanned, term, hit) of
+    # a scan over the built terms, and decides the same terms in order,
+    # for the witness kernel (blocks m) and for the corner lemma (blocks 2).
+    if kernel:
+        decide, blocks = cubes_mod._grid_term_has_witness, m
+    else:
+        decide, blocks = verifier_mod._corner_violation, 2
+    domain = params.base_atoms(0)
+    pool = default_triple_pool(params)
+    calls, expected_calls = [], []
+    got = SymbolicGrid(params, domain).first_hit(
+        term_layers(m, depth, pool, params), m, blocks, _recording(decide, calls)
+    )
+    expected = first_hit_per_term(
+        SymbolicGrid(params, domain), enumerate_terms(m, depth, pool, params), m, blocks,
+        _recording(decide, expected_calls),
+    )
+    assert got == expected
+    assert calls == expected_calls
+    assert calls
+
+
+def test_first_hit_finds_the_control_witness_inside_layer_1():
+    # The control search at the verify-n2 bounds: its witness is term 54,
+    # in depth layer 1, as the per-term scan finds it.
+    domain = bounded_subuniverse(P2, 0, 1)
+    decide = cubes_mod._grid_term_has_witness
+    got = SymbolicGrid(P2, domain).first_hit(term_layers(2, 2, POOL2, P2), 2, 2, decide)
+    expected = first_hit_per_term(
+        SymbolicGrid(P2, domain), enumerate_terms(2, 2, POOL2, P2), 2, 2, decide
+    )
+    assert got == expected
+    assert got[0] == 54 and got[1] == FApp((Var(0), Var(1)))
+    assert got[0] <= next(itertools.islice(term_layers(2, 2, POOL2, P2), 2, None)).start
 
 
 def _oracle_record(term, blocks, cube, m):
@@ -183,15 +242,21 @@ def test_scan_chunk_agrees_with_the_oracle_scan(params, m, domain, all_blocks_on
 
 
 def _agrees_with_the_oracle_scan(params, m, domain, t):
-    # Whether t has a witness, after checking it and both counts against
-    # the oracle.
-    w, stats = _scan_terms([t], m, list(domain), params)
+    # Whether t has a witness, after checking it and the counts of its
+    # one-term scan against the oracle.  A term over fewer than m blocks
+    # never reaches the kernel: the scan passes it over every assignment.
+    d = len(domain)
+    hit = None
+    if len(free_vars(t)) == m:
+        hit = cubes_mod._grid_term_has_witness(SymbolicGrid(params, list(domain)), t, m)
     o_w, o_terms, o_count = scan_terms_naive([t], m, domain, params)
-    assert (stats.terms_scanned, stats.assignments_scanned) == (o_terms, o_count)
-    assert (w is None) == (o_w is None)
-    if w is not None:
+    count = d ** (2 * m) if hit is None else cubes_mod._lex_rank(hit, d) + 1
+    assert (1, count) == (o_terms, o_count)
+    assert (hit is None) == (o_w is None)
+    if hit is not None:
+        w = TCWitness(t, *located_cube(t, m, hit, domain, params, is_tc_failure, "witness"))
         assert w.to_record() == _oracle_record(*o_w, m)
-    return w is not None
+    return hit is not None
 
 
 P4 = Params(4)
@@ -251,7 +316,7 @@ def test_cached_scan_matches_the_per_term_kernel(monkeypatch, m, domain, has_wit
         "_grid_term_has_witness",
         lambda grid, t, m: calls.append(t) or kernel(grid, t, m),
     )
-    w, stats = _scan_terms(terms, m, list(domain), P2)
+    w, stats = _scan_terms(term_layers(m, 2, POOL2, P2), m, list(domain), P2)
     record = None if w is None else w.to_record()
     assert (record, stats.terms_scanned, stats.assignments_scanned) == expected
     assert (record is not None) == has_witness
@@ -441,7 +506,7 @@ def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth, m):
     classes = {}
     for t in enumerate_terms(m, depth, default_triple_pool(params), params):
         if len(free_vars(t)) == m:
-            classes.setdefault(grid.pattern_key(t, m), t)
+            classes.setdefault(pattern_key(grid, t, m), t)
     assert classes
     for t in classes.values():
         codes = np.broadcast_to(grid.eval_codes(t, m), (d,) * m)
@@ -463,7 +528,7 @@ def test_scan_chunk_rejects_a_located_non_witness(monkeypatch):
         cubes_mod, "_grid_term_has_witness", lambda grid, t, m: (0, 0, 0, 1)
     )
     with pytest.raises(CommlabError, match="rejects"):
-        _scan_terms([FApp((Var(0), Var(1)))], 2, [DConst(1), DConst(2)], P2)
+        _scan_terms(term_layers(2, 1, POOL2, P2), 2, [DConst(1), DConst(2)], P2)
 
 
 def test_control_search_at_the_n3_defaults():

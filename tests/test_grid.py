@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import commlab.verifier as verifier_mod
 from commlab import _grid, errors
 from commlab._grid import SymbolicGrid
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,9 @@ from commlab.elements import (
     Params,
     Tagged,
     bounded_subuniverse,
+    eval_u,
     f0_value,
+    shift_generator,
 )
 from commlab.errors import BudgetExceededError
 from commlab.terms import (
@@ -29,8 +32,10 @@ from commlab.terms import (
     enumerate_terms,
     eval_term,
     free_vars,
+    term_layers,
 )
 
+from gridscan import pattern_key
 from oracles import depth
 
 P2 = Params(2)
@@ -91,7 +96,74 @@ def test_memoized_eval_ids_match_a_fresh_grid():
         _IdValues(SymbolicGrid(P2, ATOMS)).record(t, 2, ATOM_CELLS, values)
     # the memo is in use: terms share nodes, and nodes share arrays
     grid = long_lived.grid
-    assert len(grid._arrays) < len(grid._nodes) < len(grid._classes)
+    assert len(grid._arrays) < len(grid._nodes) < len(list(enumerate_terms(2, 2, POOL2, P2)))
+
+
+P3 = Params(3)
+
+
+@pytest.mark.parametrize(
+    "params,m,depth",
+    [(P2, 2, 2), (P2, 3, 2), (P3, 2, 1), (P3, 3, 1)],
+    ids=["n2-m2-d2", "n2-m3-d2", "n3-m2-d1", "n3-m3-d1"],
+)
+@pytest.mark.parametrize("layers_first", [True, False], ids=["layers-first", "terms-first"])
+def test_layer_class_arrays_match_the_per_term_classes(params, m, depth, layers_first):
+    # On the atoms (8 at n = 2, 12 at n = 3): a layer's class array is
+    # the per-term classes of its terms, whichever path builds the nodes,
+    # and each class array holds the ids of the term's values.
+    grid = SymbolicGrid(params, params.base_atoms(0))
+    pool = default_triple_pool(params)
+    terms = list(enumerate_terms(m, depth, pool, params))
+
+    def per_term():
+        return [grid.id_class(t, m) for t in terms]
+
+    expected = None if layers_first else per_term()
+    classes = np.zeros(0, dtype=np.intp)
+    for layer in term_layers(m, depth, pool, params):
+        classes = np.concatenate((classes, grid.layer_classes(layer, m, classes)))
+    assert classes.tolist() == (expected or per_term())
+    # terms share classes, so the comparison is not one of fresh nodes only
+    assert len(set(classes.tolist())) < len(terms)
+    # and the arrays hold the ids of the values, on a seeded sample of cells
+    id_values = _IdValues(grid)
+    rng = np.random.default_rng(len(terms))
+    for t in terms:
+        id_values.record(t, m, [tuple(c) for c in rng.integers(0, len(grid.domain), (8, m))])
+
+
+def test_unary_maps_are_gathers_from_id_arrays(monkeypatch):
+    # After a term-lemma run, u's map sends every atom id to the id of its
+    # image and u_pqr's cycles the triple and shifts every other atom;
+    # both leave every f-value id where it is.
+    grids = []
+
+    class Recording(SymbolicGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    monkeypatch.setattr(verifier_mod, "SymbolicGrid", Recording)
+    assert verifier_mod.check_term_lemma(P2, ATOMS, 2, POOL2).passed
+    (grid,) = grids
+    assert grid._unary_maps.keys() == {UApp, *POOL2}
+    f_values = 0
+    for op, table in grid._unary_maps.items():
+        if op is UApp:
+            image = {}
+        else:
+            image = dict(zip(op, op[1:] + op[:1]))
+        for i, mapped in enumerate(table.tolist()):
+            atom = grid._elems[i]
+            if atom is None:
+                f_values += 1
+                assert mapped == i
+            elif op is UApp:
+                assert mapped == grid.intern(eval_u(atom, P2))
+            else:
+                assert mapped == grid.intern(image.get(atom, shift_generator(atom)))
+    assert f_values
 
 
 def test_memoized_ids_are_read_only():
@@ -111,7 +183,8 @@ def test_memo_holds_each_distinct_id_array_once():
     d = len(ATOMS)
     by_content = {}
     full = 0
-    for t in itertools.islice(enumerate_terms(2, 2, POOL2, P2), 0, None, 10):
+    sampled = list(itertools.islice(enumerate_terms(2, 2, POOL2, P2), 0, None, 10))
+    for t in sampled:
         ids = grid.eval_ids(t, 2)
         full += ids.size == d**2
         cls = by_content.setdefault((ids.shape, ids.tobytes()), grid.id_class(t, 2))
@@ -120,7 +193,7 @@ def test_memo_holds_each_distinct_id_array_once():
         assert not ids.flags.writeable
     assert full
     assert len(grid._arrays) == len({(a.shape, a.tobytes()) for a in grid._arrays})
-    assert len(by_content) < len(grid._classes)
+    assert len(by_content) < len(sampled)
 
 
 def test_eval_codes_equality_pattern_survives_a_wide_intern_table():
@@ -218,7 +291,7 @@ def test_pattern_key_splits_terms_as_the_label_bytes_do(m):
     def label_bytes(t):
         return tuple((lab.shape, lab.tobytes()) for lab in _labels(grid, t, m))
 
-    pairs = {(grid.pattern_key(t, m), label_bytes(t)) for t in _over_two_blocks(m)}
+    pairs = {(pattern_key(grid, t, m), label_bytes(t)) for t in _over_two_blocks(m)}
     assert len({key for key, _ in pairs}) == len({old for _, old in pairs}) == len(pairs)
 
 
@@ -274,7 +347,7 @@ def test_equal_pattern_keys_give_equal_equality_patterns(m):
     for t in _over_two_blocks(m):
         codes = grid.eval_codes(t, m)
         pattern = (codes.shape, _first_occurrence_relabel(codes))
-        classes.setdefault(grid.pattern_key(t, m), []).append(pattern)
+        classes.setdefault(pattern_key(grid, t, m), []).append(pattern)
     for patterns in classes.values():
         assert all(p == patterns[0] for p in patterns[1:])
     # the key merges terms, so the check above compares something

@@ -49,6 +49,7 @@ from commlab.verifier import (
     verify_top_commutator,
 )
 
+from gridscan import pattern_key
 from oracles import corner_violation_brute, count_terms, is_power_of_u_on
 
 P2 = Params(2)
@@ -122,7 +123,7 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
         "assignments_scanned": (i + 1) * len(ATOMS) ** 4,
     }
     # one call per class met up to the hit, fewer than the terms scanned
-    keys = {grid.pattern_key(t, 2) for j, t in over_two if j <= i}
+    keys = {pattern_key(grid, t, 2) for j, t in over_two if j <= i}
     assert len(calls) == len(keys) < i + 1
 
 
@@ -319,6 +320,47 @@ def test_term_lemma_fail_record_at_a_later_term(monkeypatch):
     }
     # x0, x1, u(x0) and u(x1) all take two values in C
     assert rep.counts == {"terms_scanned": 4, "premise_terms": 4}
+
+
+def _term_lemma_per_term(params, domain, depth, pool, power_of):
+    # The term lemma one term at a time: (failing term, terms_scanned,
+    # premise_terms), the term None where every term passes.
+    grid = SymbolicGrid(params, list(domain))
+    c_ids = {grid.intern(g(i, 0)) for g in (AGen, BGen) for i in range(1, params.n + 1)}
+    powers = _u_powers(grid, params)
+    premise_terms = scanned = 0
+    for scanned, t in enumerate(enumerate_terms(2, depth, pool, params), 1):
+        ids = np.broadcast_to(grid.eval_ids(t, 2), (len(domain),) * 2)
+        premise = len(c_ids.intersection(ids.ravel().tolist())) >= 2
+        premise_terms += premise
+        if premise and power_of(ids, powers) is None:
+            return term_to_text(t), scanned, premise_terms
+    return None, scanned, premise_terms
+
+
+@pytest.mark.parametrize(
+    "denied,term",
+    [(None, None), ((0, 0), "x0"), ((1, 1), "u(x1)"), ((1, 2), "u(u(x1))")],
+    ids=["none", "layer-0", "layer-1", "layer-2"],
+)
+def test_term_lemma_counts_match_a_per_term_loop(monkeypatch, denied, term):
+    # Deny the power-of-u test to the arrays that are u^k of x_i for one
+    # (i, k): the class-level check fails at the first such term, in
+    # depth layer 0, 1 or 2, with the counts of a loop over every term.
+    real = verifier_mod._u_power_of
+
+    def power_of(ids, powers):
+        found = real(ids, powers)
+        return None if found == denied else found
+
+    monkeypatch.setattr(verifier_mod, "_u_power_of", power_of)
+    rep = check_term_lemma(P2, ATOMS, 2, POOL2)
+    expected_term, scanned, premise_terms = _term_lemma_per_term(P2, ATOMS, 2, POOL2, power_of)
+    assert expected_term == term
+    assert rep.outcome == ("pass" if term is None else "fail")
+    assert rep.counts == {"terms_scanned": scanned, "premise_terms": premise_terms}
+    if term is not None:
+        assert rep.counterexample["term"] == term
 
 
 def test_expected_top_cube_values():
