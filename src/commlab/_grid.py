@@ -46,7 +46,6 @@ because interning only appends.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -64,7 +63,6 @@ class SymbolicGrid:
         self.params = params
         self.domain = list(domain)
         self._atoms: dict[Element, int] = {}
-        self._atom_ids: list[int] = []  # increasing
         self._elems: list[Optional[Element]] = []  # atoms; None for an f-value
         self._f_cache: dict[tuple[int, ...], int] = {}
         self._unary_maps: dict[object, np.ndarray] = {}
@@ -99,7 +97,6 @@ class SymbolicGrid:
         if i is None:
             i = self._atoms[e] = len(self._elems)
             self._elems.append(e)
-            self._atom_ids.append(i)
         return i
 
     def _f(self, keys: list[tuple[int, ...]]) -> list[int]:
@@ -125,14 +122,13 @@ class SymbolicGrid:
         size = int(arr.max()) + 1
         if table.size < size:
             grown = np.arange(table.size, size, dtype=np.int64)
-            lo = bisect.bisect_left(self._atom_ids, table.size)
-            hi = bisect.bisect_left(self._atom_ids, size)
             if op is terms.UApp:
                 on_atom = functools.partial(elements.eval_u, params=self.params)
             else:
                 on_atom = elements.shift_generator
-            for i in self._atom_ids[lo:hi]:
-                grown[i - table.size] = self.intern(on_atom(self._elems[i]))
+            for i, e in enumerate(self._elems[table.size : size], table.size):
+                if e is not None:
+                    grown[i - table.size] = self.intern(on_atom(e))
             table = np.concatenate((table, grown))
             if op is not terms.UApp:
                 p, q, r = (self.intern(e) for e in op)
@@ -229,10 +225,12 @@ class SymbolicGrid:
                     self._nodes[(terms.FApp, node)] = self._array_class(ids)
 
     def _array_class(self, ids: np.ndarray) -> int:
-        ids.flags.writeable = False
         key = (ids.shape, ids.tobytes())
         cls = self._array_classes.get(key)
         if cls is None:
+            if ids.base is not None:  # a view, of a batch say, would keep all of it
+                ids = ids.copy()
+            ids.flags.writeable = False
             cls = self._array_classes[key] = len(self._arrays)
             self._arrays.append(ids)
         return cls
@@ -397,34 +395,22 @@ def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.nda
     dtype that holds it.
 
     While the positional codes span no more values than there are cells, a
-    counting pass over that span numbers them, and no sort is needed.  A
-    positional code is unpacked into its tuple; a numbered one is looked up
-    at its first cell."""
+    counting pass over that span numbers them, and no sort is needed."""
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     code, base = _pack(arrays)
     code = code.ravel()
-    span = base ** len(arrays)
-    if span <= code.size:
-        seen = np.zeros(span, dtype=bool)
+    if base ** len(arrays) <= code.size:
+        seen = np.zeros(base ** len(arrays), dtype=bool)
         seen[code] = True
         distinct = np.flatnonzero(seen)
-        rank = np.zeros(span, dtype=np.min_scalar_type(distinct.size - 1))
+        rank = np.zeros(seen.size, dtype=np.min_scalar_type(distinct.size - 1))
         rank[distinct] = np.arange(distinct.size)
-        inverse = rank[code]
-    elif span <= 2**63:
-        distinct, inverse = np.unique(code, return_inverse=True)
-        inverse = inverse.astype(np.min_scalar_type(distinct.size - 1), copy=False)
-    else:
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        at = np.unravel_index(first, shape)
-        inverse = inverse.astype(np.min_scalar_type(first.size - 1), copy=False)
-        return [np.broadcast_to(a, shape)[at] for a in arrays], inverse.reshape(shape)
-    tuples = []
-    for _ in arrays[1:]:
-        distinct, entry = np.divmod(distinct, base)
-        tuples.append(entry)
-    tuples.append(distinct)
-    return tuples[::-1], inverse.reshape(shape)
+        tuples = np.unravel_index(distinct, (base,) * len(arrays))
+        return list(tuples), rank[code].reshape(shape)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    at = np.unravel_index(first, shape)
+    inverse = inverse.astype(np.min_scalar_type(first.size - 1), copy=False)
+    return [np.broadcast_to(a, shape)[at] for a in arrays], inverse.reshape(shape)
 
 
 def _codes(labels: list[np.ndarray], f0_codes: np.ndarray) -> np.ndarray:

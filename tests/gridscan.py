@@ -8,8 +8,10 @@ the tests can compare the two scans.
 
 from __future__ import annotations
 
+import numpy as np
+
 from commlab import _grid
-from commlab.terms import free_vars
+from commlab.terms import FApp, TermLayer, UApp, UPQRApp, Var, free_vars
 
 
 def pattern_key(grid, t, m):
@@ -37,3 +39,38 @@ def first_hit_per_term(grid, terms, m, blocks, decide):
             return scanned, t, hit
         no_hit.add(key)
     return scanned, None, None
+
+
+def subterm_layers(t, n):
+    """A layer stream that holds t after its distinct subterms: the
+    variables x0 up to t's last one, then one layer per compound subterm,
+    children first.  Returns the layers and their terms in order."""
+    num_vars = 1 + max(free_vars(t))
+    stream = [Var(i) for i in range(num_vars)]
+    pos = {v: i for i, v in enumerate(stream)}
+    none = np.zeros(0, dtype=np.intp)
+    layers = [TermLayer(0, num_vars, none, (), none.reshape(0, 0), none.reshape(0, n))]
+
+    def visit(s):
+        if s in pos:
+            return
+        if isinstance(s, FApp):
+            for a in s.args:
+                visit(a)
+            layer = dict(f=np.array([[pos[a] for a in s.args]], dtype=np.intp))
+        else:
+            visit(s.arg)
+            child = np.array([pos[s.arg]], dtype=np.intp)
+            if isinstance(s, UApp):
+                layer = dict(u=child)
+            else:
+                assert isinstance(s, UPQRApp)
+                layer = dict(triples=((s.p, s.q, s.r),), upqr=child.reshape(1, 1))
+        fields = dict(u=none, triples=(), upqr=none.reshape(0, 0), f=none.reshape(0, n))
+        layers.append(TermLayer(len(stream), 0, **{**fields, **layer}))
+        pos[s] = len(stream)
+        stream.append(s)
+
+    visit(t)
+    assert stream[-1] == t
+    return layers, stream

@@ -49,7 +49,7 @@ from commlab.verifier import (
     search_np1_failure,
 )
 
-from gridscan import first_hit_per_term, pattern_key
+from gridscan import first_hit_per_term, pattern_key, subterm_layers
 from oracles import scan_terms_naive
 
 P2 = Params(2)
@@ -241,22 +241,42 @@ def test_scan_chunk_agrees_with_the_oracle_scan(params, m, domain, all_blocks_on
     assert 0 < hits < len(terms)
 
 
+def test_search_agrees_with_the_oracle_scan_of_every_term():
+    # The whole depth-1 space at dimension 2, terms over one block
+    # included: the oracle scans each of those in full, and so must the
+    # counts of the layer scan.
+    pool = default_triple_pool(P2)
+    w, stats = _scan_terms(term_layers(2, 1, pool, P2), 2, list(ATOMS), P2)
+    o_w, o_terms, o_count = scan_terms_naive(list(enumerate_terms(2, 1, pool, P2)), 2, ATOMS, P2)
+    assert (stats.terms_scanned, stats.assignments_scanned) == (o_terms, o_count)
+    assert w.to_record() == _oracle_record(*o_w, 2)
+    assert search_tc_witness(2, 1, ATOMS, pool, P2) == (w, stats)
+
+
 def _agrees_with_the_oracle_scan(params, m, domain, t):
-    # Whether t has a witness, after checking it and the counts of its
-    # one-term scan against the oracle.  A term over fewer than m blocks
-    # never reaches the kernel: the scan passes it over every assignment.
-    d = len(domain)
+    # Whether t has a witness, after checking the scan of a stream that
+    # holds t after its subterms against the oracle's scan of t.  The
+    # subterms are over fewer than m blocks: the oracle would pass each in
+    # full without a witness, and the stream's counts must include them.
+    layers, stream = subterm_layers(t, params.n)
+    assert all(len(free_vars(s)) < m for s in stream[:-1])
+    w, stats = _scan_terms(layers, m, list(domain), params)
+    o_w, o_terms, o_count = scan_terms_naive([t], m, domain, params)
+    skipped = len(stream) - 1
+    assert (stats.terms_scanned, stats.assignments_scanned) == (
+        skipped + o_terms, skipped * len(domain) ** (2 * m) + o_count
+    )
+    assert (w is None) == (o_w is None)
+    if w is not None:
+        assert w.to_record() == _oracle_record(*o_w, m)
+    # and the kernel alone, on a fresh grid, finds the oracle's cube
     hit = None
     if len(free_vars(t)) == m:
         hit = cubes_mod._grid_term_has_witness(SymbolicGrid(params, list(domain)), t, m)
-    o_w, o_terms, o_count = scan_terms_naive([t], m, domain, params)
-    count = d ** (2 * m) if hit is None else cubes_mod._lex_rank(hit, d) + 1
-    assert (1, count) == (o_terms, o_count)
     assert (hit is None) == (o_w is None)
     if hit is not None:
-        w = TCWitness(t, *located_cube(t, m, hit, domain, params, is_tc_failure, "witness"))
-        assert w.to_record() == _oracle_record(*o_w, m)
-    return hit is not None
+        assert cubes_mod._lex_rank(hit, len(domain)) + 1 == o_count
+    return w is not None
 
 
 P4 = Params(4)

@@ -126,6 +126,8 @@ def test_layer_class_arrays_match_the_per_term_classes(params, m, depth, layers_
     assert classes.tolist() == (expected or per_term())
     # terms share classes, so the comparison is not one of fresh nodes only
     assert len(set(classes.tolist())) < len(terms)
+    # no class array is a view, which would keep its whole f-node batch
+    assert all(a.base is None for a in grid._arrays)
     # and the arrays hold the ids of the values, on a seeded sample of cells
     id_values = _IdValues(grid)
     rng = np.random.default_rng(len(terms))
