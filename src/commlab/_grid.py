@@ -24,7 +24,7 @@ its children's classes; the memo maps each node to its class, so a unary
 node is evaluated once per distinct child class and an f-node once per
 distinct tuple of child classes, however many terms share it.  A layer's
 new f-nodes go through f's table in batches of one shape, each no larger
-than one full grid.  A single ``Term`` is evaluated through the same memo.
+than the f-node cap.  A single ``Term`` is evaluated through the same memo.
 
 Two output modes:
 
@@ -203,9 +203,8 @@ class SymbolicGrid:
     def _eval_f_nodes(self, nodes: list[tuple[int, ...]]) -> None:
         """Evaluate f-nodes that are not in the memo.  Nodes whose children
         have the same shapes go through f's table together: each child
-        position stacks its arrays along a new first axis, in batches of
-        at most one full grid's cells, and never above the f-node cap that
-        each node is held to."""
+        position stacks its arrays along a new first axis, in batches of at
+        most the f-node cap's cells, the cap that each node is held to."""
         by_shapes: dict[tuple, list[tuple[int, ...]]] = {}
         for node in nodes:
             by_shapes.setdefault(tuple(self._arrays[c].shape for c in node), []).append(node)
@@ -213,8 +212,7 @@ class SymbolicGrid:
             shape = np.broadcast_shapes(*shapes)
             cells = math.prod(shape)
             check_budget("f-node grid", cells, errors.F_NODE_CAP, "cells")
-            full = min(len(self.domain) ** len(shape), errors.F_NODE_CAP)
-            step = max(1, full // cells)
+            step = errors.F_NODE_CAP // cells
             for s in range(0, len(group), step):
                 batch = group[s : s + step]
                 children = [

@@ -4,12 +4,18 @@ The algebra has arity parameter n >= 2 and universe built from the atoms
 a(i,j), b(i,j) (i in 1..n, j >= 0), d(1)..d(2^(n-1)+1), c, closed under an
 n-ary operation f whose off-table values are freshly tagged tuples.  All
 values here are immutable; structural equality is element equality.
+
+Each variant hashes its variant tag with its fields, ints only, so a(i,j)
+and b(i,j) hash apart and an element hashes alike in every process.  A
+tagged value caches its hash when it is built, so a lookup does not walk
+its tree; the variants have slots, so the cache costs no instance dict.
+Equality is the dataclass's, field by field.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import DEFAULT_ELEMENT_CAP, DomainError, InvalidTripleError, check_budget
@@ -44,7 +50,7 @@ class Params:
         return atoms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AGen:
     i: int
     j: int
@@ -53,8 +59,11 @@ class AGen:
         if self.i < 1 or self.j < 0:
             raise ValueError(f"bad a-generator indices ({self.i}, {self.j})")
 
+    def __hash__(self):
+        return hash((0, self.i, self.j))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BGen:
     i: int
     j: int
@@ -63,8 +72,11 @@ class BGen:
         if self.i < 1 or self.j < 0:
             raise ValueError(f"bad b-generator indices ({self.i}, {self.j})")
 
+    def __hash__(self):
+        return hash((1, self.i, self.j))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class DConst:
     k: int
 
@@ -72,16 +84,27 @@ class DConst:
         if self.k < 1:
             raise ValueError(f"bad d-constant index {self.k}")
 
+    def __hash__(self):
+        return hash((2, self.k))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class CConst:
-    pass
+    def __hash__(self):
+        return hash((3,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tagged:
     args: tuple["Element", ...]
     tag: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((4, self.tag, *self.args)))
+
+    def __hash__(self):
+        return self._hash
 
 
 Element = Union[AGen, BGen, DConst, CConst, Tagged]

@@ -1,8 +1,14 @@
+import ast
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import commlab
 from commlab.elements import (
     AGen,
     BGen,
@@ -266,3 +272,84 @@ def test_u_pqr_fixed_points_and_shift(e):
         assert out != e
     else:
         assert out == e
+
+
+def _structure(e):
+    """An element as nested tuples of its variant's name and its ints."""
+    if isinstance(e, (AGen, BGen)):
+        return (type(e).__name__, e.i, e.j)
+    if isinstance(e, DConst):
+        return ("DConst", e.k)
+    if isinstance(e, CConst):
+        return ("CConst",)
+    return ("Tagged", e.tag, tuple(_structure(a) for a in e.args))
+
+
+def _rebuild(s):
+    """A new element of the given structure."""
+    name, *fields = s
+    if name == "Tagged":
+        return Tagged(tuple(_rebuild(a) for a in fields[1]), fields[0])
+    return {"AGen": AGen, "BGen": BGen, "DConst": DConst, "CConst": CConst}[name](*fields)
+
+
+def _swap_ab(e):
+    """e with every a(i,j) and b(i,j) swapped."""
+    if isinstance(e, AGen):
+        return BGen(e.i, e.j)
+    if isinstance(e, BGen):
+        return AGen(e.i, e.j)
+    if isinstance(e, Tagged):
+        return Tagged(tuple(_swap_ab(a) for a in e.args), e.tag)
+    return e
+
+
+@given(_elements, _elements, st.integers(1, 4), st.integers(0, 4), st.integers(1, 9))
+def test_elements_are_equal_iff_their_structure_is_and_hash_by_variant(x, y, i, j, k):
+    for e in (x, y):
+        copy = _rebuild(_structure(e))
+        assert copy == e and hash(copy) == hash(e)
+    assert (x == y) == (_structure(x) == _structure(y))
+    if x == y:
+        assert hash(x) == hash(y)
+    # the variant is part of the hash, down the tree of a tagged value
+    assert hash(AGen(i, j)) != hash(BGen(i, j))
+    assert hash(DConst(k)) != hash((k,))
+    if _swap_ab(x) != x:
+        assert hash(_swap_ab(x)) != hash(x)
+
+
+_HASH_SAMPLE = [
+    AGen(1, 0),
+    BGen(2, 3),
+    DConst(2),
+    CConst(),
+    eval_f((AGen(1, 0), CConst()), _P2),
+    eval_f((eval_f((BGen(1, 1), DConst(1)), _P2), AGen(2, 0)), _P2),
+]
+
+_HASH_SCRIPT = """
+import pickle, sys
+from commlab.textio import parse_element
+elements, texts = pickle.load(sys.stdin.buffer)
+print((hash("x"), [hash(e) for e in elements], [hash(parse_element(t)) for t in texts]))
+"""
+
+
+def test_element_hashes_do_not_depend_on_the_hash_seed():
+    # Elements pickled to a --jobs worker and elements built there meet in
+    # the same dicts, so both must hash as here under another hash seed.
+    src = os.path.dirname(os.path.dirname(commlab.__file__))
+    payload = pickle.dumps((_HASH_SAMPLE, [element_to_text(e) for e in _HASH_SAMPLE]))
+    expected = [hash(e) for e in _HASH_SAMPLE]
+    str_hashes = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SCRIPT], input=payload, env=env,
+            capture_output=True, check=True,
+        ).stdout.decode()
+        str_hash, pickled, built = ast.literal_eval(out)
+        assert pickled == built == expected
+        str_hashes.add(str_hash)
+    assert len(str_hashes) == 2  # the seed took effect

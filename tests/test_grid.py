@@ -274,6 +274,37 @@ def test_f_node_cap_raises_before_it_allocates():
     assert peak < 10**6
 
 
+def test_f_node_batches_fill_up_to_the_f_node_cap(monkeypatch):
+    # The term lemma's full grid on the 8 atoms is 64 cells, far below the
+    # cap, so a layer's new f-nodes of one child-shape group go through f's
+    # table in one call: at most one per layer and group, and each of the
+    # two children has one of 3 shapes, (d, 1), (1, d) or (d, d).
+    cells = []
+    f_ids = SymbolicGrid._f_ids
+
+    def counted(self, children):
+        cells.append(int(np.prod(np.broadcast_shapes(*(c.shape for c in children)))))
+        return f_ids(self, children)
+
+    monkeypatch.setattr(SymbolicGrid, "_f_ids", counted)
+
+    def term_lemma():
+        cells.clear()
+        return verifier_mod.check_term_lemma(P2, ATOMS, 2, POOL2).to_record(False)
+
+    report = term_lemma()
+    assert report["outcome"] == "pass"
+    f_layers = sum(len(layer.f) > 0 for layer in term_layers(2, 2, POOL2, P2))
+    assert 0 < len(cells) <= f_layers * 3**2
+    calls = len(cells)
+    # with the cap three grids wide, the batches split, none past the cap,
+    # and the report is the same
+    monkeypatch.setattr(errors, "F_NODE_CAP", 3 * 64 + 1)
+    assert term_lemma() == report
+    assert len(cells) > calls
+    assert max(cells) <= errors.F_NODE_CAP
+
+
 def test_memoized_arg_labels_are_read_only():
     grid = SymbolicGrid(P2, ATOMS)
     t = FApp((UApp(Var(0)), FApp((Var(1), Var(2)))))
