@@ -24,24 +24,26 @@ its children's classes; the memo maps each node to its class, so a unary
 node is evaluated once per distinct child class and an f-node once per
 distinct tuple of child classes, however many terms share it.  A layer's
 new f-nodes go through f's table in batches of one shape, each no larger
-than the f-node cap.  A single ``Term`` is evaluated through the same memo.
+than the f-node cap.  The grid is entered by layers and by classes only:
+no method takes a ``Term``.
 
 Two output modes:
 
 - id arrays: every value is a real interned id (needed when values are
   inspected, e.g. membership in C);
-- equality codes: injective unary wrappers are stripped and the root, an
-  f-application as in every term over two or more blocks, is encoded,
-  from the pattern labels of its arguments, as an integer that is equal
-  for two cells exactly when the element values are equal.  This avoids
-  interning the (potentially huge) set of top-level f-images when only
-  the equality pattern of a cube matters.
+- equality codes: an f-root, given by the classes of its arguments, is
+  encoded from their pattern labels as an integer that is equal for two
+  cells exactly when the element values are equal.  Injective unary
+  wrappers above the root keep the pattern, so every term over two or
+  more blocks is coded by its f-root.  This avoids interning the
+  (potentially huge) set of top-level f-images when only the equality
+  pattern of a cube matters.
 
 The pattern labels of an f-argument are memoized per (class, position),
 and the last-axis row classes per distinct label array.  ``first_hit``
-scans layers by the class ids of those labels, the pattern keys, and
-builds a ``Term`` only for the first term of each key.  Ids stay valid
-because interning only appends.
+scans layers by the class ids of those labels, the pattern keys, hands
+each key's argument classes to its decider, and builds a ``Term`` only
+for the hit.  Ids stay valid because interning only appends.
 """
 
 from __future__ import annotations
@@ -138,28 +140,16 @@ class SymbolicGrid:
             self._unary_maps[op] = table
         return table[arr]
 
-    def eval_ids(self, t: terms.Term, m: int) -> np.ndarray:
-        """Read-only interned ids of t over the m-axis domain grid (broadcast shape)."""
-        return self._arrays[self.id_class(t, m)]
-
     def class_ids(self, cls: int) -> np.ndarray:
-        """The read-only id array of a class."""
+        """The read-only id array of a class, in broadcast shape over the
+        m-axis domain grid: equal classes, equal arrays, and the other way
+        round."""
         return self._arrays[cls]
-
-    def id_class(self, t: terms.Term, m: int) -> int:
-        """The class of t's id array over the m-axis grid: equal classes,
-        equal arrays, and the other way round."""
-        if isinstance(t, terms.Var):
-            return self._var_class(t.idx, m)
-        if isinstance(t, terms.FApp):
-            return self._f_classes([tuple(self.id_class(a, m) for a in t.args)])[0]
-        op = terms.UApp if isinstance(t, terms.UApp) else (t.p, t.q, t.r)
-        return self._unary_class(op, self.id_class(t.arg, m))
 
     def layer_classes(self, layer: terms.TermLayer, m: int, below: np.ndarray) -> np.ndarray:
         """The id class of each term of a layer over the m-axis grid;
         ``below`` holds the classes of the terms at every earlier position."""
-        parts = [np.array([self._var_class(i, m) for i in range(layer.num_vars)], dtype=np.intp)]
+        parts = [np.array([self.var_class(i, m) for i in range(layer.num_vars)], dtype=np.intp)]
         parts.append(self._unary_classes(terms.UApp, below[layer.u]))
         for triple, row in zip(layer.triples, layer.upqr):
             parts.append(self._unary_classes(triple, below[row]))
@@ -168,7 +158,8 @@ class SymbolicGrid:
             parts.append(np.array(self._f_classes(list(map(tuple, nodes.tolist()))))[inverse])
         return np.concatenate(parts)
 
-    def _var_class(self, idx: int, m: int) -> int:
+    def var_class(self, idx: int, m: int) -> int:
+        """The class of the variable x_idx over the m-axis grid."""
         node = (terms.Var, idx, m)
         cls = self._nodes.get(node)
         if cls is None:
@@ -181,10 +172,11 @@ class SymbolicGrid:
         """The class of op over each of the children's classes, evaluated
         once per distinct child class."""
         distinct, inverse = np.unique(children, return_inverse=True)
-        classes = [self._unary_class(op, c) for c in distinct.tolist()]
+        classes = [self.unary_class(op, c) for c in distinct.tolist()]
         return np.array(classes, dtype=np.intp)[inverse]
 
-    def _unary_class(self, op, child: int) -> int:
+    def unary_class(self, op, child: int) -> int:
+        """The class of u (op ``terms.UApp``) or u_pqr (op its triple) over a class."""
         node = (op, child)
         cls = self._nodes.get(node)
         if cls is None:
@@ -240,23 +232,18 @@ class SymbolicGrid:
         ids = self._f(list(zip(*(r.tolist() for r in rows))))
         return np.array(ids, dtype=np.int64)[inverse]
 
-    def eval_codes(self, t: terms.Term, m: int) -> np.ndarray:
-        """Equality codes of t over the grid, in broadcast shape: code
-        equality iff value equality.  The root, wrappers stripped, must be
-        an f-application.
+    def eval_codes(self, args: tuple[int, ...]) -> np.ndarray:
+        """Equality codes over the grid of the f-root whose arguments have
+        the id classes ``args``, in their broadcast shape: code equality
+        iff value equality.
 
         Off f0's domain f is injective on argument tuples, and a d-value
         depends only on which arguments are the a/b generators of their
         position.  So the codes depend on each argument's labels alone: its
         ids, renumbered by first occurrence with the position's a and b ids
         pinned to 0 and 1."""
-        args = _strip_wrappers(t).args
-        labels = [self._arg_labels(arg, pos, m)[0] for pos, arg in enumerate(args)]
+        labels = [self._labels_of(cls, pos)[0] for pos, cls in enumerate(args)]
         return _codes(labels, self._f0_codes)
-
-    def _arg_labels(self, arg: terms.Term, pos: int, m: int) -> tuple[np.ndarray, int]:
-        """``_labels_of`` an f-argument's class at its position."""
-        return self._labels_of(self.id_class(arg, m), pos)
 
     def _labels_of(self, cls: int, pos: int) -> tuple[np.ndarray, int]:
         """The read-only pinned labels of an id class as an f-argument at a
@@ -279,11 +266,10 @@ class SymbolicGrid:
             self._labels[key] = hit
         return hit
 
-    def fibers(self, t: terms.Term, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct fibers of t's equality codes along the last axis, as
-        a (k, d) array, and for each cell of the first m - 1 axes, in full
-        shape, the index of its fiber.  The root, wrappers stripped, must be
-        an f-application, as it is in every term that uses all m axes.
+    def fibers(self, args: tuple[int, ...], m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct fibers along the last axis of ``eval_codes(args)``
+        over the m-axis grid, as a (k, d) array, and for each cell of the
+        first m - 1 axes, in full shape, the index of its fiber.
 
         The codes within a fiber depend on each argument's row only through
         equality, through which labels are 0 or 1 and through f0's d-index,
@@ -291,8 +277,7 @@ class SymbolicGrid:
         tuple of its arguments' row classes, and only the distinct fibers
         are built, from the classes' reduced rows."""
         d = len(self.domain)
-        args = _strip_wrappers(t).args
-        rows = [self._arg_rows(arg, pos, m) for pos, arg in enumerate(args)]
+        rows = [self._rows_of(cls, pos) for pos, cls in enumerate(args)]
         classes, cell_fiber = _distinct_tuples([row_class for _, row_class in rows])
         fibers = _codes([reduced[c] for (reduced, _), c in zip(rows, classes)], self._f0_codes)
         return (
@@ -300,19 +285,20 @@ class SymbolicGrid:
             np.broadcast_to(cell_fiber, (d,) * (m - 1)),
         )
 
-    def _arg_rows(self, arg: terms.Term, pos: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """``_row_classes`` of an f-argument's labels, memoized per label class."""
-        labels, cls = self._arg_labels(arg, pos, m)
-        rows = self._rows.get(cls)
+    def _rows_of(self, cls: int, pos: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_row_classes`` of an id class's labels at an f-argument
+        position, memoized per label class."""
+        labels, label_cls = self._labels_of(cls, pos)
+        rows = self._rows.get(label_cls)
         if rows is None:
-            rows = self._rows[cls] = _row_classes(labels)
+            rows = self._rows[label_cls] = _row_classes(labels)
         return rows
 
     def first_hit(
         self, layers: Iterable[terms.TermLayer], m: int, blocks: int, decide: Callable
     ) -> tuple[int, Optional[terms.Term], Optional[tuple]]:
         """(scanned, term, hit) for the first term of the layers whose hit
-        ``decide(self, t, m)`` is not None, or (scanned, None, None).
+        ``decide(self, args, m)`` is not None, or (scanned, None, None).
 
         The layers are read one at a time and the scan stops at its hit, so
         ``scanned`` is the hit's position + 1, or every term of the layers,
@@ -323,11 +309,12 @@ class SymbolicGrid:
         Terms with fewer than ``blocks`` >= 2 free variables are skipped.
         Every term is over x0..x(m-1), so the witness search passes m (the
         terms that use all blocks) and the corner lemma 2; either way the
-        terms that reach ``decide`` are f-rooted, wrappers stripped.
-        ``decide`` must depend on the pattern key only, the label classes
-        of the root's arguments (the witness kernel reads ``fibers``, the
-        corner lemma ``eval_codes``), so it runs once per key, on the key's
-        first term, which is the only term built."""
+        terms that reach ``decide`` are f-rooted, wrappers stripped, and
+        ``args`` is the tuple of the root's argument classes.  ``decide``
+        must depend on the pattern key only, the label classes of those
+        arguments (the witness kernel reads ``fibers``, the corner lemma
+        ``eval_codes``), so it runs once per key, on the key's first term.
+        The hit's term is the only ``Term`` the scan builds."""
         seen: list[terms.TermLayer] = []
         classes = masks = np.zeros(0, dtype=np.intp)
         no_hit: set[tuple[int, ...]] = set()
@@ -351,22 +338,16 @@ class SymbolicGrid:
             _, first = np.unique(_unique_rows(children)[1], return_index=True)
             f_start = masks.size - len(layer.f)
             for i in np.sort(first).tolist():
-                key = tuple(self._labels_of(c, pos)[1] for pos, c in enumerate(children[i].tolist()))
+                args = tuple(children[i].tolist())
+                key = tuple(self._labels_of(cls, pos)[1] for pos, cls in enumerate(args))
                 if key in no_hit:
                     continue
-                pos = f_start + int(roots[i])
-                t = terms.term_at(seen, pos)
-                hit = decide(self, t, m)
+                hit = decide(self, args, m)
                 if hit is not None:
-                    return pos + 1, t, hit
+                    pos = f_start + int(roots[i])
+                    return pos + 1, terms.term_at(seen, pos), hit
                 no_hit.add(key)
         return masks.size, None, None
-
-
-def _strip_wrappers(t: terms.Term) -> terms.Term:
-    while isinstance(t, (terms.UApp, terms.UPQRApp)):
-        t = t.arg  # injective wrappers preserve the equality pattern
-    return t
 
 
 def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:

@@ -96,11 +96,12 @@ class SearchStats:
 
 
 def _grid_term_has_witness(
-    grid: SymbolicGrid, t: Term, m: int
+    grid: SymbolicGrid, args: tuple[int, ...], m: int
 ) -> Optional[tuple[int, ...]]:
-    """Canonically first witness assignment of t as domain indices
-    (p1, q1, ..., pm, qm), or None when t has none."""
-    return _fiber_witness(*grid.fibers(t, m))
+    """Canonically first witness assignment, as domain indices
+    (p1, q1, ..., pm, qm), of the f-rooted terms whose root arguments have
+    the grid's id classes ``args``, or None when they have none."""
+    return _fiber_witness(*grid.fibers(args, m))
 
 
 def _first_index(mask: np.ndarray) -> Optional[tuple[int, ...]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -32,14 +33,12 @@ from .errors import BudgetExceededError, check_budget
 from .finengine import UnionFind
 from .terms import (
     FApp,
-    Term,
     TermLayer,
     UApp,
     UnaryPolynomial,
     UPQRApp,
     Var,
     eval_poly,
-    free_vars,
     term_at,
     term_layers,
     term_to_text,
@@ -124,15 +123,17 @@ def is_corner_violation(c: Cube) -> bool:
 
 
 def _corner_violation(
-    grid: SymbolicGrid, t: Term, m: int
+    grid: SymbolicGrid, args: tuple[int, ...], m: int
 ) -> Optional[tuple[int, ...]]:
     """First assignment (domain indices p1,q1,...,pm,qm) where vertex 1
-    equals all adjacent vertices but the cube is not constant.  The scan's
-    line comparisons, d per code, are held to the grid cap before the
-    codes are built."""
-    cells = len(grid.domain) ** (len(free_vars(t)) + 1)
+    equals all adjacent vertices but the cube is not constant, for the
+    f-rooted terms whose root arguments have the grid's id classes
+    ``args``.  The scan's line comparisons, d per code of the arguments'
+    broadcast shape, are held to the grid cap before the codes are built."""
+    shape = np.broadcast_shapes(*(grid.class_ids(cls).shape for cls in args))
+    cells = len(grid.domain) * math.prod(shape)
     check_budget("corner-lemma line comparisons", cells, errors.GRID_CELL_CAP, "cells")
-    return corner_violation_in(grid.eval_codes(t, m))
+    return corner_violation_in(grid.eval_codes(args))
 
 
 def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -208,10 +209,10 @@ def check_corner_lemma(
 
 def _u_powers(grid: SymbolicGrid, params: Params) -> list[np.ndarray]:
     """Ids of u^k applied to every domain element, for k = 0..2n+1."""
-    powers, t = [], Var(0)
+    powers, cls = [], grid.var_class(0, 1)
     for _ in range(2 * params.n + 2):
-        powers.append(grid.eval_ids(t, 1))
-        t = UApp(t)
+        powers.append(grid.class_ids(cls))
+        cls = grid.unary_class(UApp, cls)
     return powers
 
 

@@ -1,31 +1,55 @@
 """Per-term references for the grid's class-level scans.
 
-The grid scans term layers as arrays of id classes and builds a ``Term``
-only for the first term of each pattern key.  These helpers do the same
-per term, over ``enumerate_terms``, through the grid's per-term memo, so
-the tests can compare the two scans.
+The grid scans term layers as arrays of id classes, hands each pattern
+key's argument classes to its decider and builds a ``Term`` only for the
+hit.  These helpers build a term's class one node at a time through the
+grid's memo, and scan ``enumerate_terms`` one term at a time, so the tests
+can compare the two scans.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from commlab import _grid
 from commlab.terms import FApp, TermLayer, UApp, UPQRApp, Var, free_vars
+
+
+def term_class(grid, t, m):
+    """The class of t's id array over the m-axis grid, built one node at a
+    time through the grid's memo."""
+    if isinstance(t, Var):
+        return grid.var_class(t.idx, m)
+    if isinstance(t, FApp):
+        return grid._f_classes([tuple(term_class(grid, a, m) for a in t.args)])[0]
+    op = UApp if isinstance(t, UApp) else (t.p, t.q, t.r)
+    return grid.unary_class(op, term_class(grid, t.arg, m))
+
+
+def term_ids(grid, t, m):
+    """The read-only interned ids of t over the m-axis grid (broadcast shape)."""
+    return grid.class_ids(term_class(grid, t, m))
+
+
+def root_args(grid, t, m):
+    """The classes of the arguments of t's root, injective wrappers
+    stripped: what the class-level scan passes a decider."""
+    while isinstance(t, (UApp, UPQRApp)):
+        t = t.arg
+    return tuple(term_class(grid, a, m) for a in t.args)
 
 
 def pattern_key(grid, t, m):
     """The label class ids of the arguments of t's root, wrappers stripped:
     the key the class-level scan groups f-rooted terms by."""
-    args = _grid._strip_wrappers(t).args
-    return tuple(grid._arg_labels(arg, pos, m)[1] for pos, arg in enumerate(args))
+    return tuple(grid._labels_of(cls, pos)[1] for pos, cls in enumerate(root_args(grid, t, m)))
 
 
 def first_hit_per_term(grid, terms, m, blocks, decide):
     """``SymbolicGrid.first_hit`` one term at a time: (scanned, term, hit)
-    for the first term whose hit ``decide(grid, t, m)`` is not None, or
-    (scanned, None, None).  Terms over fewer than ``blocks`` variables are
-    skipped, and ``decide`` runs once per pattern key."""
+    for the first term whose hit ``decide(grid, root_args(grid, t, m), m)``
+    is not None, or (scanned, None, None).  Terms over fewer than
+    ``blocks`` variables are skipped, and ``decide`` runs once per pattern
+    key."""
     no_hit = set()
     scanned = 0
     for scanned, t in enumerate(terms, 1):
@@ -34,7 +58,7 @@ def first_hit_per_term(grid, terms, m, blocks, decide):
         key = pattern_key(grid, t, m)
         if key in no_hit:
             continue
-        hit = decide(grid, t, m)
+        hit = decide(grid, root_args(grid, t, m), m)
         if hit is not None:
             return scanned, t, hit
         no_hit.add(key)

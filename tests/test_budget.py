@@ -23,6 +23,8 @@ from commlab.verifier import (
     corner_violation_in,
 )
 
+from gridscan import root_args, term_ids
+
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
 ATOMS = P2.base_atoms(0)  # 8 elements
@@ -45,6 +47,10 @@ def _patched(name, run):
         return run()
 
     return with_cap
+
+
+def _corner_term(grid, t):
+    return _corner_violation(grid, root_args(grid, t, 2), 2)
 
 
 def _code_set_subpower(monkeypatch, cap):
@@ -82,7 +88,7 @@ CASES = {
     ),
     "f-node": (
         "f-node grid", 64, "cells",
-        _patched("F_NODE_CAP", lambda: SymbolicGrid(P2, ATOMS).eval_ids(F01, 2)),
+        _patched("F_NODE_CAP", lambda: term_ids(SymbolicGrid(P2, ATOMS), F01, 2)),
     ),
     "nfequal": (
         "nfequal", 64, "tuples",
@@ -94,7 +100,7 @@ CASES = {
     ),
     "corner-term": (
         "corner-lemma line comparisons", 512, "cells",
-        _patched("GRID_CELL_CAP", lambda: _corner_violation(SymbolicGrid(P2, ATOMS), F01, 2)),
+        _patched("GRID_CELL_CAP", lambda: _corner_term(SymbolicGrid(P2, ATOMS), F01)),
     ),
     # the boxes of the odd cell's 8 candidates take 4 * 9 + 4 * 6 = 60 cells
     "corner-boxes": (

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import commlab.terms as terms_mod
+import commlab.verifier as verifier_mod
 from commlab import finengine
 from commlab.cli import (
     EXIT_CHECK_FAILED,
@@ -410,6 +412,34 @@ def test_paper_verify_reports_do_not_depend_on_jobs():
         lines[jobs] = [r.to_json_line(include_timing=False) for r in run_paper_verify(config)]
     assert len(lines[1]) == 7
     assert lines[1] == lines[2] == lines[3]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [dict(n=2, j_max=0, closure_depth=1, max_depth=2), dict(n=3), dict(n=4)],
+    ids=["verify-n2", "n3-defaults", "n4-defaults"],
+)
+def test_paper_verify_builds_one_term(monkeypatch, bounds):
+    # The scans hand their deciders argument classes, and build a Term only
+    # for a hit: the control search's witness is the one term of the run.
+    built = []
+    depth = [0]
+    term_at = terms_mod.term_at
+
+    def outermost(layers, pos):
+        if not depth[0]:
+            built.append(pos)
+        depth[0] += 1
+        try:
+            return term_at(layers, pos)
+        finally:
+            depth[0] -= 1
+
+    for module in (terms_mod, verifier_mod):
+        monkeypatch.setattr(module, "term_at", outermost)
+    reports = run_paper_verify(RunConfig(**bounds))
+    assert all(r.passed for r in reports)
+    assert len(built) == 1
 
 
 GOLDEN = pathlib.Path(__file__).parent / "data"

@@ -49,7 +49,7 @@ from commlab.verifier import (
     search_np1_failure,
 )
 
-from gridscan import first_hit_per_term, pattern_key, subterm_layers
+from gridscan import first_hit_per_term, pattern_key, root_args, subterm_layers
 from oracles import scan_terms_naive
 
 P2 = Params(2)
@@ -112,13 +112,13 @@ def test_is_tc_failure_cases():
 @pytest.mark.parametrize("blocks", [2, 3])
 def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
     # Only terms with at least ``blocks`` free variables reach decide, the
-    # first of each pattern key, and the count is of every term of the
-    # layers, skipped ones included.
+    # root argument classes of the first of each pattern key, and the count
+    # is of every term of the layers, skipped ones included.
     terms = list(enumerate_terms(3, 2, POOL2, P2))
     decided = []
 
-    def decide(grid, t, m):
-        decided.append(t)
+    def decide(grid, args, m):
+        decided.append(args)
 
     grid = SymbolicGrid(P2, ATOMS)
     assert grid.first_hit(term_layers(3, 2, POOL2, P2), 3, blocks, decide) == (
@@ -128,7 +128,7 @@ def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
     firsts = {}
     for t in over_blocks:
         firsts.setdefault(pattern_key(grid, t, 3), t)
-    assert decided == list(firsts.values())
+    assert decided == [root_args(grid, t, 3) for t in firsts.values()]
     assert len(decided) < len(over_blocks) < len(terms)
 
 
@@ -143,22 +143,24 @@ def test_first_hit_reads_its_terms_lazily_and_counts_them():
         yield from itertools.islice(term_layers(2, 2, POOL2, P2), 2)
         raise AssertionError("sized the layer past the hit")
 
-    def decide(grid, t, m):
-        return (1,) if t == hit_term else None
+    def decide(grid, args, m):
+        return (1,) if args == root_args(grid, hit_term, m) else None
 
     grid = SymbolicGrid(P2, ATOMS)
     assert grid.first_hit(layers(), 2, 2, decide) == (terms.index(hit_term) + 1, hit_term, (1,))
     grid = SymbolicGrid(P2, ATOMS)
     never = term_layers(2, 1, POOL2, P2)
-    assert grid.first_hit(never, 2, 2, lambda grid, t, m: None) == (len(terms), None, None)
+    assert grid.first_hit(never, 2, 2, lambda grid, args, m: None) == (len(terms), None, None)
     # the last layer is never a layer of children, so no f-root's ids are built
     assert not [node for node in grid._nodes if node[0] is FApp]
 
 
 def _recording(decide, calls):
-    def record(grid, t, m):
-        calls.append(t)
-        return decide(grid, t, m)
+    # class ids are per grid, so a call is recorded by its label bytes
+    def record(grid, args, m):
+        labels = (grid._labels_of(cls, pos)[0] for pos, cls in enumerate(args))
+        calls.append(tuple((lab.shape, lab.tobytes()) for lab in labels))
+        return decide(grid, args, m)
 
     return record
 
@@ -171,7 +173,7 @@ def _recording(decide, calls):
 )
 def test_first_hit_matches_a_per_term_scan(params, m, depth, kernel):
     # On the atoms, the class-level scan gives the (scanned, term, hit) of
-    # a scan over the built terms, and decides the same terms in order,
+    # a scan over the built terms, and decides the same keys in order,
     # for the witness kernel (blocks m) and for the corner lemma (blocks 2).
     if kernel:
         decide, blocks = cubes_mod._grid_term_has_witness, m
@@ -272,7 +274,8 @@ def _agrees_with_the_oracle_scan(params, m, domain, t):
     # and the kernel alone, on a fresh grid, finds the oracle's cube
     hit = None
     if len(free_vars(t)) == m:
-        hit = cubes_mod._grid_term_has_witness(SymbolicGrid(params, list(domain)), t, m)
+        grid = SymbolicGrid(params, list(domain))
+        hit = cubes_mod._grid_term_has_witness(grid, root_args(grid, t, m), m)
     assert (hit is None) == (o_w is None)
     if hit is not None:
         assert cubes_mod._lex_rank(hit, len(domain)) + 1 == o_count
@@ -310,7 +313,7 @@ def _scan_every_term(terms, m, domain, params):
     for i, t in enumerate(terms):
         if len(free_vars(t)) < m:
             continue
-        hit = cubes_mod._grid_term_has_witness(grid, t, m)
+        hit = cubes_mod._grid_term_has_witness(grid, root_args(grid, t, m), m)
         if hit is not None:
             w = TCWitness(t, *located_cube(t, m, hit, domain, params, is_tc_failure, "witness"))
             rank = int(np.ravel_multi_index(hit, (len(domain),) * (2 * m)))
@@ -334,7 +337,7 @@ def test_cached_scan_matches_the_per_term_kernel(monkeypatch, m, domain, has_wit
     monkeypatch.setattr(
         cubes_mod,
         "_grid_term_has_witness",
-        lambda grid, t, m: calls.append(t) or kernel(grid, t, m),
+        lambda grid, args, m: calls.append(args) or kernel(grid, args, m),
     )
     w, stats = _scan_terms(term_layers(m, 2, POOL2, P2), m, list(domain), P2)
     record = None if w is None else w.to_record()
@@ -529,8 +532,8 @@ def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth, m):
             classes.setdefault(pattern_key(grid, t, m), t)
     assert classes
     for t in classes.values():
-        codes = np.broadcast_to(grid.eval_codes(t, m), (d,) * m)
-        fibers, cell_fiber = grid.fibers(t, m)
+        codes = np.broadcast_to(grid.eval_codes(root_args(grid, t, m)), (d,) * m)
+        fibers, cell_fiber = grid.fibers(root_args(grid, t, m), m)
         assert len(fibers) < d ** (m - 1)
         sig, partitions = _fiber_signatures(fibers, cell_fiber)
         expected_sig, expected_partitions = _sorted_signatures(codes)
@@ -545,7 +548,7 @@ def test_scan_chunk_rejects_a_located_non_witness(monkeypatch):
     # p1 = q1 gives the cube two equal halves, which never fail the term
     # condition: the located cube is rechecked before it is reported.
     monkeypatch.setattr(
-        cubes_mod, "_grid_term_has_witness", lambda grid, t, m: (0, 0, 0, 1)
+        cubes_mod, "_grid_term_has_witness", lambda grid, args, m: (0, 0, 0, 1)
     )
     with pytest.raises(CommlabError, match="rejects"):
         _scan_terms(term_layers(2, 1, POOL2, P2), 2, [DConst(1), DConst(2)], P2)

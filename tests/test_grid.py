@@ -35,7 +35,7 @@ from commlab.terms import (
     term_layers,
 )
 
-from gridscan import pattern_key
+from gridscan import pattern_key, root_args, term_class, term_ids
 from oracles import depth
 
 P2 = Params(2)
@@ -49,15 +49,14 @@ def _over_two_blocks(m):
 
 
 def _labels(grid, t, m):
-    args = _grid._strip_wrappers(t).args
-    return [grid._arg_labels(arg, pos, m)[0] for pos, arg in enumerate(args)]
+    return [grid._labels_of(cls, pos)[0] for pos, cls in enumerate(root_args(grid, t, m))]
 
 
 class _IdValues:
     """A test-side map from a grid's ids to the values the term evaluator
     gives at the cells that hold them, checked as it grows: it must be a
     function and injective, so ids are equal iff values are.  It reads
-    nothing of the grid but ``eval_ids`` and ``intern``."""
+    nothing of the grid but ``term_ids`` and ``intern``."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -74,7 +73,7 @@ class _IdValues:
         grid = self.grid
         if values is None:
             values = _term_values(t, grid.params, grid.domain, cells)
-        full = np.broadcast_to(grid.eval_ids(t, m), (len(grid.domain),) * m)
+        full = np.broadcast_to(term_ids(grid, t, m), (len(grid.domain),) * m)
         for cell, value in zip(cells, values, strict=True):
             self.add(int(full[cell]), value)
 
@@ -117,7 +116,7 @@ def test_layer_class_arrays_match_the_per_term_classes(params, m, depth, layers_
     terms = list(enumerate_terms(m, depth, pool, params))
 
     def per_term():
-        return [grid.id_class(t, m) for t in terms]
+        return [term_class(grid, t, m) for t in terms]
 
     expected = None if layers_first else per_term()
     classes = np.zeros(0, dtype=np.intp)
@@ -171,9 +170,9 @@ def test_unary_maps_are_gathers_from_id_arrays(monkeypatch):
 def test_memoized_ids_are_read_only():
     grid = SymbolicGrid(P2, ATOMS)
     t = FApp((Var(0), Var(1)))
-    ids = grid.eval_ids(t, 3)
+    ids = term_ids(grid, t, 3)
     assert ids.size < len(ATOMS) ** 3
-    assert grid.eval_ids(t, 3) is ids
+    assert term_ids(grid, t, 3) is ids
     with pytest.raises(ValueError):
         ids[(0,) * ids.ndim] = 0
 
@@ -187,11 +186,11 @@ def test_memo_holds_each_distinct_id_array_once():
     full = 0
     sampled = list(itertools.islice(enumerate_terms(2, 2, POOL2, P2), 0, None, 10))
     for t in sampled:
-        ids = grid.eval_ids(t, 2)
+        ids = term_ids(grid, t, 2)
         full += ids.size == d**2
-        cls = by_content.setdefault((ids.shape, ids.tobytes()), grid.id_class(t, 2))
-        assert grid.id_class(t, 2) == cls
-        assert grid.eval_ids(t, 2) is grid._arrays[cls]
+        cls = by_content.setdefault((ids.shape, ids.tobytes()), term_class(grid, t, 2))
+        assert term_class(grid, t, 2) == cls
+        assert term_ids(grid, t, 2) is grid._arrays[cls]
         assert not ids.flags.writeable
     assert full
     assert len(grid._arrays) == len({(a.shape, a.tobytes()) for a in grid._arrays})
@@ -221,8 +220,8 @@ def test_eval_codes_equality_pattern_survives_a_wide_intern_table():
     assert len(grid._elems) == 2**17 and (2**17) ** 4 >= 2**63
 
     t = FApp((UPQRApp(DConst(1), DConst(2), CConst(), Var(0)), Var(1), Var(2), Var(3)))
-    codes = np.broadcast_to(grid.eval_codes(t, 4), (2,) * 4).ravel()
-    ids = np.broadcast_to(grid.eval_ids(t, 4), (2,) * 4).ravel()
+    codes = np.broadcast_to(grid.eval_codes(root_args(grid, t, 4)), (2,) * 4).ravel()
+    ids = np.broadcast_to(term_ids(grid, t, 4), (2,) * 4).ravel()
     assert len(set(ids.tolist())) == ids.size
     assert ((codes[:, None] == codes[None, :]) == (ids[:, None] == ids[None, :])).all()
 
@@ -237,8 +236,8 @@ def test_eval_codes_falls_back_when_the_label_pack_would_wrap():
     grid = SymbolicGrid(p4, domain)
     t = FApp((Var(0),) * 4)
     assert max(int(lab.max()) for lab in _labels(grid, t, 1)) == 2**17 - 1
-    codes = grid.eval_codes(t, 1)
-    ids = grid.eval_ids(t, 1)
+    codes = grid.eval_codes(root_args(grid, t, 1))
+    ids = term_ids(grid, t, 1)
     assert codes.shape == ids.shape == (len(domain),)
     assert np.unique(ids).size == ids.size
     assert np.unique(codes).size == codes.size
@@ -252,8 +251,8 @@ def test_f_node_ids_fall_back_when_the_id_pack_would_wrap():
     domain = [AGen(1, j) for j in range(1, 131071)]
     grid = SymbolicGrid(p4, domain)
     t = FApp((Var(0),) * 4)
-    assert (int(grid.eval_ids(Var(0), 1).max()) + 1) ** 4 > 2**63
-    assert grid.eval_ids(t, 1).shape == (len(domain),)
+    assert (int(term_ids(grid, Var(0), 1).max()) + 1) ** 4 > 2**63
+    assert term_ids(grid, t, 1).shape == (len(domain),)
     _IdValues(grid).record(t, 1, [(k,) for k in range(len(domain))])
 
 
@@ -267,7 +266,7 @@ def test_f_node_cap_raises_before_it_allocates():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="f-node grid needs 2250000 cells"):
-            grid.eval_ids(t, 2)
+            term_ids(grid, t, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,8 +340,8 @@ def test_eval_codes_equality_is_value_equality():
     grid = SymbolicGrid(P2, ATOMS)
     full = (len(ATOMS),) * 2
     for t in _over_two_blocks(2):
-        codes = np.broadcast_to(grid.eval_codes(t, 2), full)
-        ids = np.broadcast_to(grid.eval_ids(t, 2), full)
+        codes = np.broadcast_to(grid.eval_codes(root_args(grid, t, 2)), full)
+        ids = np.broadcast_to(term_ids(grid, t, 2), full)
         assert _first_occurrence_relabel(codes) == _first_occurrence_relabel(ids)
 
 
@@ -359,7 +358,7 @@ def test_eval_codes_match_the_term_evaluator_on_f0s_rows(n):
         assert grid._f_cache[key] == grid.intern(f0_value(row, p))
     t = FApp(tuple(Var(i) for i in range(n)))
     cells = list(itertools.product(range(2 * n), repeat=n))
-    codes = np.broadcast_to(grid.eval_codes(t, n), (2 * n,) * n).ravel().tolist()
+    codes = np.broadcast_to(grid.eval_codes(root_args(grid, t, n)), (2 * n,) * n).ravel().tolist()
     code_of = {}
     for code, value in zip(codes, _term_values(t, p, gens, cells), strict=True):
         assert code_of.setdefault(value, code) == code  # equal values, equal codes
@@ -378,7 +377,7 @@ def test_equal_pattern_keys_give_equal_equality_patterns(m):
     grid = SymbolicGrid(P2, ATOMS)
     classes = {}
     for t in _over_two_blocks(m):
-        codes = grid.eval_codes(t, m)
+        codes = grid.eval_codes(root_args(grid, t, m))
         pattern = (codes.shape, _first_occurrence_relabel(codes))
         classes.setdefault(pattern_key(grid, t, m), []).append(pattern)
     for patterns in classes.values():
@@ -474,12 +473,12 @@ def test_a_fresh_f_value_takes_the_id_of_an_equal_outside_value(triple_first):
     grid = SymbolicGrid(P2, ATOMS)
     if triple_first:
         coord_id = grid.intern(coord)
-        ids = grid.eval_ids(t, 2)
+        ids = term_ids(grid, t, 2)
     else:
-        ids = grid.eval_ids(t, 2)
+        ids = term_ids(grid, t, 2)
         coord_id = grid.intern(coord)
     k = ATOMS.index(c)
-    assert grid.eval_ids(inner, 2)[k, k] == coord_id
+    assert term_ids(grid, inner, 2)[k, k] == coord_id
     id_values = _IdValues(grid)
     id_values.add(coord_id, coord)
     for sub in (inner, t):

@@ -49,7 +49,7 @@ from commlab.verifier import (
     verify_top_commutator,
 )
 
-from gridscan import pattern_key
+from gridscan import pattern_key, root_args, term_class, term_ids
 from oracles import corner_violation_brute, count_terms, is_power_of_u_on
 
 P2 = Params(2)
@@ -94,14 +94,14 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
     grid = SymbolicGrid(P2, ATOMS)
     terms = list(enumerate_terms(2, 2, POOL2, P2))
     over_two = [(i, t) for i, t in enumerate(terms) if len(free_vars(t)) >= 2]
-    target = grid.eval_codes(over_two[-1][1], 2)
+    target = grid.eval_codes(root_args(grid, over_two[-1][1], 2))
     hit = (1, 2, 3, 4)
 
     def flag(codes):
         return hit if codes.shape == target.shape and (codes == target).all() else None
 
     monkeypatch.setattr(verifier_mod, "corner_violation_in", flag)
-    i = next(i for i, t in over_two if flag(grid.eval_codes(t, 2)) is not None)
+    i = next(i for i, t in over_two if flag(grid.eval_codes(root_args(grid, t, 2))) is not None)
     blocks = BlockAssignment.from_indices(hit, ATOMS)
     cube = Cube(2, (DConst(1), DConst(1), DConst(1), DConst(2)))
     monkeypatch.setattr(cubes_mod, "term_cube", lambda t, b, m, p: cube)
@@ -109,7 +109,7 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
     decide = verifier_mod._corner_violation
     monkeypatch.setattr(
         verifier_mod, "_corner_violation",
-        lambda g, t, m: calls.append(t) or decide(g, t, m),
+        lambda g, args, m: calls.append(args) or decide(g, args, m),
     )
     rep = check_corner_lemma(P2, 2, ATOMS, 2, POOL2)
     assert rep.outcome == "fail"
@@ -130,14 +130,17 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
 def test_corner_lemma_skips_terms_over_fewer_than_two_blocks(monkeypatch):
     calls = []
     decide = verifier_mod._corner_violation
+    # a decided key's arguments span both axes: its terms are over two blocks
     monkeypatch.setattr(
         verifier_mod, "_corner_violation",
-        lambda g, t, m: calls.append(t) or decide(g, t, m),
+        lambda g, args, m: calls.append(
+            np.broadcast_shapes(*(g.class_ids(cls).shape for cls in args))
+        ) or decide(g, args, m),
     )
     rep = check_corner_lemma(P2, 2, ATOMS, 2, POOL2)
     assert rep.passed
     assert rep.counts == {"terms_scanned": 4538, "assignments_scanned": 4538 * 8**4}
-    assert calls and all(len(free_vars(t)) == 2 for t in calls)
+    assert calls and all(shape == (len(ATOMS),) * 2 for shape in calls)
 
 
 @pytest.mark.parametrize(
@@ -227,15 +230,43 @@ def test_corner_scan_above_the_grid_cap_raises_before_it_builds(monkeypatch):
         corner_violation_in(odd)
     monkeypatch.setattr(errors, "GRID_CELL_CAP", 60)
     assert corner_violation_in(odd) == corner_violation_brute(odd, 2)
-    # a term is refused from its free variables, before its codes are built
+    # a term is refused from its arguments' shapes, before its codes are built
     grid = SymbolicGrid(P2, ATOMS)
     t = next(t for t in enumerate_terms(2, 1, POOL2, P2) if len(free_vars(t)) == 2)
     built = []
     monkeypatch.setattr(SymbolicGrid, "eval_codes", lambda *args: built.append(args))
     monkeypatch.setattr(errors, "GRID_CELL_CAP", len(ATOMS) ** 3 - 1)
     with pytest.raises(BudgetExceededError, match=f"needs {len(ATOMS) ** 3} cells"):
-        verifier_mod._corner_violation(grid, t, 2)
+        verifier_mod._corner_violation(grid, root_args(grid, t, 2), 2)
     assert built == []
+
+
+class _Sized(Exception):
+    pass
+
+
+@pytest.mark.parametrize("domain", [ATOMS, [CConst()]], ids=["atoms", "one-element"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_corner_cap_from_the_argument_shapes_is_d_to_the_free_variables_plus_one(
+    monkeypatch, m, domain
+):
+    # The cap reads the broadcast shape of the root's argument classes: d
+    # on each axis of a free variable, so d line comparisons per cell of
+    # the codes, the first size checked.
+    sizes = []
+
+    def sized(what, needed, cap, unit):
+        sizes.append(needed)
+        raise _Sized
+
+    monkeypatch.setattr(verifier_mod, "check_budget", sized)
+    grid = SymbolicGrid(P2, domain)
+    d = len(domain)
+    terms = [t for t in enumerate_terms(m, 2, POOL2, P2) if len(free_vars(t)) >= 2]
+    for t in terms:
+        with pytest.raises(_Sized):
+            verifier_mod._corner_violation(grid, root_args(grid, t, m), m)
+    assert sizes == [d ** (len(free_vars(t)) + 1) for t in terms]
 
 
 def test_term_lemma_passes():
@@ -256,7 +287,7 @@ def test_term_lemma_power_of_u_agrees_with_the_oracle():
     premise_terms = 0
     per_class = {}
     for t in enumerate_terms(2, 2, POOL2, P2):
-        ids = np.broadcast_to(grid.eval_ids(t, 2), (len(ATOMS),) * 2)
+        ids = np.broadcast_to(term_ids(grid, t, 2), (len(ATOMS),) * 2)
         expected = is_power_of_u_on(t, samples, 2 * P2.n + 1, P2)
         assert _u_power_of(ids, powers) == expected
         premise = len({eval_term(t, a, P2) for a in samples} & moving) >= 2
@@ -264,7 +295,7 @@ def test_term_lemma_power_of_u_agrees_with_the_oracle():
             premise_terms += 1
             assert expected is not None
         verdict = (premise, expected is not None)
-        assert per_class.setdefault(grid.id_class(t, 2), verdict) == verdict
+        assert per_class.setdefault(term_class(grid, t, 2), verdict) == verdict
     rep = check_term_lemma(P2, ATOMS, 2, POOL2)
     assert rep.passed
     assert premise_terms == rep.counts["premise_terms"] == 6
@@ -295,7 +326,7 @@ def test_term_lemma_fail_record_at_a_later_term(monkeypatch):
     # counts include the premise terms before it.
     target = UApp(Var(1))
     grid = SymbolicGrid(P2, list(ATOMS))
-    denied = np.broadcast_to(grid.eval_ids(target, 2), (len(ATOMS),) * 2)
+    denied = np.broadcast_to(term_ids(grid, target, 2), (len(ATOMS),) * 2)
     real = verifier_mod._u_power_of
     monkeypatch.setattr(
         verifier_mod, "_u_power_of",
@@ -330,7 +361,7 @@ def _term_lemma_per_term(params, domain, depth, pool, power_of):
     powers = _u_powers(grid, params)
     premise_terms = scanned = 0
     for scanned, t in enumerate(enumerate_terms(2, depth, pool, params), 1):
-        ids = np.broadcast_to(grid.eval_ids(t, 2), (len(domain),) * 2)
+        ids = np.broadcast_to(term_ids(grid, t, 2), (len(domain),) * 2)
         premise = len(c_ids.intersection(ids.ravel().tolist())) >= 2
         premise_terms += premise
         if premise and power_of(ids, powers) is None:
