@@ -17,6 +17,6 @@ from .elements import (
 )
 from .errors import BudgetExceededError, CommlabError
 from .finengine import Congruence, FiniteAlgebra
-from .terms import Term, UnaryPolynomial, enumerate_terms, eval_poly, eval_term
+from .terms import Term, UnaryPolynomial, eval_poly, eval_term
 
 __version__ = "0.1.0"

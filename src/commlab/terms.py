@@ -4,15 +4,15 @@ Plain terms are constant-free; constant leaves only appear inside unary
 polynomial bodies.  Enumeration is canonical (by depth, then constructor
 order Var < UApp < UPQRApp < FApp, then children) so that every witness
 search has a well-defined first hit.  ``term_layers`` is that order, one
-depth layer at a time, as arrays of child positions; ``enumerate_terms``
-builds its terms, and ``term_at`` one term from its position.
+depth layer at a time, as arrays of child positions, and ``term_at``
+builds the one term at a position.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -21,56 +21,24 @@ from .elements import Element, Params, sort_key, validate_triple
 from .errors import check_budget
 
 
-# Every node caches its free variables, as a bit mask, and its hash, both
-# computed from its children's, so asking for a term's variables or hashing
-# it again costs O(1) however deep it is.  The hash is computed on first use:
-# the searches hash the arguments of the terms they scan, not the terms.  It
-# is of ints and elements only, so a node hashes alike in every process.
-# Equality is the dataclass's, field by field.
-_CACHED = dict(init=False, repr=False, compare=False)
-_setattr = object.__setattr__
-
-
-def _cache_hash(node, key: tuple) -> int:
-    h = hash(key)
-    _setattr(node, "_hash", h)
-    return h
+# Terms are plain syntax trees: equality and hashing are the dataclass's,
+# field by field, of ints and elements only, so a node hashes alike in every
+# process.
 
 
 @dataclass(frozen=True, slots=True)
 class Var:
     idx: int
-    _mask: int = field(**_CACHED)
-    _hash: Optional[int] = field(default=None, **_CACHED)
-
-    def __post_init__(self):
-        _setattr(self, "_mask", 1 << self.idx)
-
-    def __hash__(self):
-        return self._hash if self._hash is not None else _cache_hash(self, (0, self.idx))
 
 
 @dataclass(frozen=True, slots=True)
 class Const:
     value: Element
-    _mask: int = field(default=0, **_CACHED)
-    _hash: Optional[int] = field(default=None, **_CACHED)
-
-    def __hash__(self):
-        return self._hash if self._hash is not None else _cache_hash(self, (1, self.value))
 
 
 @dataclass(frozen=True, slots=True)
 class UApp:
     arg: "Term"
-    _mask: int = field(**_CACHED)
-    _hash: Optional[int] = field(default=None, **_CACHED)
-
-    def __post_init__(self):
-        _setattr(self, "_mask", self.arg._mask)
-
-    def __hash__(self):
-        return self._hash if self._hash is not None else _cache_hash(self, (2, self.arg))
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,33 +47,14 @@ class UPQRApp:
     q: Element
     r: Element
     arg: "Term"
-    _mask: int = field(**_CACHED)
-    _hash: Optional[int] = field(default=None, **_CACHED)
 
     def __post_init__(self):
         validate_triple(self.p, self.q, self.r)
-        _setattr(self, "_mask", self.arg._mask)
-
-    def __hash__(self):
-        if self._hash is not None:
-            return self._hash
-        return _cache_hash(self, (3, self.p, self.q, self.r, self.arg))
 
 
 @dataclass(frozen=True, slots=True)
 class FApp:
     args: tuple["Term", ...]
-    _mask: int = field(**_CACHED)
-    _hash: Optional[int] = field(default=None, **_CACHED)
-
-    def __post_init__(self):
-        mask = 0
-        for a in self.args:
-            mask |= a._mask
-        _setattr(self, "_mask", mask)
-
-    def __hash__(self):
-        return self._hash if self._hash is not None else _cache_hash(self, (4, *self.args))
 
 
 Term = Union[Var, Const, UApp, UPQRApp, FApp]
@@ -113,15 +62,14 @@ Term = Union[Var, Const, UApp, UPQRApp, FApp]
 Assignment = Mapping[int, Element]
 
 
-_FREE_SETS: dict[int, frozenset[int]] = {}
-
-
 def free_vars(t: Term) -> frozenset[int]:
-    mask = t._mask
-    free = _FREE_SETS.get(mask)
-    if free is None:
-        free = _FREE_SETS[mask] = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-    return free
+    if isinstance(t, Var):
+        return frozenset((t.idx,))
+    if isinstance(t, Const):
+        return frozenset()
+    if isinstance(t, (UApp, UPQRApp)):
+        return free_vars(t.arg)
+    return frozenset().union(*map(free_vars, t.args))
 
 
 def eval_term(t: Term, a: Assignment, params: Params) -> Element:
@@ -255,17 +203,6 @@ def _prefixed(heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out.reshape(-1, rows.shape[1] + 1)
 
 
-def layer_terms(layer: TermLayer, built: Sequence[Term]) -> list[Term]:
-    """The layer's terms in order; ``built`` holds the terms at every
-    earlier position."""
-    out: list[Term] = [Var(i) for i in range(layer.num_vars)]
-    out += [UApp(built[i]) for i in layer.u.tolist()]
-    for (p, q, r), row in zip(layer.triples, layer.upqr.tolist()):
-        out += [UPQRApp(p, q, r, built[i]) for i in row]
-    out += [FApp(tuple(map(built.__getitem__, row))) for row in layer.f.tolist()]
-    return out
-
-
 def term_at(layers: Sequence[TermLayer], pos: int) -> Term:
     """The term at a position, built from its children's positions;
     ``layers`` holds the layers up to the term's."""
@@ -282,22 +219,6 @@ def term_at(layers: Sequence[TermLayer], pos: int) -> Term:
         return UPQRApp(*layer.triples[row], term_at(layers, int(layer.upqr[row, col])))
     k -= layer.upqr.size
     return FApp(tuple(term_at(layers, int(i)) for i in layer.f[k]))
-
-
-def enumerate_terms(
-    num_vars: int,
-    max_depth: int,
-    triple_pool: Sequence[tuple[Element, Element, Element]],
-    params: Params,
-) -> Iterator[Term]:
-    """Every constant-free term with variables among x0..x{num_vars-1} and
-    depth <= max_depth, each exactly once, in canonical order: the terms of
-    ``term_layers``, built one layer at a time."""
-    built: list[Term] = []
-    for layer in term_layers(num_vars, max_depth, triple_pool, params):
-        new = layer_terms(layer, built)
-        yield from new
-        built += new
 
 
 def term_to_text(t: Term) -> str:

@@ -3,8 +3,9 @@
 The grid scans term layers as arrays of id classes, hands each pattern
 key's argument classes to its decider and builds a ``Term`` only for the
 hit.  These helpers build a term's class one node at a time through the
-grid's memo, and scan ``enumerate_terms`` one term at a time, so the tests
-can compare the two scans.
+grid's memo, and scan a stream of built terms, such as the reference
+``oracles.enumerate_terms``, one term at a time, so the tests can compare
+the two scans.
 """
 
 from __future__ import annotations

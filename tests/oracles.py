@@ -3,9 +3,10 @@
 Everything here is deliberately naive: congruence generation by filtering
 all partitions of the universe, commutators by enumerating bounded-depth
 term-operation tables and applying the term condition definition directly,
-the corner lemma by visiting every assignment of a code array, and the
-witness search of the constructed algebra by evaluating every term on
-every assignment.  Only feasible for tiny inputs, which is the point.
+the corner lemma by visiting every assignment of a code array, the
+canonical term order by building every node, and the witness search of
+the constructed algebra by evaluating every term on every assignment.
+Only feasible for tiny inputs, which is the point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from commlab.elements import eval_u
 from commlab.finengine import Congruence, FiniteAlgebra, Operation
-from commlab.terms import Const, UApp, UPQRApp, Var, eval_term
+from commlab.terms import Const, FApp, UApp, UPQRApp, Var, eval_term
 
 
 def all_partitions(s: int) -> list[tuple[int, ...]]:
@@ -105,8 +106,32 @@ def depth(t) -> int:
     return 1 + max(depth(a) for a in t.args)
 
 
+def enumerate_terms(num_vars: int, max_depth: int, triple_pool, params):
+    """Every constant-free term with variables among x0..x{num_vars-1} and
+    depth <= max_depth, built node by node in the canonical order: by depth,
+    then Var < UApp < UPQRApp (triple by triple) < FApp.  A layer's
+    f-applications take their children in ``itertools.product`` order over
+    every earlier term, keeping the tuples with a child from the previous
+    layer.  Uncapped; it shares no code with ``commlab.terms.term_layers``."""
+    built = [Var(i) for i in range(num_vars)]
+    yield from built
+    low = 0
+    for _ in range(max_depth):
+        prev = built[low:]
+        layer = [UApp(t) for t in prev]
+        layer += [UPQRApp(p, q, r, t) for p, q, r in triple_pool for t in prev]
+        layer += [
+            FApp(tuple(built[i] for i in idx))
+            for idx in itertools.product(range(len(built)), repeat=params.n)
+            if max(idx) >= low
+        ]
+        yield from layer
+        low = len(built)
+        built += layer
+
+
 def count_terms(num_vars: int, max_depth: int, pool_size: int, params) -> int:
-    """Closed-form count of the terms ``enumerate_terms`` emits: per layer,
+    """Closed-form count of the terms of the canonical order: per layer,
     the unary applications of the previous layer plus the f-applications
     with at least one child from it."""
     exact = [num_vars]

@@ -15,7 +15,7 @@ from commlab.cubes import search_tc_witness
 from commlab.elements import Params, bounded_subuniverse
 from commlab.errors import BudgetExceededError
 from commlab.finengine import Congruence, FiniteAlgebra, cube_subpower
-from commlab.terms import FApp, Var, default_triple_pool, enumerate_terms
+from commlab.terms import FApp, Var, default_triple_pool, term_layers
 from commlab.verifier import (
     _corner_violation,
     check_corner_lemma,
@@ -68,11 +68,11 @@ def _code_set_cells(monkeypatch, cap):
 CASES = {
     "terms-depth-0": (
         "term enumeration to depth 0", 3, "terms",
-        _patched("DEFAULT_TERM_CAP", lambda: list(enumerate_terms(3, 0, POOL2, P2))),
+        _patched("DEFAULT_TERM_CAP", lambda: list(term_layers(3, 0, POOL2, P2))),
     ),
     "terms-depth-1": (
         "term enumeration to depth 1", 56, "terms",
-        _patched("DEFAULT_TERM_CAP", lambda: list(enumerate_terms(2, 1, POOL2, P2))),
+        _patched("DEFAULT_TERM_CAP", lambda: list(term_layers(2, 1, POOL2, P2))),
     ),
     "triple-pool": (
         "triple pool", 24, "triples",

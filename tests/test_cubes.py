@@ -37,7 +37,6 @@ from commlab.terms import (
     UApp,
     Var,
     default_triple_pool,
-    enumerate_terms,
     free_vars,
     term_layers,
     term_to_text,
@@ -50,7 +49,7 @@ from commlab.verifier import (
 )
 
 from gridscan import first_hit_per_term, pattern_key, root_args, subterm_layers
-from oracles import scan_terms_naive
+from oracles import enumerate_terms, scan_terms_naive
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)

@@ -29,14 +29,13 @@ from commlab.terms import (
     UPQRApp,
     Var,
     default_triple_pool,
-    enumerate_terms,
     eval_term,
     free_vars,
     term_layers,
 )
 
 from gridscan import pattern_key, root_args, term_class, term_ids
-from oracles import depth
+from oracles import depth, enumerate_terms
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -85,7 +84,7 @@ def _term_values(t, params, domain, cells):
 ATOM_CELLS = list(itertools.product(range(len(ATOMS)), repeat=2))
 
 
-def test_memoized_eval_ids_match_a_fresh_grid():
+def test_memoized_term_ids_match_a_fresh_grid():
     # A fresh grid per term and the long-lived one must both give every
     # cell the id of its value.
     long_lived = _IdValues(SymbolicGrid(P2, ATOMS))
@@ -304,7 +303,7 @@ def test_f_node_batches_fill_up_to_the_f_node_cap(monkeypatch):
     assert max(cells) <= errors.F_NODE_CAP
 
 
-def test_memoized_arg_labels_are_read_only():
+def test_memoized_labels_are_read_only():
     grid = SymbolicGrid(P2, ATOMS)
     t = FApp((UApp(Var(0)), FApp((Var(1), Var(2)))))
     labels = _labels(grid, t, 3)

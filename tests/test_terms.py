@@ -15,14 +15,15 @@ from commlab.terms import (
     UPQRApp,
     Var,
     default_triple_pool,
-    enumerate_terms,
     eval_poly,
     eval_term,
     free_vars,
+    term_at,
+    term_layers,
     term_to_text,
 )
 
-from oracles import count_terms, depth, is_power_of_u_on, u_power
+from oracles import count_terms, depth, enumerate_terms, is_power_of_u_on, u_power
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -99,27 +100,41 @@ def test_enumeration_order_and_depth_layers():
     assert terms[-1] == FApp((Var(1), Var(1)))
 
 
+@pytest.mark.parametrize("num_vars, max_depth, n", [(2, 2, 2), (3, 1, 2), (4, 1, 3)])
+def test_term_layers_match_the_reference_enumeration(num_vars, max_depth, n):
+    # The term at every position of the layers is the reference's term
+    # there, which is built node by node without the layers.
+    params = Params(n)
+    pool = default_triple_pool(params)
+    layers = list(term_layers(num_vars, max_depth, pool, params))
+    total = layers[-1].start + layers[-1].size
+    assert [term_at(layers, pos) for pos in range(total)] == list(
+        enumerate_terms(num_vars, max_depth, pool, params)
+    )
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(errors, "DEFAULT_TERM_CAP", 100)
     with pytest.raises(BudgetExceededError):
-        list(enumerate_terms(2, 2, POOL2, P2))
+        list(term_layers(2, 2, POOL2, P2))
 
 
 def test_enumeration_rejects_a_negative_depth():
     with pytest.raises(ValueError, match="max_depth"):
-        list(enumerate_terms(2, -1, POOL2, P2))
+        list(term_layers(2, -1, POOL2, P2))
 
 
 def test_enumeration_cap_is_exact_at_a_layer_boundary(monkeypatch):
     # Layers are sized before they are built: the 56 terms of depth <= 1
     # fit a cap of 56, and a cap of 55 raises before the depth-1 layer.
     monkeypatch.setattr(errors, "DEFAULT_TERM_CAP", 56)
-    assert len(list(enumerate_terms(2, 1, POOL2, P2))) == 56
+    assert sum(layer.size for layer in term_layers(2, 1, POOL2, P2)) == 56
     monkeypatch.setattr(errors, "DEFAULT_TERM_CAP", 55)
-    terms = enumerate_terms(2, 1, POOL2, P2)
-    assert [next(terms), next(terms)] == [Var(0), Var(1)]
+    layers = term_layers(2, 1, POOL2, P2)
+    first = next(layers)
+    assert [term_at([first], pos) for pos in range(first.size)] == [Var(0), Var(1)]
     with pytest.raises(BudgetExceededError, match="cap of 55"):
-        next(terms)
+        next(layers)
 
 
 def test_enumeration_raises_before_an_oversized_layer():
@@ -130,7 +145,7 @@ def test_enumeration_raises_before_an_oversized_layer():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="to depth 2 needs 168263404 terms"):
-            list(enumerate_terms(4, 2, default_triple_pool(p3), p3))
+            list(term_layers(4, 2, default_triple_pool(p3), p3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -243,10 +258,9 @@ def _walk_free_vars(t):
     return set().union(*(_walk_free_vars(a) for a in t.args))
 
 
-def test_cached_hashes_and_free_vars_match_fresh_terms():
-    # Every node caches its free variables when built and its hash when
-    # first hashed: an equal term built separately hashes alike, and the
-    # cached variables are those of a walk over the term.
+def test_equal_terms_hash_alike_and_free_vars_match_a_walk():
+    # An equal term built separately, sharing no node, is equal and hashes
+    # alike, and free_vars gives the variables of a walk over the term.
     seen = set()
     for t in enumerate_terms(3, 2, POOL2, P2):
         again = _rebuilt(t)
@@ -260,7 +274,7 @@ def test_cached_hashes_and_free_vars_match_fresh_terms():
     assert free_vars(poly) == {0}
 
 
-def test_cached_hashes_survive_a_pickle_round_trip():
+def test_terms_survive_a_pickle_round_trip():
     t = FApp((UPQRApp(DConst(1), DConst(2), CConst(), Var(0)), UApp(Var(1))))
     again = pickle.loads(pickle.dumps(t))
     assert again == t and hash(again) == hash(t) and free_vars(again) == {0, 1}

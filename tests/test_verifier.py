@@ -25,7 +25,6 @@ from commlab.terms import (
     UApp,
     Var,
     default_triple_pool,
-    enumerate_terms,
     eval_term,
     free_vars,
     term_to_text,
@@ -50,7 +49,7 @@ from commlab.verifier import (
 )
 
 from gridscan import pattern_key, root_args, term_class, term_ids
-from oracles import corner_violation_brute, count_terms, is_power_of_u_on
+from oracles import corner_violation_brute, count_terms, enumerate_terms, is_power_of_u_on
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
