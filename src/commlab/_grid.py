@@ -10,12 +10,20 @@ only, so term values over a whole assignment grid become numpy gathers.
   the same thing as its argument tuple: every other tuple gets a fresh id,
   in bulk, with no ``Element`` built.  The codes below read the d-values
   from the same rows.
-- Atoms are interned through a dict.  A ``Tagged`` value from outside (a
-  domain element or a triple coordinate) interns its arguments and goes
-  through f's table, so ids are equal exactly when the values are.
+- The table is two arrays, no dict: the argument-id tuples in
+  lexicographic order, each packed into one int64 key, and the id of each
+  value.  A batch of tuples is looked up with one binary search, and its
+  new tuples are merged in with one insert.  Past the pack's range (n = 4
+  from 2^15 ids) the keys are kept as rows, numbered with each batch by a
+  row unique.
+- Atoms are interned through a dict.  ``Tagged`` values from outside (the
+  domain's elements or a triple coordinate) intern their arguments and go
+  through f's table together, one batch per tag, so ids are equal exactly
+  when the values are.
 - u fixes every f-value, and u_pqr cycles the ids of its triple and shifts
   the generators, so each unary map is an int array over the ids, the
   identity but on atoms and the triple, and applying it is one gather.
+  Growing a map visits the new atoms only.
 
 The grid evaluates a term layer (``terms.term_layers``) at once, as an
 array of id classes, one per term: the id arrays deduplicated by shape and
@@ -48,6 +56,7 @@ for the hit.  Ids stay valid because interning only appends.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -66,7 +75,7 @@ class SymbolicGrid:
         self.domain = list(domain)
         self._atoms: dict[Element, int] = {}
         self._elems: list[Optional[Element]] = []  # atoms; None for an f-value
-        self._f_cache: dict[tuple[int, ...], int] = {}
+        self._atom_ids: list[int] = []  # ascending
         self._unary_maps: dict[object, np.ndarray] = {}
         self._nodes: dict[tuple, int] = {}
         self._arrays: list[np.ndarray] = []
@@ -79,46 +88,67 @@ class SymbolicGrid:
         self._b_ids = [self.intern(elements.BGen(i, 0)) for i in range(1, n + 1)]
         # f's base table: the d id of each row, and its code -d.k indexed
         # by the row's b-bits, first position most significant
+        rows = list(itertools.product(*zip(self._a_ids, self._b_ids)))
+        self._f_vals = np.empty(2**n, dtype=np.int64)
         self._f0_codes = np.empty(2**n, dtype=np.int64)
-        for bits, key in enumerate(itertools.product(*zip(self._a_ids, self._b_ids))):
+        for bits, key in enumerate(rows):
             d = elements.f0_value([self._elems[i] for i in key], params)
-            self._f_cache[key] = self.intern(d)
+            self._f_vals[bits] = self.intern(d)
             self._f0_codes[bits] = -d.k
-        self._domain_ids = np.array([self.intern(e) for e in self.domain], dtype=np.int64)
+        # f's table: the argument-id tuples in lexicographic order, packed
+        # into one int64 key each while every id is below the base, and the
+        # id of each value.  f0's rows seed it, already in order, as each
+        # a(i,0) has a smaller id than b(i,0).
+        self._f_base = 2 ** (63 // n)
+        self._f_keys = _pack_ids(list(np.array(rows, dtype=np.int64).T), self._f_base)
+        self._domain_ids = np.array(self._intern_all(self.domain), dtype=np.int64)
         if np.unique(self._domain_ids).size != len(self.domain):
             raise ValueError("domain contains duplicates")
 
     def intern(self, e: Element) -> int:
         if isinstance(e, elements.Tagged):
-            # f's table keys on the argument ids alone, so an ill-formed
-            # value would take the id of the well-formed one
-            if not elements.well_formed(e, self.params):
-                raise ValueError(f"ill-formed tagged value {elements.element_to_text(e)}")
-            return self._f([tuple(self.intern(a) for a in e.args)])[0]
+            return self._intern_all([e])[0]
         i = self._atoms.get(e)
         if i is None:
             i = self._atoms[e] = len(self._elems)
             self._elems.append(e)
+            self._atom_ids.append(i)
         return i
 
-    def _f(self, keys: list[tuple[int, ...]]) -> list[int]:
-        """The ids of f's values at the argument-id keys.  f0's rows are in
-        the table from the start, so a key not yet in it lies off f0 and
-        takes a fresh id: the new keys get consecutive ids, in one step."""
-        ids = list(map(self._f_cache.get, keys))  # most keys are known
-        if None in ids:
-            new = dict.fromkeys(key for key, i in zip(keys, ids) if i is None)
-            start = len(self._elems)
-            self._f_cache.update(zip(new, range(start, start + len(new))))
-            self._elems.extend([None] * len(new))
-            ids = list(map(self._f_cache.get, keys))
-        return ids
+    def _intern_all(self, values: list[Element]) -> list[int]:
+        """The ids of the values.  The tagged values among them and their
+        arguments go through f's table in one batch per tag, lowest first,
+        so each batch's arguments have ids."""
+        ids = {e: self.intern(e) for e in values if not isinstance(e, elements.Tagged)}
+        todo = [e for e in values if isinstance(e, elements.Tagged)]
+        for e in todo:
+            # f's table keys on the argument ids alone, so an ill-formed
+            # value would take the id of the well-formed one
+            if not elements.well_formed(e, self.params):
+                raise ValueError(f"ill-formed tagged value {elements.element_to_text(e)}")
+        by_tag: dict[int, list[Element]] = {}
+        while todo:
+            e = todo.pop()
+            if e in ids:
+                continue
+            if isinstance(e, elements.Tagged):
+                ids[e] = -1  # met; its id comes with its tag's batch
+                by_tag.setdefault(e.tag, []).append(e)
+                todo.extend(e.args)
+            else:
+                ids[e] = self.intern(e)
+        for tag in sorted(by_tag):
+            batch = by_tag[tag]
+            args = np.array([[ids[a] for a in e.args] for e in batch], dtype=np.int64)
+            ids.update(zip(batch, self._f_ids(list(args.T)).tolist()))
+        return [ids[e] for e in values]
 
     def _map_unary(self, op, arr: np.ndarray) -> np.ndarray:
         """arr under u (op ``terms.UApp``) or u_pqr (op its triple), by a
         gather from the op's id map.  The map covers the ids up to the
-        largest it has been given; growing it maps only the new atoms, as
-        both operations fix every f-value.  u_pqr cycles its triple, which
+        largest it has been given.  Both operations fix every f-value, so
+        growing it starts from the identity and visits only the new atoms,
+        read off the ascending atom ids.  u_pqr cycles its triple, which
         the node validated when it was built, and shifts every other atom."""
         table = self._unary_maps.get(op, np.zeros(0, dtype=np.int64))
         size = int(arr.max()) + 1
@@ -128,9 +158,9 @@ class SymbolicGrid:
                 on_atom = functools.partial(elements.eval_u, params=self.params)
             else:
                 on_atom = elements.shift_generator
-            for i, e in enumerate(self._elems[table.size : size], table.size):
-                if e is not None:
-                    grown[i - table.size] = self.intern(on_atom(e))
+            atoms = self._atom_ids
+            for i in atoms[bisect.bisect_left(atoms, table.size) : bisect.bisect_left(atoms, size)]:
+                grown[i - table.size] = self.intern(on_atom(self._elems[i]))
             table = np.concatenate((table, grown))
             if op is not terms.UApp:
                 p, q, r = (self.intern(e) for e in op)
@@ -226,11 +256,45 @@ class SymbolicGrid:
         return cls
 
     def _f_ids(self, children: list[np.ndarray]) -> np.ndarray:
-        """f over the children's id arrays, in their broadcast shape, one
-        table lookup per distinct argument tuple."""
-        rows, inverse = _distinct_tuples(children)
-        ids = self._f(list(zip(*(r.tolist() for r in rows))))
-        return np.array(ids, dtype=np.int64)[inverse]
+        """f over the children's id arrays, in their broadcast shape.
+
+        The distinct argument tuples, in lexicographic order, are packed
+        into one int64 key each and looked up in f's table with one binary
+        search.  f0's rows are in the table from the start, so a tuple not
+        yet in it lies off f0 and takes a fresh id: the new tuples get
+        consecutive ids, in their order, and are merged into the sorted
+        table in one step.
+
+        Once an id reaches the pack's base, the table is kept as rows
+        instead, and numbered together with the tuples by one row unique,
+        so no key wraps."""
+        tuples, inverse = _distinct_tuples(children)
+        size = len(self._elems)
+        if self._f_keys.ndim == 1 and max(int(t.max()) for t in tuples) < self._f_base:
+            keys = _pack_ids(tuples, self._f_base)
+            at = np.searchsorted(self._f_keys, keys)
+            last = np.minimum(at, self._f_keys.size - 1)
+            ids = self._f_vals[last]
+            new = self._f_keys[last] != keys
+            if new.any():
+                fresh = np.arange(size, size + np.count_nonzero(new))
+                ids[new] = fresh
+                self._f_keys = np.insert(self._f_keys, at[new], keys[new])
+                self._f_vals = np.insert(self._f_vals, at[new], fresh)
+                self._elems.extend([None] * fresh.size)
+            return ids[inverse]
+        table = self._f_keys
+        if table.ndim == 1:
+            table = _unpack_ids(table, self._f_base, len(tuples))
+        distinct, number = _unique_rows(np.concatenate((table, np.stack(tuples, axis=1))))
+        ids = np.full(len(distinct), -1, dtype=np.int64)
+        ids[number[: len(table)]] = self._f_vals
+        number = number[len(table) :]
+        new = number[ids[number] < 0]  # ascending, as the tuples are in order
+        ids[new] = np.arange(size, size + new.size)
+        self._f_keys, self._f_vals = distinct, ids
+        self._elems.extend([None] * new.size)
+        return ids[number][inverse]
 
     def eval_codes(self, args: tuple[int, ...]) -> np.ndarray:
         """Equality codes over the grid of the f-root whose arguments have
@@ -365,6 +429,23 @@ def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
     full = np.broadcast_arrays(*arrays)
     _, code = _unique_rows(np.stack([c.ravel() for c in full], axis=1))
     return code.reshape(full[0].shape), base
+
+
+def _pack_ids(args: list[np.ndarray], base: int) -> np.ndarray:
+    """One int64 key per tuple of the 1-D id arrays, ordered like the
+    tuples; every id must be below base, and base**len(args) <= 2**63."""
+    keys = args[0].astype(np.int64)
+    for a in args[1:]:
+        keys = keys * base + a
+    return keys
+
+
+def _unpack_ids(keys: np.ndarray, base: int, width: int) -> np.ndarray:
+    """The (k, width) id rows that ``_pack_ids`` packed into keys."""
+    rows = np.empty((keys.size, width), dtype=np.int64)
+    for pos in range(width - 1, -1, -1):
+        keys, rows[:, pos] = np.divmod(keys, base)
+    return rows
 
 
 def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:

@@ -96,12 +96,13 @@ class SearchStats:
 
 
 def _grid_term_has_witness(
-    grid: SymbolicGrid, args: tuple[int, ...], m: int
+    grid: SymbolicGrid, args: tuple[int, ...], m: int, no_witness: Optional[set] = None
 ) -> Optional[tuple[int, ...]]:
     """Canonically first witness assignment, as domain indices
     (p1, q1, ..., pm, qm), of the f-rooted terms whose root arguments have
-    the grid's id classes ``args``, or None when they have none."""
-    return _fiber_witness(*grid.fibers(args, m))
+    the grid's id classes ``args``, or None when they have none;
+    ``no_witness`` is ``_fiber_witness``'s memo."""
+    return _fiber_witness(*grid.fibers(args, m), no_witness)
 
 
 def _first_index(mask: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -178,7 +179,7 @@ def _pair_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fiber_witness(
-    fibers: np.ndarray, cell_fiber: np.ndarray
+    fibers: np.ndarray, cell_fiber: np.ndarray, no_witness: Optional[set] = None
 ) -> Optional[tuple[int, ...]]:
     """Canonically first witness (p1, q1, ..., pm, qm), or None, of the
     m-dimensional codes whose fiber along the last axis at the cell x of the
@@ -191,11 +192,22 @@ def _fiber_witness(
     and a witness is a choice that leaves B true.  The state is kept as
     tables over signatures (pairs of them after each step) for every
     last-axis b at once; each coordinate is the least whose pair table can
-    still be completed, and the last pair is read from the fibers."""
+    still be completed, and the last pair is read from the fibers.
+
+    Everything up to the last pair reads only the signatures and the
+    partitions behind them, so whether a witness exists depends on those
+    alone.  ``no_witness``, when given, is a set of the keys (shape, dtype
+    and bytes of both) that gave none, and a key in it returns None at once;
+    a scan keeps one for its own calls."""
     d = fibers.shape[1]
     if d < 2:
         return None
     sig, partitions = _fiber_signatures(fibers, cell_fiber)
+    key = None
+    if no_witness is not None:
+        key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in (sig, partitions))
+        if key in no_witness:
+            return None
     a_of = _pair_bs(partitions, d)
     b_of, hit = ~a_of, []
     while sig.ndim:
@@ -207,6 +219,8 @@ def _fiber_witness(
             block = _pair_table(a_of[s : s + step][:, rows], b_of[s : s + step][:, rows])
             related |= block.any(axis=0)
         if not related.any():
+            if key is not None:
+                no_witness.add(key)
             return None
         p = int(np.argmax(related.any(axis=1)[row_of]))
         q = int(np.argmax(related[row_of[p]][row_of]))
@@ -262,7 +276,10 @@ def _scan_terms(
     block m has an equal critical edge outright, and one ignoring block
     j < m maps the critical edge onto a matched edge by flipping bit j."""
     grid = SymbolicGrid(params, domain)
-    scanned, t, hit = grid.first_hit(layers, m, m, _grid_term_has_witness)
+    no_witness: set = set()  # the kernel's memo, for this scan only
+    scanned, t, hit = grid.first_hit(
+        layers, m, m, lambda grid, args, m: _grid_term_has_witness(grid, args, m, no_witness)
+    )
     space = len(domain) ** (2 * m)
     if t is None:
         return None, SearchStats(scanned, scanned * space)

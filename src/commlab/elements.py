@@ -181,12 +181,23 @@ def f0_value(args: Sequence[Element], params: Params) -> DConst:
 
 
 def eval_f(args: Sequence[Element], params: Params) -> Element:
+    """f, reading each argument's type once: the tag max(level(a)) and
+    whether the tuple lies in f0's domain (``in_dmn_f0``) come from one pass."""
     if len(args) != params.n:
         raise DomainError(f"f takes {params.n} arguments, got {len(args)}")
     args = tuple(args)
-    if in_dmn_f0(args, params):
+    tag, in_dmn = 0, True
+    for pos, e in enumerate(args, start=1):
+        t = type(e)
+        if t is Tagged:
+            in_dmn = False
+            if e.tag >= tag:
+                tag = e.tag + 1
+        elif in_dmn and not ((t is AGen or t is BGen) and e.i == pos and e.j == 0):
+            in_dmn = False
+    if in_dmn:
         return f0_value(args, params)
-    return Tagged(args, max(level(a) for a in args))
+    return Tagged(args, tag)
 
 
 def eval_u(e: Element, params: Params) -> Element:

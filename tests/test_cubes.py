@@ -9,6 +9,7 @@ import pytest
 import commlab.cubes as cubes_mod
 import commlab.verifier as verifier_mod
 from commlab import errors
+from commlab.cli import RunConfig, run_paper_verify
 from commlab._grid import SymbolicGrid
 from commlab.cubes import (
     BlockAssignment,
@@ -336,7 +337,7 @@ def test_cached_scan_matches_the_per_term_kernel(monkeypatch, m, domain, has_wit
     monkeypatch.setattr(
         cubes_mod,
         "_grid_term_has_witness",
-        lambda grid, args, m: calls.append(args) or kernel(grid, args, m),
+        lambda grid, args, m, *memo: calls.append(args) or kernel(grid, args, m, *memo),
     )
     w, stats = _scan_terms(term_layers(m, 2, POOL2, P2), m, list(domain), P2)
     record = None if w is None else w.to_record()
@@ -373,15 +374,27 @@ def _identity_factorization(codes):
     return codes.reshape(-1, d), np.arange(codes.size // d).reshape(cells)
 
 
+def _random_codes(seed, count, m, sizes, value_counts):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.choice(sizes)
+        vals = rng.choice(value_counts)
+        yield np.array(
+            [rng.randrange(vals) for _ in range(d**m)], dtype=np.int64
+        ).reshape((d,) * m)
+
+
+def _dim2_codes():
+    return _random_codes(5, 200, 2, (1, 2, 3, 4, 5), (1, 2, 3, 6))
+
+
+def _dim3_codes():
+    return _random_codes(7, 120, 3, (2, 3), (2, 3, 4))
+
+
 def test_grid_dim2_locates_the_first_witness():
-    rng = random.Random(5)
     verdicts = set()
-    for _ in range(200):
-        d = rng.choice((1, 2, 3, 4, 5))
-        vals = rng.choice((1, 2, 3, 6))
-        codes = np.array(
-            [rng.randrange(vals) for _ in range(d**2)], dtype=np.int64
-        ).reshape(d, d)
+    for codes in _dim2_codes():
         expected = _witness_brute(codes)
         assert _fiber_witness(*_identity_factorization(codes)) == expected
         verdicts.add(expected is None)
@@ -389,15 +402,47 @@ def test_grid_dim2_locates_the_first_witness():
 
 
 def test_grid_dim3_against_brute_force():
-    rng = random.Random(7)
-    for _ in range(120):
-        d = rng.choice((2, 3))
-        vals = rng.choice((2, 3, 4))
-        codes = np.array(
-            [rng.randrange(vals) for _ in range(d**3)], dtype=np.int64
-        ).reshape(d, d, d)
+    for codes in _dim3_codes():
         expected = _witness_brute(codes)
         assert _fiber_witness(*_identity_factorization(codes)) == expected
+
+
+def test_a_shared_kernel_memo_gives_what_fresh_calls_give():
+    # One memo across the dimension-2 and -3 cases and the planted m = 4
+    # ones: a signature key met again returns what a fresh call returns.
+    rng = random.Random(4)
+    planted = [_planted_codes(rng, 4, rng.choice((2, 3))) for _ in range(60)]
+    no_witness = set()
+    misses = 0
+    for codes in itertools.chain(_dim2_codes(), _dim3_codes(), planted):
+        expected = _fiber_witness(*_identity_factorization(codes))
+        assert _fiber_witness(*_identity_factorization(codes), no_witness) == expected
+        misses += expected is None
+    # every key in the memo gave no witness, and some were met more than once
+    assert 0 < len(no_witness) < misses
+
+
+def test_the_np1_kernel_runs_once_per_fiber_signature(monkeypatch):
+    # At the verify-n2 bounds the scans decide 61 pattern keys (60 in np1,
+    # 1 in the control search), whose fibers have only a few signatures:
+    # a repeated one is answered by the scan's memo, without _pair_bs.
+    calls = {"kernel": 0, "pair_bs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        cubes_mod, "_grid_term_has_witness", counted("kernel", cubes_mod._grid_term_has_witness)
+    )
+    monkeypatch.setattr(cubes_mod, "_pair_bs", counted("pair_bs", cubes_mod._pair_bs))
+    config = RunConfig(n=2, j_max=0, closure_depth=1, max_depth=2, include_timing=False)
+    reports = run_paper_verify(config)
+    assert all(report.passed for report in reports)
+    assert calls["kernel"] == 61
+    assert calls["pair_bs"] <= 5
 
 
 def _planted_codes(rng, m, d):
@@ -547,7 +592,7 @@ def test_scan_chunk_rejects_a_located_non_witness(monkeypatch):
     # p1 = q1 gives the cube two equal halves, which never fail the term
     # condition: the located cube is rechecked before it is reported.
     monkeypatch.setattr(
-        cubes_mod, "_grid_term_has_witness", lambda grid, args, m: (0, 0, 0, 1)
+        cubes_mod, "_grid_term_has_witness", lambda grid, args, m, *memo: (0, 0, 0, 1)
     )
     with pytest.raises(CommlabError, match="rejects"):
         _scan_terms(term_layers(2, 1, POOL2, P2), 2, [DConst(1), DConst(2)], P2)

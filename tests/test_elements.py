@@ -112,6 +112,31 @@ def test_eval_f_off_table_tags_by_level():
     assert t2.tag == 2
 
 
+# generators at either position and generation, constants, and tagged
+# values of several levels (eval_f reads only an argument's type and tag)
+_f_atoms = st.one_of(
+    st.builds(AGen, st.integers(1, 3), st.integers(0, 2)),
+    st.builds(BGen, st.integers(1, 3), st.integers(0, 2)),
+    st.builds(DConst, st.integers(1, 5)),
+    st.just(CConst()),
+)
+_f_args = st.one_of(
+    _f_atoms, st.builds(Tagged, st.tuples(_f_atoms, _f_atoms), st.integers(0, 3))
+)
+
+
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.tuples(st.just(Params(n)), st.lists(_f_args, min_size=n, max_size=n))
+))
+def test_eval_f_matches_its_two_pass_definition(case):
+    p, args = case
+    if in_dmn_f0(args, p):
+        expected = f0_value(args, p)
+    else:
+        expected = Tagged(tuple(args), max(level(a) for a in args))
+    assert eval_f(args, p) == expected
+
+
 def test_eval_f_arity_check():
     with pytest.raises(DomainError):
         eval_f((CConst(),), Params(2))

@@ -353,8 +353,8 @@ def test_eval_codes_match_the_term_evaluator_on_f0s_rows(n):
     gens = [AGen(i, 0) for i in range(1, n + 1)] + [BGen(i, 0) for i in range(1, n + 1)]
     grid = SymbolicGrid(p, gens)
     for row in itertools.product(*zip(gens[:n], gens[n:])):
-        key = tuple(grid.intern(e) for e in row)
-        assert grid._f_cache[key] == grid.intern(f0_value(row, p))
+        key = [np.array([grid.intern(e)]) for e in row]
+        assert grid._f_ids(key).tolist() == [grid.intern(f0_value(row, p))]
     t = FApp(tuple(Var(i) for i in range(n)))
     cells = list(itertools.product(range(2 * n), repeat=n))
     codes = np.broadcast_to(grid.eval_codes(root_args(grid, t, n)), (2 * n,) * n).ravel().tolist()
@@ -366,6 +366,43 @@ def test_eval_codes_match_the_term_evaluator_on_f0s_rows(n):
     assert len(set(code_of.values())) == len(code_of)  # and the other way round
     d_values = {v for v in code_of if isinstance(v, DConst)}
     assert d_values == {DConst(k) for k in range(1, p.d_count + 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.lists(
+        st.tuples(*[
+            st.sampled_from([pos, 4 + pos, 8, 9, 2**15 - 1, 2**15, 2**16]) for pos in range(4)
+        ]),
+        min_size=1, max_size=6,
+    ),
+    min_size=1, max_size=5,
+))
+def test_f_table_gives_the_ids_of_a_dict_model(batches):
+    # At n = 4 the pack's base is 2**15, so keys with an id from 2**15 on
+    # take the fallback, and every later batch with them.  The model is a
+    # dict seeded with f0's rows that gives each batch's distinct new keys
+    # consecutive fresh ids in lexicographic order.
+    p4 = Params(4)
+    gens = [AGen(i, 0) for i in range(1, 5)] + [BGen(i, 0) for i in range(1, 5)]
+    grid = SymbolicGrid(p4, gens)
+    model = {
+        tuple(grid.intern(e) for e in row): grid.intern(f0_value(row, p4))
+        for row in itertools.product(*zip(gens[:4], gens[4:]))
+    }
+    size = len(grid._elems)
+    for batch in batches:
+        for key in sorted(set(batch) - model.keys()):
+            model[key] = size
+            size += 1
+        ids = grid._f_ids([np.array(col, dtype=np.int64) for col in zip(*batch)])
+        assert ids.tolist() == [model[key] for key in batch]
+        assert len(grid._elems) == size
+    # and the table holds what the model holds, every key read back at once
+    keys = list(model)
+    ids = grid._f_ids([np.array(col, dtype=np.int64) for col in zip(*keys)])
+    assert ids.tolist() == [model[key] for key in keys]
+    assert len(grid._elems) == size
 
 
 @pytest.mark.parametrize("m", [2, 3])
