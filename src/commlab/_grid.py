@@ -30,10 +30,12 @@ array of id classes, one per term: the id arrays deduplicated by shape and
 bytes, so equal classes mean equal arrays.  A node is an operation and
 its children's classes; the memo maps each node to its class, so a unary
 node is evaluated once per distinct child class and an f-node once per
-distinct tuple of child classes, however many terms share it.  A layer's
-new f-nodes go through f's table in batches of one shape, each no larger
-than the f-node cap.  The grid is entered by layers and by classes only:
-no method takes a ``Term``.
+distinct tuple of child classes, however many terms share it.  A layer
+applies every unary operation (u, then each u_pqr triple) to one array of
+argument positions, so their distinct classes are found once per layer.
+A layer's new f-nodes go through f's table in batches of one shape, each
+no larger than the f-node cap.  The grid is entered by layers and by
+classes only: no method takes a ``Term``.
 
 Two output modes:
 
@@ -180,9 +182,11 @@ class SymbolicGrid:
         """The id class of each term of a layer over the m-axis grid;
         ``below`` holds the classes of the terms at every earlier position."""
         parts = [np.array([self.var_class(i, m) for i in range(layer.num_vars)], dtype=np.intp)]
-        parts.append(self._unary_classes(terms.UApp, below[layer.u]))
-        for triple, row in zip(layer.triples, layer.upqr):
-            parts.append(self._unary_classes(triple, below[row]))
+        # every unary operation runs once per distinct child class
+        distinct, inverse = np.unique(below[layer.args], return_inverse=True)
+        unary = [[self.unary_class(op, c) for c in distinct.tolist()] for op in layer.unary]
+        shape = (len(layer.unary), distinct.size)
+        parts.append(np.array(unary, dtype=np.intp).reshape(shape)[:, inverse].ravel())
         if len(layer.f):
             nodes, inverse = _unique_rows(below[layer.f])
             parts.append(np.array(self._f_classes(list(map(tuple, nodes.tolist()))))[inverse])
@@ -198,13 +202,6 @@ class SymbolicGrid:
             cls = self._nodes[node] = self._array_class(self._domain_ids.reshape(shape))
         return cls
 
-    def _unary_classes(self, op, children: np.ndarray) -> np.ndarray:
-        """The class of op over each of the children's classes, evaluated
-        once per distinct child class."""
-        distinct, inverse = np.unique(children, return_inverse=True)
-        classes = [self.unary_class(op, c) for c in distinct.tolist()]
-        return np.array(classes, dtype=np.intp)[inverse]
-
     def unary_class(self, op, child: int) -> int:
         """The class of u (op ``terms.UApp``) or u_pqr (op its triple) over a class."""
         node = (op, child)
@@ -214,22 +211,15 @@ class SymbolicGrid:
         return cls
 
     def _f_classes(self, nodes: list[tuple[int, ...]]) -> list[int]:
-        """The classes of f over the distinct tuples of child classes; the
-        new nodes are evaluated together (``_eval_f_nodes``)."""
-        classes = [self._nodes.get((terms.FApp, node)) for node in nodes]
-        if None in classes:
-            self._eval_f_nodes([node for node, cls in zip(nodes, classes) if cls is None])
-            classes = [self._nodes[(terms.FApp, node)] for node in nodes]
-        return classes
-
-    def _eval_f_nodes(self, nodes: list[tuple[int, ...]]) -> None:
-        """Evaluate f-nodes that are not in the memo.  Nodes whose children
-        have the same shapes go through f's table together: each child
-        position stacks its arrays along a new first axis, in batches of at
-        most the f-node cap's cells, the cap that each node is held to."""
+        """The classes of f over the distinct tuples of child classes.  The
+        nodes not in the memo whose children have the same shapes go through
+        f's table together: each child position stacks its arrays along a
+        new first axis, in batches of at most the f-node cap's cells, the
+        cap that each node is held to."""
         by_shapes: dict[tuple, list[tuple[int, ...]]] = {}
         for node in nodes:
-            by_shapes.setdefault(tuple(self._arrays[c].shape for c in node), []).append(node)
+            if (terms.FApp, node) not in self._nodes:
+                by_shapes.setdefault(tuple(self._arrays[c].shape for c in node), []).append(node)
         for shapes, group in by_shapes.items():
             shape = np.broadcast_shapes(*shapes)
             cells = math.prod(shape)
@@ -243,6 +233,7 @@ class SymbolicGrid:
                 ]
                 for node, ids in zip(batch, self._f_ids(children)):
                     self._nodes[(terms.FApp, node)] = self._array_class(ids)
+        return [self._nodes[(terms.FApp, node)] for node in nodes]
 
     def _array_class(self, ids: np.ndarray) -> int:
         key = (ids.shape, ids.tobytes())
@@ -387,10 +378,8 @@ class SymbolicGrid:
                 classes = np.concatenate((classes, self.layer_classes(seen[-1], m, classes)))
             seen.append(layer)
             f_masks = np.bitwise_or.reduce(masks[layer.f], axis=1)
-            masks = np.concatenate((
-                masks, 1 << np.arange(layer.num_vars), masks[layer.u], masks[layer.upqr].ravel(),
-                f_masks,
-            ))
+            wrapped = np.tile(masks[layer.args], len(layer.unary))
+            masks = np.concatenate((masks, 1 << np.arange(layer.num_vars), wrapped, f_masks))
             # A wrapper has its child's key, which the scan met in the layer
             # below, so only the f-roots can bring a key to decide.
             roots = np.flatnonzero(sum((f_masks >> j) & 1 for j in range(m)) >= blocks)
@@ -422,17 +411,15 @@ def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
     numbered instead, so no code wraps."""
     base = max(int(a.max()) for a in arrays) + 1
     if base ** len(arrays) <= 2**63:
-        code = arrays[0].astype(np.int64)
-        for a in arrays[1:]:
-            code = code * base + a
-        return code, base
+        return _pack_ids(arrays, base), base
     full = np.broadcast_arrays(*arrays)
     _, code = _unique_rows(np.stack([c.ravel() for c in full], axis=1))
     return code.reshape(full[0].shape), base
 
 
 def _pack_ids(args: list[np.ndarray], base: int) -> np.ndarray:
-    """One int64 key per tuple of the 1-D id arrays, ordered like the
+    """One int64 key per tuple of the id arrays' entries, over their
+    broadcast shape (1-D arrays give one key per index), ordered like the
     tuples; every id must be below base, and base**len(args) <= 2**63."""
     keys = args[0].astype(np.int64)
     for a in args[1:]:

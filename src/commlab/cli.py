@@ -43,8 +43,8 @@ class RunConfig:
     include_timing: bool = True
 
     def resolve(self) -> "RunConfig":
-        # the n = 2 defaults run in 0.6-1 s on 2 vCPUs; larger n falls back
-        # to the atom set
+        # the n = 2 defaults run in about 0.6 s on 2 vCPUs, process start
+        # included; larger n falls back to the atom set
         if self.j_max is None:
             self.j_max = 1 if self.n == 2 else 0
         if self.closure_depth is None:

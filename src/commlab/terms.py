@@ -123,20 +123,20 @@ class TermLayer:
     """One depth layer of the canonical term order, as index arrays.  A
     term's position is its index in that order; children are named by
     position.  In order, the layer holds the variables x0..x{num_vars-1}
-    (depth 0 only), ``UApp`` of each position in ``u``, ``UPQRApp`` of each
-    triple over the positions in its row of ``upqr``, triple by triple, and
-    ``FApp`` of each row of ``f``, which is in ``itertools.product`` order."""
+    (depth 0 only), then each operation of ``unary`` (``UApp`` first, then
+    the triples of the u_pqr pool) over every position in ``args``,
+    operation by operation, and then ``FApp`` of each row of ``f``, which
+    is in ``itertools.product`` order."""
 
     start: int  # the position of the layer's first term
     num_vars: int
-    u: np.ndarray
-    triples: tuple[tuple[Element, Element, Element], ...]
-    upqr: np.ndarray  # (len(triples), len(u))
+    unary: tuple  # UApp, then (p, q, r) triples
+    args: np.ndarray
     f: np.ndarray  # (terms, arity)
 
     @property
     def size(self) -> int:
-        return self.num_vars + self.u.size + self.upqr.size + len(self.f)
+        return self.num_vars + len(self.unary) * self.args.size + len(self.f)
 
 
 def term_layers(
@@ -156,27 +156,24 @@ def term_layers(
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     check_budget("term enumeration to depth 0", num_vars, errors.DEFAULT_TERM_CAP, "terms")
     none = np.zeros(0, dtype=np.intp)
-    layer = TermLayer(0, num_vars, none, (), none.reshape(0, 0), none.reshape(0, params.n))
+    layer = TermLayer(0, num_vars, (), none, none.reshape(0, params.n))
     yield layer
-    triples = tuple(triple_pool)
+    unary = (UApp, *triple_pool)
     for d in range(1, max_depth + 1):
         low, total = layer.start, layer.start + layer.size
         # The terms so far, the unary applications of the previous layer
         # and the f-applications with at least one child from it.
         check_budget(
             f"term enumeration to depth {d}",
-            total + layer.size * (1 + len(triples)) + total**params.n - low**params.n,
+            total + layer.size * len(unary) + total**params.n - low**params.n,
             errors.DEFAULT_TERM_CAP,
             "terms",
         )
         if d == 1:
-            for p, q, r in triples:
+            for p, q, r in unary[1:]:
                 validate_triple(p, q, r)
-        below = np.arange(low, total)
         layer = TermLayer(
-            total, 0, below, triples,
-            np.broadcast_to(below, (len(triples), below.size)),
-            _f_children(params.n, total, low),
+            total, 0, unary, np.arange(low, total), _f_children(params.n, total, low)
         )
         yield layer
 
@@ -211,14 +208,12 @@ def term_at(layers: Sequence[TermLayer], pos: int) -> Term:
     if k < layer.num_vars:
         return Var(k)
     k -= layer.num_vars
-    if k < layer.u.size:
-        return UApp(term_at(layers, int(layer.u[k])))
-    k -= layer.u.size
-    if k < layer.upqr.size:
-        row, col = divmod(k, layer.upqr.shape[1])
-        return UPQRApp(*layer.triples[row], term_at(layers, int(layer.upqr[row, col])))
-    k -= layer.upqr.size
-    return FApp(tuple(term_at(layers, int(i)) for i in layer.f[k]))
+    wrappers = len(layer.unary) * layer.args.size
+    if k < wrappers:
+        op, i = divmod(k, layer.args.size)
+        arg = term_at(layers, int(layer.args[i]))
+        return UApp(arg) if layer.unary[op] is UApp else UPQRApp(*layer.unary[op], arg)
+    return FApp(tuple(term_at(layers, int(i)) for i in layer.f[k - wrappers]))
 
 
 def term_to_text(t: Term) -> str:

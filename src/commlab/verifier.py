@@ -556,7 +556,10 @@ def run_chain_roundtrips(
 ) -> VerificationReport:
     """Seeded random (p, q, r) triples: every emitted chain must verify,
     and the last one with steps, deliberately corrupted, must be rejected.
-    Without such a chain the control is untried, and the check fails."""
+    Without such a chain the control is untried, and the check fails.  A
+    domain with no two distinct elements has no pair to sample."""
+    if len(set(domain)) < 2:
+        raise ValueError("the chain domain needs two distinct elements")
     rng = random.Random(seed)
     report_params = {"n": params.n, "count": count, "seed": seed}
     checked = 0

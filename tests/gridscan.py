@@ -5,7 +5,9 @@ key's argument classes to its decider and builds a ``Term`` only for the
 hit.  These helpers build a term's class one node at a time through the
 grid's memo, and scan a stream of built terms, such as the reference
 ``oracles.enumerate_terms``, one term at a time, so the tests can compare
-the two scans.
+the two scans.  ``subterm_layers`` puts one term's subterms in layers of
+one node each: a unary node is a layer with one operation in ``unary``
+over one position in ``args``, an f-node a layer with one row in ``f``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ def term_class(grid, t, m):
         return grid.var_class(t.idx, m)
     if isinstance(t, FApp):
         return grid._f_classes([tuple(term_class(grid, a, m) for a in t.args)])[0]
-    op = UApp if isinstance(t, UApp) else (t.p, t.q, t.r)
-    return grid.unary_class(op, term_class(grid, t.arg, m))
+    return grid.unary_class(unary_op(t), term_class(grid, t.arg, m))
+
+
+def unary_op(t):
+    """The grid's operation of a unary node: ``UApp``, or u_pqr's triple."""
+    return UApp if isinstance(t, UApp) else (t.p, t.q, t.r)
 
 
 def term_ids(grid, t, m):
@@ -74,7 +80,7 @@ def subterm_layers(t, n):
     stream = [Var(i) for i in range(num_vars)]
     pos = {v: i for i, v in enumerate(stream)}
     none = np.zeros(0, dtype=np.intp)
-    layers = [TermLayer(0, num_vars, none, (), none.reshape(0, 0), none.reshape(0, n))]
+    layers = [TermLayer(0, num_vars, (), none, none.reshape(0, n))]
 
     def visit(s):
         if s in pos:
@@ -82,17 +88,12 @@ def subterm_layers(t, n):
         if isinstance(s, FApp):
             for a in s.args:
                 visit(a)
-            layer = dict(f=np.array([[pos[a] for a in s.args]], dtype=np.intp))
+            f = np.array([[pos[a] for a in s.args]], dtype=np.intp)
+            layers.append(TermLayer(len(stream), 0, (), none, f))
         else:
             visit(s.arg)
-            child = np.array([pos[s.arg]], dtype=np.intp)
-            if isinstance(s, UApp):
-                layer = dict(u=child)
-            else:
-                assert isinstance(s, UPQRApp)
-                layer = dict(triples=((s.p, s.q, s.r),), upqr=child.reshape(1, 1))
-        fields = dict(u=none, triples=(), upqr=none.reshape(0, 0), f=none.reshape(0, n))
-        layers.append(TermLayer(len(stream), 0, **{**fields, **layer}))
+            args = np.array([pos[s.arg]], dtype=np.intp)
+            layers.append(TermLayer(len(stream), 0, (unary_op(s),), args, none.reshape(0, n)))
         pos[s] = len(stream)
         stream.append(s)
 

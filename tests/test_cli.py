@@ -446,17 +446,20 @@ GOLDEN = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize(
-    "j_max,closure_depth,max_depth", [(0, 0, 1), (1, 0, 1), (1, 0, 2), (0, 1, 2)]
+    "n,j_max,closure_depth,max_depth",
+    [(2, 0, 0, 1), (2, 1, 0, 1), (2, 1, 0, 2), (2, 0, 1, 2), (3, 1, 0, 1)],
+    ids=["0-0-1", "1-0-1", "1-0-2", "0-1-2", "n3-1-0-1"],
 )
-def test_paper_verify_matches_its_golden_report(j_max, closure_depth, max_depth):
+def test_paper_verify_matches_its_golden_report(n, j_max, closure_depth, max_depth):
     # The --no-timing JSON lines recorded before the witness kernels were
-    # merged; the defaults are compared in test_criterion_8_determinism.
+    # merged; the defaults are compared in test_criterion_8_determinism. The
+    # n = 3 case shifts generation-1 generators through all 120 triples.
     config = RunConfig(
-        n=2, j_max=j_max, closure_depth=closure_depth, max_depth=max_depth,
+        n=n, j_max=j_max, closure_depth=closure_depth, max_depth=max_depth,
         include_timing=False,
     )
     text = "".join(r.to_json_line(include_timing=False) + "\n" for r in run_paper_verify(config))
-    golden = GOLDEN / f"paper_verify_n2_j{j_max}_c{closure_depth}_d{max_depth}.jsonl"
+    golden = GOLDEN / f"paper_verify_n{n}_j{j_max}_c{closure_depth}_d{max_depth}.jsonl"
     assert text.encode() == golden.read_bytes()
 
 

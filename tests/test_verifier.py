@@ -493,6 +493,15 @@ def test_chain_roundtrips_report():
     assert rep.counts == {"verified": 20, "mutation_rejected": 1}
 
 
+def test_chain_roundtrips_refuse_a_domain_without_a_distinct_pair(monkeypatch):
+    # refused before any triple is drawn, duplicates or not
+    calls = _counting_verify_chain(monkeypatch)
+    for domain in ([], [DConst(1)], [DConst(1), DConst(1)]):
+        with pytest.raises(ValueError, match="two distinct elements"):
+            run_chain_roundtrips(P2, domain)
+    assert calls == []
+
+
 def _counting_verify_chain(monkeypatch):
     calls = []
 
