@@ -26,16 +26,14 @@ only, so term values over a whole assignment grid become numpy gathers.
   Growing a map visits the new atoms only.
 
 The grid evaluates a term layer (``terms.term_layers``) at once, as an
-array of id classes, one per term: the id arrays deduplicated by shape and
-bytes, so equal classes mean equal arrays.  A node is an operation and
-its children's classes; the memo maps each node to its class, so a unary
-node is evaluated once per distinct child class and an f-node once per
-distinct tuple of child classes, however many terms share it.  A layer
-applies every unary operation (u, then each u_pqr triple) to one array of
-argument positions, so their distinct classes are found once per layer.
-A layer's new f-nodes go through f's table in batches of one shape, each
-no larger than the f-node cap.  The grid is entered by layers and by
-classes only: no method takes a ``Term``.
+array of id classes, one per term.  One content-addressed store holds
+every array the grid keeps, id arrays and pattern labels: equal dtype,
+shape and bytes make one class, whose array is a read-only view of those
+bytes.  A layer applies each unary operation (u, then each u_pqr triple)
+once per distinct class of its argument positions, and f once per
+distinct tuple of child classes, in batches of one shape, each no larger
+than the f-node cap.  The grid is entered by layers and by classes only:
+no method takes a ``Term``.
 
 Two output modes:
 
@@ -49,8 +47,8 @@ Two output modes:
   (potentially huge) set of top-level f-images when only the equality
   pattern of a cube matters.
 
-The pattern labels of an f-argument are memoized per (class, position),
-and the last-axis row classes per distinct label array.  ``first_hit``
+The class of an f-argument's pattern labels is memoized per (class,
+position), and the last-axis row classes per label class.  ``first_hit``
 scans layers by the class ids of those labels, the pattern keys, hands
 each key's argument classes to its decider, and builds a ``Term`` only
 for the hit.  Ids stay valid because interning only appends.
@@ -79,11 +77,9 @@ class SymbolicGrid:
         self._elems: list[Optional[Element]] = []  # atoms; None for an f-value
         self._atom_ids: list[int] = []  # ascending
         self._unary_maps: dict[object, np.ndarray] = {}
-        self._nodes: dict[tuple, int] = {}
         self._arrays: list[np.ndarray] = []
-        self._array_classes: dict[tuple[tuple, bytes], int] = {}
-        self._labels: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
-        self._label_classes: dict[tuple[tuple, bytes], int] = {}
+        self._array_classes: dict[tuple[np.dtype, tuple, bytes], int] = {}
+        self._labels: dict[tuple[int, int], int] = {}
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         n = params.n
         self._a_ids = [self.intern(elements.AGen(i, 0)) for i in range(1, n + 1)]
@@ -194,32 +190,24 @@ class SymbolicGrid:
 
     def var_class(self, idx: int, m: int) -> int:
         """The class of the variable x_idx over the m-axis grid."""
-        node = (terms.Var, idx, m)
-        cls = self._nodes.get(node)
-        if cls is None:
-            shape = [1] * m
-            shape[idx] = len(self.domain)
-            cls = self._nodes[node] = self._array_class(self._domain_ids.reshape(shape))
-        return cls
+        shape = [1] * m
+        shape[idx] = len(self.domain)
+        return self._array_class(self._domain_ids.reshape(shape))
 
     def unary_class(self, op, child: int) -> int:
         """The class of u (op ``terms.UApp``) or u_pqr (op its triple) over a class."""
-        node = (op, child)
-        cls = self._nodes.get(node)
-        if cls is None:
-            cls = self._nodes[node] = self._array_class(self._map_unary(op, self._arrays[child]))
-        return cls
+        return self._array_class(self._map_unary(op, self._arrays[child]))
 
     def _f_classes(self, nodes: list[tuple[int, ...]]) -> list[int]:
         """The classes of f over the distinct tuples of child classes.  The
-        nodes not in the memo whose children have the same shapes go through
-        f's table together: each child position stacks its arrays along a
-        new first axis, in batches of at most the f-node cap's cells, the
-        cap that each node is held to."""
+        nodes whose children have the same shapes go through f's table
+        together: each child position stacks its arrays along a new first
+        axis, in batches of at most the f-node cap's cells, the cap that
+        each node is held to."""
         by_shapes: dict[tuple, list[tuple[int, ...]]] = {}
         for node in nodes:
-            if (terms.FApp, node) not in self._nodes:
-                by_shapes.setdefault(tuple(self._arrays[c].shape for c in node), []).append(node)
+            by_shapes.setdefault(tuple(self._arrays[c].shape for c in node), []).append(node)
+        classes = {}
         for shapes, group in by_shapes.items():
             shape = np.broadcast_shapes(*shapes)
             cells = math.prod(shape)
@@ -232,18 +220,18 @@ class SymbolicGrid:
                     for pos in range(len(shapes))
                 ]
                 for node, ids in zip(batch, self._f_ids(children)):
-                    self._nodes[(terms.FApp, node)] = self._array_class(ids)
-        return [self._nodes[(terms.FApp, node)] for node in nodes]
+                    classes[node] = self._array_class(ids)
+        return [classes[node] for node in nodes]
 
-    def _array_class(self, ids: np.ndarray) -> int:
-        key = (ids.shape, ids.tobytes())
+    def _array_class(self, arr: np.ndarray) -> int:
+        """The class of an array, keyed by its dtype, shape and bytes; a new
+        class keeps a read-only view of the key's bytes, so no array is
+        held twice and none keeps the batch it was cut from."""
+        key = (arr.dtype, arr.shape, arr.tobytes())
         cls = self._array_classes.get(key)
         if cls is None:
-            if ids.base is not None:  # a view, of a batch say, would keep all of it
-                ids = ids.copy()
-            ids.flags.writeable = False
             cls = self._array_classes[key] = len(self._arrays)
-            self._arrays.append(ids)
+            self._arrays.append(np.frombuffer(key[2], dtype=arr.dtype).reshape(arr.shape))
         return cls
 
     def _f_ids(self, children: list[np.ndarray]) -> np.ndarray:
@@ -302,11 +290,10 @@ class SymbolicGrid:
 
     def _labels_of(self, cls: int, pos: int) -> tuple[np.ndarray, int]:
         """The read-only pinned labels of an id class as an f-argument at a
-        position, and the class id of that label array, memoized per
-        (id class, pos)."""
+        position, and their class, memoized per (id class, pos)."""
         key = (cls, pos)
-        hit = self._labels.get(key)
-        if hit is None:
+        label_cls = self._labels.get(key)
+        if label_cls is None:
             ids = self._arrays[cls]
             pinned = [self._a_ids[pos], self._b_ids[pos]]
             uniq, first, inverse = np.unique(
@@ -315,11 +302,8 @@ class SymbolicGrid:
             relabel = np.empty(uniq.size, dtype=np.min_scalar_type(uniq.size - 1))
             relabel[np.argsort(first)] = np.arange(uniq.size)
             labels = relabel[inverse[2:]].reshape(ids.shape)
-            labels.flags.writeable = False
-            classes = self._label_classes
-            hit = labels, classes.setdefault((labels.shape, labels.tobytes()), len(classes))
-            self._labels[key] = hit
-        return hit
+            label_cls = self._labels[key] = self._array_class(labels)
+        return self._arrays[label_cls], label_cls
 
     def fibers(self, args: tuple[int, ...], m: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct fibers along the last axis of ``eval_codes(args)``

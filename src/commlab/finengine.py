@@ -409,10 +409,11 @@ def _spread_full(alg: FiniteAlgebra, full: np.ndarray) -> None:
 def is_simple(alg: FiniteAlgebra) -> bool:
     """Whether every pair of distinct elements generates the full
     congruence.  Calls cg only on the pairs that no earlier full pair
-    reaches through translations."""
+    reaches through translations, in an s*s matrix held to the grid cap."""
     s = alg.size
     if s < 2:
         raise ValueError("simplicity is defined for size >= 2")
+    check_budget("simplicity pairs", s * s, errors.GRID_CELL_CAP, "cells")
     full = np.zeros((s, s), dtype=bool)
     for a, b in itertools.combinations(range(s), 2):
         if full[a, b]:

@@ -2,29 +2,42 @@
 
 The grid scans term layers as arrays of id classes, hands each pattern
 key's argument classes to its decider and builds a ``Term`` only for the
-hit.  These helpers build a term's class one node at a time through the
-grid's memo, and scan a stream of built terms, such as the reference
-``oracles.enumerate_terms``, one term at a time, so the tests can compare
-the two scans.  ``subterm_layers`` puts one term's subterms in layers of
-one node each: a unary node is a layer with one operation in ``unary``
-over one position in ``args``, an f-node a layer with one row in ``f``.
+hit.  These helpers build a term's class one node at a time, and scan a
+stream of built terms, such as the reference ``oracles.enumerate_terms``,
+one term at a time, so the tests can compare the two scans.
+``subterm_layers`` puts one term's subterms in layers of one node each: a
+unary node is a layer with one operation in ``unary`` over one position in
+``args``, an f-node a layer with one row in ``f``.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
 from commlab.terms import FApp, TermLayer, UApp, UPQRApp, Var, free_vars
 
+_NODES = weakref.WeakKeyDictionary()  # grid -> {node: class}
+
 
 def term_class(grid, t, m):
     """The class of t's id array over the m-axis grid, built one node at a
-    time through the grid's memo."""
+    time.  The grid evaluates each node it is given, so the nodes are
+    memoized here, per grid: a node is an operation and its children's
+    classes, and is evaluated once however many terms share it."""
     if isinstance(t, Var):
         return grid.var_class(t.idx, m)
+    nodes = _NODES.setdefault(grid, {})
     if isinstance(t, FApp):
-        return grid._f_classes([tuple(term_class(grid, a, m) for a in t.args)])[0]
-    return grid.unary_class(unary_op(t), term_class(grid, t.arg, m))
+        node = (FApp, tuple(term_class(grid, a, m) for a in t.args))
+        if node not in nodes:
+            nodes[node] = grid._f_classes([node[1]])[0]
+    else:
+        node = (unary_op(t), term_class(grid, t.arg, m))
+        if node not in nodes:
+            nodes[node] = grid.unary_class(*node)
+    return nodes[node]
 
 
 def unary_op(t):

@@ -121,6 +121,10 @@ CASES = {
         _patched("GRID_CELL_CAP", lambda: cube_subpower(Z4, [Congruence.full(4)] * 2)),
     ),
     "cube-subpower-code-set-cells": ("cube subpower", 4 * Z4_CUBES, "cells", _code_set_cells),
+    "simplicity-pairs": (
+        "simplicity pairs", 4, "cells",
+        _patched("GRID_CELL_CAP", lambda: finengine.is_simple(XOR2)),
+    ),
 }
 
 

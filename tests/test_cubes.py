@@ -132,7 +132,7 @@ def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
     assert len(decided) < len(over_blocks) < len(terms)
 
 
-def test_first_hit_reads_its_terms_lazily_and_counts_them():
+def test_first_hit_reads_its_terms_lazily_and_counts_them(monkeypatch):
     # The scan stops at its hit: a hit in layer 1 never sizes layer 2.
     # With no hit it counts every term of the layers, and it builds the
     # classes of a layer only as the children of the next.
@@ -148,11 +148,26 @@ def test_first_hit_reads_its_terms_lazily_and_counts_them():
 
     grid = SymbolicGrid(P2, ATOMS)
     assert grid.first_hit(layers(), 2, 2, decide) == (terms.index(hit_term) + 1, hit_term, (1,))
+    calls = []
+    f_classes = SymbolicGrid._f_classes
+
+    def recording(grid, nodes):
+        calls.append(nodes)
+        return f_classes(grid, nodes)
+
+    monkeypatch.setattr(SymbolicGrid, "_f_classes", recording)
     grid = SymbolicGrid(P2, ATOMS)
     never = term_layers(2, 1, POOL2, P2)
     assert grid.first_hit(never, 2, 2, lambda grid, args, m: None) == (len(terms), None, None)
-    # the last layer is never a layer of children, so no f-root's ids are built
-    assert not [node for node in grid._nodes if node[0] is FApp]
+    # the last layer is never a layer of children, so no f-root's ids are
+    # built: over depth 1 f is never evaluated, and over depth 2 only the
+    # f-nodes of layer 1 reach it, in one call
+    assert calls == []
+    depth2 = list(term_layers(2, 2, POOL2, P2))
+    scanned = sum(layer.size for layer in depth2)
+    no_hit = SymbolicGrid(P2, ATOMS).first_hit(depth2, 2, 2, lambda grid, args, m: None)
+    assert no_hit == (scanned, None, None)
+    assert [len(nodes) for nodes in calls] == [len(depth2[1].f)]
 
 
 def _recording(decide, calls):

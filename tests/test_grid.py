@@ -84,17 +84,17 @@ def _term_values(t, params, domain, cells):
 ATOM_CELLS = list(itertools.product(range(len(ATOMS)), repeat=2))
 
 
-def test_memoized_term_ids_match_a_fresh_grid():
+def test_long_lived_term_ids_match_a_fresh_grid():
     # A fresh grid per term and the long-lived one must both give every
     # cell the id of its value.
     long_lived = _IdValues(SymbolicGrid(P2, ATOMS))
-    for t in enumerate_terms(2, 2, POOL2, P2):
+    terms = list(enumerate_terms(2, 2, POOL2, P2))
+    for t in terms:
         values = _term_values(t, P2, ATOMS, ATOM_CELLS)
         long_lived.record(t, 2, ATOM_CELLS, values)
         _IdValues(SymbolicGrid(P2, ATOMS)).record(t, 2, ATOM_CELLS, values)
-    # the memo is in use: terms share nodes, and nodes share arrays
-    grid = long_lived.grid
-    assert len(grid._arrays) < len(grid._nodes) < len(list(enumerate_terms(2, 2, POOL2, P2)))
+    # the store is in use: terms share arrays
+    assert len(long_lived.grid._arrays) < len(terms)
 
 
 P3 = Params(3)
@@ -124,13 +124,52 @@ def test_layer_class_arrays_match_the_per_term_classes(params, m, depth, layers_
     assert classes.tolist() == (expected or per_term())
     # terms share classes, so the comparison is not one of fresh nodes only
     assert len(set(classes.tolist())) < len(terms)
-    # no class array is a view, which would keep its whole f-node batch
-    assert all(a.base is None for a in grid._arrays)
+    # each class array's memory is exactly its key's bytes, so none keeps
+    # the f-node batch it was cut from
+    for (dtype, shape, data), cls in grid._array_classes.items():
+        a = owner = grid._arrays[cls]
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert owner is data
+        assert (a.dtype, a.shape, a.nbytes) == (dtype, shape, len(data))
     # and the arrays hold the ids of the values, on a seeded sample of cells
     id_values = _IdValues(grid)
     rng = np.random.default_rng(len(terms))
     for t in terms:
         id_values.record(t, m, [tuple(c) for c in rng.integers(0, len(grid.domain), (8, m))])
+
+
+def test_layer_classes_evaluate_each_distinct_node_once(monkeypatch):
+    # The grid keeps no per-node memo: a layer runs each unary operation
+    # once per distinct class of its args, and f once per distinct tuple
+    # of child classes, and terms that share a node share its evaluation.
+    unary, f_nodes = [], []
+    unary_class, f_classes = SymbolicGrid.unary_class, SymbolicGrid._f_classes
+
+    def record_unary(grid, op, child):
+        unary.append((op, child))
+        return unary_class(grid, op, child)
+
+    def record_f(grid, nodes):
+        f_nodes.extend(nodes)
+        return f_classes(grid, nodes)
+
+    monkeypatch.setattr(SymbolicGrid, "unary_class", record_unary)
+    monkeypatch.setattr(SymbolicGrid, "_f_classes", record_f)
+    grid = SymbolicGrid(P2, ATOMS)
+    classes = np.zeros(0, dtype=np.intp)
+    shared = 0
+    for layer in term_layers(2, 2, POOL2, P2):
+        unary.clear()
+        f_nodes.clear()
+        below = classes
+        classes = np.concatenate((classes, grid.layer_classes(layer, 2, below)))
+        distinct = sorted(set(below[layer.args].tolist()))
+        assert unary == [(op, c) for op in layer.unary for c in distinct]
+        tuples = {tuple(row) for row in below[layer.f].tolist()}
+        assert len(f_nodes) == len(tuples) and set(f_nodes) == tuples
+        shared += len(distinct) < layer.args.size or len(tuples) < len(layer.f)
+    assert shared
 
 
 def test_unary_maps_are_gathers_from_id_arrays(monkeypatch):
