@@ -26,14 +26,15 @@ only, so term values over a whole assignment grid become numpy gathers.
   Growing a map visits the new atoms only.
 
 The grid evaluates a term layer (``terms.term_layers``) at once, as an
-array of id classes, one per term.  One content-addressed store holds
-every array the grid keeps, id arrays and pattern labels: equal dtype,
-shape and bytes make one class, whose array is a read-only view of those
-bytes.  A layer applies each unary operation (u, then each u_pqr triple)
-once per distinct class of its argument positions, and f once per
-distinct tuple of child classes, in batches of one shape, each no larger
-than the f-node cap.  The grid is entered by layers and by classes only:
-no method takes a ``Term``.
+array of id classes, one per term, each over its term's variables' axes
+only (x0 and x1 share one), placed on the grid by the term's variable
+mask.  One content-addressed store holds every array the grid keeps, id
+arrays and pattern labels: equal dtype, shape and bytes make one class,
+whose array is a read-only view of those bytes.  A layer applies each
+unary operation (u, then each u_pqr triple) once per distinct class of
+its argument positions, and f once per distinct node, its children's
+classes and masks over its own axes, in batches of one shape, each no
+larger than the f-node cap.  No method takes a ``Term``.
 
 Two output modes:
 
@@ -48,10 +49,11 @@ Two output modes:
   pattern of a cube matters.
 
 The class of an f-argument's pattern labels is memoized per (class,
-position), and the last-axis row classes per label class.  ``first_hit``
-scans layers by the class ids of those labels, the pattern keys, hands
-each key's argument classes to its decider, and builds a ``Term`` only
-for the hit.  Ids stay valid because interning only appends.
+position), and the last-axis row classes per placed label class.
+``first_hit`` scans layers by pattern keys, each argument's label class
+and mask, decides a key once per orbit under the axes its decider is
+symmetric in, and builds a ``Term`` only for the hit.  Interning only
+appends, so ids stay valid.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -77,10 +78,11 @@ class SymbolicGrid:
         self._elems: list[Optional[Element]] = []  # atoms; None for an f-value
         self._atom_ids: list[int] = []  # ascending
         self._unary_maps: dict[object, np.ndarray] = {}
+        self._shift = np.zeros(0, dtype=np.int64)  # the generator shift on the atoms
         self._arrays: list[np.ndarray] = []
         self._array_classes: dict[tuple[np.dtype, tuple, bytes], int] = {}
         self._labels: dict[tuple[int, int], int] = {}
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._rows: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         n = params.n
         self._a_ids = [self.intern(elements.AGen(i, 0)) for i in range(1, n + 1)]
         self._b_ids = [self.intern(elements.BGen(i, 0)) for i in range(1, n + 1)]
@@ -143,93 +145,100 @@ class SymbolicGrid:
 
     def _map_unary(self, op, arr: np.ndarray) -> np.ndarray:
         """arr under u (op ``terms.UApp``) or u_pqr (op its triple), by a
-        gather from the op's id map.  The map covers the ids up to the
-        largest it has been given.  Both operations fix every f-value, so
-        growing it starts from the identity and visits only the new atoms,
-        read off the ascending atom ids.  u_pqr cycles its triple, which
-        the node validated when it was built, and shifts every other atom."""
+        gather from the op's id map, which covers the ids up to the largest
+        it has been given.  u_pqr cycles its triple, which the node
+        validated, and shifts every other atom: a copy of the shift map."""
         table = self._unary_maps.get(op, np.zeros(0, dtype=np.int64))
         size = int(arr.max()) + 1
         if table.size < size:
-            grown = np.arange(table.size, size, dtype=np.int64)
             if op is terms.UApp:
-                on_atom = functools.partial(elements.eval_u, params=self.params)
+                table = self._grown(table, size, lambda e: elements.eval_u(e, self.params))
             else:
-                on_atom = elements.shift_generator
-            atoms = self._atom_ids
-            for i in atoms[bisect.bisect_left(atoms, table.size) : bisect.bisect_left(atoms, size)]:
-                grown[i - table.size] = self.intern(on_atom(self._elems[i]))
-            table = np.concatenate((table, grown))
-            if op is not terms.UApp:
-                p, q, r = (self.intern(e) for e in op)
-                for x, y in ((p, q), (q, r), (r, p)):
-                    if x < size:
-                        table[x] = y
+                ids = [self.intern(e) for e in op]
+                size = max(size, max(ids) + 1)  # the map covers its triple too
+                self._shift = self._grown(self._shift, size, elements.shift_generator)
+                table = self._shift.copy()
+                table[ids] = ids[1:] + ids[:1]
             self._unary_maps[op] = table
         return table[arr]
 
-    def class_ids(self, cls: int) -> np.ndarray:
-        """The read-only id array of a class, in broadcast shape over the
-        m-axis domain grid: equal classes, equal arrays, and the other way
-        round."""
-        return self._arrays[cls]
+    def _grown(self, table: np.ndarray, size: int, on_atom: Callable) -> np.ndarray:
+        """An id map grown to size: on_atom on new atoms, f-values fixed."""
+        if table.size >= size:
+            return table
+        grown = np.arange(table.size, size, dtype=np.int64)
+        atoms = self._atom_ids
+        for i in atoms[bisect.bisect_left(atoms, table.size) : bisect.bisect_left(atoms, size)]:
+            grown[i - table.size] = self.intern(on_atom(self._elems[i]))
+        return np.concatenate((table, grown))
 
-    def layer_classes(self, layer: terms.TermLayer, m: int, below: np.ndarray) -> np.ndarray:
-        """The id class of each term of a layer over the m-axis grid;
-        ``below`` holds the classes of the terms at every earlier position."""
-        parts = [np.array([self.var_class(i, m) for i in range(layer.num_vars)], dtype=np.intp)]
+    def class_ids(self, cls: int, mask: int, m: int) -> np.ndarray:
+        """The read-only array of a class (ids or labels) as a view over the
+        m-axis grid: its axes in order on the set bits of mask, 1 elsewhere."""
+        d = len(self.domain)
+        return self._arrays[cls].reshape([d if mask >> j & 1 else 1 for j in range(m)])
+
+    def layer_classes(self, layer: terms.TermLayer, below: np.ndarray, masks: np.ndarray):
+        """The class of each term of a layer; ``below`` and ``masks`` hold
+        the classes and variable masks of the terms at earlier positions."""
+        parts = [np.full(layer.num_vars, self.var_class(), dtype=np.intp)]
         # every unary operation runs once per distinct child class
         distinct, inverse = np.unique(below[layer.args], return_inverse=True)
         unary = [[self.unary_class(op, c) for c in distinct.tolist()] for op in layer.unary]
         shape = (len(layer.unary), distinct.size)
         parts.append(np.array(unary, dtype=np.intp).reshape(shape)[:, inverse].ravel())
         if len(layer.f):
-            nodes, inverse = _unique_rows(below[layer.f])
+            # each child's mask over the node's axes: bit k for its k-th
+            children = masks[layer.f]
+            union = np.bitwise_or.reduce(children, axis=1)[:, None]
+            local, rank = np.zeros_like(children), np.zeros_like(union)
+            for j in range(int(union.max()).bit_length()):
+                local |= ((children >> j) & 1) << rank
+                rank += (union >> j) & 1
+            nodes, inverse = _unique_rows(np.concatenate((below[layer.f], local), axis=1))
             parts.append(np.array(self._f_classes(list(map(tuple, nodes.tolist()))))[inverse])
         return np.concatenate(parts)
 
-    def var_class(self, idx: int, m: int) -> int:
-        """The class of the variable x_idx over the m-axis grid."""
-        shape = [1] * m
-        shape[idx] = len(self.domain)
-        return self._array_class(self._domain_ids.reshape(shape))
+    def var_class(self) -> int:
+        """The class of every variable: the domain's ids, on one axis."""
+        return self._array_class(self._domain_ids)
 
     def unary_class(self, op, child: int) -> int:
         """The class of u (op ``terms.UApp``) or u_pqr (op its triple) over a class."""
         return self._array_class(self._map_unary(op, self._arrays[child]))
 
     def _f_classes(self, nodes: list[tuple[int, ...]]) -> list[int]:
-        """The classes of f over the distinct tuples of child classes.  The
-        nodes whose children have the same shapes go through f's table
-        together: each child position stacks its arrays along a new first
-        axis, in batches of at most the f-node cap's cells, the cap that
-        each node is held to."""
-        by_shapes: dict[tuple, list[tuple[int, ...]]] = {}
+        """The classes of f over distinct nodes, each its children's classes
+        and then their masks over its own axes.  The nodes whose children
+        have the same masks go through f's table together: each child
+        position stacks its arrays along a new first axis, in batches of
+        at most the f-node cap's cells, the cap that each node is held to."""
+        by_masks: dict[tuple, list[tuple[int, ...]]] = {}
         for node in nodes:
-            by_shapes.setdefault(tuple(self._arrays[c].shape for c in node), []).append(node)
+            by_masks.setdefault(node[len(node) // 2 :], []).append(node)
         classes = {}
-        for shapes, group in by_shapes.items():
-            shape = np.broadcast_shapes(*shapes)
-            cells = math.prod(shape)
+        for node_masks, group in by_masks.items():
+            axes = max(node_masks).bit_length()
+            cells = len(self.domain) ** axes
             check_budget("f-node grid", cells, errors.F_NODE_CAP, "cells")
             step = errors.F_NODE_CAP // cells
             for s in range(0, len(group), step):
                 batch = group[s : s + step]
                 children = [
-                    np.stack([self._arrays[node[pos]] for node in batch])
-                    for pos in range(len(shapes))
+                    np.stack([self.class_ids(node[pos], mask, axes) for node in batch])
+                    for pos, mask in enumerate(node_masks)
                 ]
                 for node, ids in zip(batch, self._f_ids(children)):
                     classes[node] = self._array_class(ids)
         return [classes[node] for node in nodes]
 
-    def _array_class(self, arr: np.ndarray) -> int:
-        """The class of an array, keyed by its dtype, shape and bytes; a new
-        class keeps a read-only view of the key's bytes, so no array is
-        held twice and none keeps the batch it was cut from."""
+    def _array_class(self, arr: np.ndarray, new: bool = True) -> Optional[int]:
+        """The class of an array, keyed by its dtype, shape and bytes (None
+        if not stored and not ``new``); a new class keeps a read-only view of
+        the key's bytes, so no array is held twice or keeps its batch."""
         key = (arr.dtype, arr.shape, arr.tobytes())
         cls = self._array_classes.get(key)
-        if cls is None:
+        if cls is None and new:
             cls = self._array_classes[key] = len(self._arrays)
             self._arrays.append(np.frombuffer(key[2], dtype=arr.dtype).reshape(arr.shape))
         return cls
@@ -275,18 +284,18 @@ class SymbolicGrid:
         self._elems.extend([None] * new.size)
         return ids[number][inverse]
 
-    def eval_codes(self, args: tuple[int, ...]) -> np.ndarray:
-        """Equality codes over the grid of the f-root whose arguments have
-        the id classes ``args``, in their broadcast shape: code equality
-        iff value equality.
+    def eval_codes(self, args: tuple[tuple[int, int], ...], m: int) -> np.ndarray:
+        """Equality codes over the m-axis grid of the f-root whose
+        arguments are the (class, mask) pairs ``args``, in their broadcast
+        shape: code equality iff value equality.
 
         Off f0's domain f is injective on argument tuples, and a d-value
         depends only on which arguments are the a/b generators of their
         position.  So the codes depend on each argument's labels alone: its
         ids, renumbered by first occurrence with the position's a and b ids
         pinned to 0 and 1."""
-        labels = [self._labels_of(cls, pos)[0] for pos, cls in enumerate(args)]
-        return _codes(labels, self._f0_codes)
+        key = [(self._labels_of(c, pos)[1], mask) for pos, (c, mask) in enumerate(args)]
+        return _codes([self.class_ids(lab, mask, m) for lab, mask in key], self._f0_codes)
 
     def _labels_of(self, cls: int, pos: int) -> tuple[np.ndarray, int]:
         """The read-only pinned labels of an id class as an f-argument at a
@@ -305,8 +314,8 @@ class SymbolicGrid:
             label_cls = self._labels[key] = self._array_class(labels)
         return self._arrays[label_cls], label_cls
 
-    def fibers(self, args: tuple[int, ...], m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct fibers along the last axis of ``eval_codes(args)``
+    def fibers(self, args: tuple[tuple[int, int], ...], m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct fibers along the last axis of ``eval_codes(args, m)``
         over the m-axis grid, as a (k, d) array, and for each cell of the
         first m - 1 axes, in full shape, the index of its fiber.
 
@@ -316,7 +325,7 @@ class SymbolicGrid:
         tuple of its arguments' row classes, and only the distinct fibers
         are built, from the classes' reduced rows."""
         d = len(self.domain)
-        rows = [self._rows_of(cls, pos) for pos, cls in enumerate(args)]
+        rows = [self._rows_of(cls, pos, mask, m) for pos, (cls, mask) in enumerate(args)]
         classes, cell_fiber = _distinct_tuples([row_class for _, row_class in rows])
         fibers = _codes([reduced[c] for (reduced, _), c in zip(rows, classes)], self._f0_codes)
         return (
@@ -324,17 +333,18 @@ class SymbolicGrid:
             np.broadcast_to(cell_fiber, (d,) * (m - 1)),
         )
 
-    def _rows_of(self, cls: int, pos: int) -> tuple[np.ndarray, np.ndarray]:
+    def _rows_of(self, cls: int, pos: int, mask: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """``_row_classes`` of an id class's labels at an f-argument
-        position, memoized per label class."""
-        labels, label_cls = self._labels_of(cls, pos)
-        rows = self._rows.get(label_cls)
+        position, placed by mask over the m-axis grid, memoized."""
+        label_cls = self._labels_of(cls, pos)[1]
+        rows = self._rows.get((label_cls, mask, m))
         if rows is None:
-            rows = self._rows[label_cls] = _row_classes(labels)
+            rows = self._rows[label_cls, mask, m] = _row_classes(self.class_ids(label_cls, mask, m))
         return rows
 
     def first_hit(
-        self, layers: Iterable[terms.TermLayer], m: int, blocks: int, decide: Callable
+        self, layers: Iterable[terms.TermLayer], m: int, blocks: int, decide: Callable,
+        symmetric: int = 0,
     ) -> tuple[int, Optional[terms.Term], Optional[tuple]]:
         """(scanned, term, hit) for the first term of the layers whose hit
         ``decide(self, args, m)`` is not None, or (scanned, None, None).
@@ -349,42 +359,61 @@ class SymbolicGrid:
         Every term is over x0..x(m-1), so the witness search passes m (the
         terms that use all blocks) and the corner lemma 2; either way the
         terms that reach ``decide`` are f-rooted, wrappers stripped, and
-        ``args`` is the tuple of the root's argument classes.  ``decide``
-        must depend on the pattern key only, the label classes of those
-        arguments (the witness kernel reads ``fibers``, the corner lemma
-        ``eval_codes``), so it runs once per key, on the key's first term.
+        ``args`` is the root's (class, mask) pairs.  ``decide`` must depend
+        on the pattern key only, each argument's label class and mask (the
+        witness kernel reads ``fibers``, the corner lemma ``eval_codes``),
+        so it runs once per key, on the key's first term.  If no permutation
+        of the leading ``symmetric`` axes changes whether it hits, a key
+        with no hit puts the keys of its images into the no-hit memo too,
+        so it runs once per orbit; the hit and the counts stay the same.
         The hit's term is the only ``Term`` the scan builds."""
         seen: list[terms.TermLayer] = []
         classes = masks = np.zeros(0, dtype=np.intp)
-        no_hit: set[tuple[int, ...]] = set()
+        no_hit: set[tuple] = set()
         for layer in layers:
             if seen:
-                classes = np.concatenate((classes, self.layer_classes(seen[-1], m, classes)))
+                classes = np.concatenate((classes, self.layer_classes(seen[-1], classes, masks)))
             seen.append(layer)
-            f_masks = np.bitwise_or.reduce(masks[layer.f], axis=1)
-            wrapped = np.tile(masks[layer.args], len(layer.unary))
-            masks = np.concatenate((masks, 1 << np.arange(layer.num_vars), wrapped, f_masks))
+            masks = np.concatenate((masks, terms.layer_masks(layer, masks)))
             # A wrapper has its child's key, which the scan met in the layer
             # below, so only the f-roots can bring a key to decide.
-            roots = np.flatnonzero(sum((f_masks >> j) & 1 for j in range(m)) >= blocks)
+            f_start = masks.size - len(layer.f)
+            roots = np.flatnonzero(sum((masks[f_start:] >> j) & 1 for j in range(m)) >= blocks)
             if not roots.size:
                 continue
-            # roots with equal child classes have equal keys: the first root
-            # of each tuple of child classes, in canonical order
-            children = classes[layer.f[roots]]
+            # roots with equal children have equal keys: the first root of
+            # each tuple of child classes and masks, in canonical order
+            rows = layer.f[roots]
+            children = np.stack((classes[rows], masks[rows]), axis=2).reshape(len(rows), -1)
             _, first = np.unique(_unique_rows(children)[1], return_index=True)
-            f_start = masks.size - len(layer.f)
             for i in np.sort(first).tolist():
-                args = tuple(children[i].tolist())
-                key = tuple(self._labels_of(cls, pos)[1] for pos, cls in enumerate(args))
+                args = tuple(map(tuple, children[i].reshape(-1, 2).tolist()))
+                orbit = self._orbit(args, m, symmetric)
+                key = next(orbit)
                 if key in no_hit:
                     continue
                 hit = decide(self, args, m)
                 if hit is not None:
                     pos = f_start + int(roots[i])
                     return pos + 1, terms.term_at(seen, pos), hit
-                no_hit.add(key)
+                no_hit.update((key, *orbit))
         return masks.size, None, None
+
+    def _orbit(self, args: tuple[tuple[int, int], ...], m: int, symmetric: int) -> Iterable[tuple]:
+        """The pattern keys of the arguments' images under the permutations
+        of the leading ``symmetric`` axes, their own first.  An argument
+        whose axes are reordered is looked up transposed; if absent, no key."""
+        for perm in itertools.permutations(range(symmetric)):
+            key = []
+            for pos, (cls, mask) in enumerate(args):
+                axes = [perm[j] if j < symmetric else j for j in range(m) if mask >> j & 1]
+                if axes != sorted(axes):
+                    cls = self._array_class(self._arrays[cls].transpose(np.argsort(axes)), False)
+                    if cls is None:
+                        break
+                key.append((self._labels_of(cls, pos)[1], sum(1 << a for a in axes)))
+            else:
+                yield tuple(key)
 
 
 def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:

@@ -96,12 +96,13 @@ class SearchStats:
 
 
 def _grid_term_has_witness(
-    grid: SymbolicGrid, args: tuple[int, ...], m: int, no_witness: Optional[set] = None
+    grid: SymbolicGrid, args: tuple, m: int, no_witness: Optional[set] = None
 ) -> Optional[tuple[int, ...]]:
     """Canonically first witness assignment, as domain indices
-    (p1, q1, ..., pm, qm), of the f-rooted terms whose root arguments have
-    the grid's id classes ``args``, or None when they have none;
-    ``no_witness`` is ``_fiber_witness``'s memo."""
+    (p1, q1, ..., pm, qm), of the f-rooted terms whose root arguments are
+    the grid's (class, mask) pairs ``args``, or None when they have none;
+    ``no_witness`` is ``_fiber_witness``'s memo.  Permuting the first m - 1
+    blocks fixes their all-q corner: a term has a witness iff its image has."""
     return _fiber_witness(*grid.fibers(args, m), no_witness)
 
 
@@ -278,7 +279,7 @@ def _scan_terms(
     grid = SymbolicGrid(params, domain)
     no_witness: set = set()  # the kernel's memo, for this scan only
     scanned, t, hit = grid.first_hit(
-        layers, m, m, lambda grid, args, m: _grid_term_has_witness(grid, args, m, no_witness)
+        layers, m, m, lambda grid, args, m: _grid_term_has_witness(grid, args, m, no_witness), m - 1
     )
     space = len(domain) ** (2 * m)
     if t is None:

@@ -200,6 +200,13 @@ def _prefixed(heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out.reshape(-1, rows.shape[1] + 1)
 
 
+def layer_masks(layer: TermLayer, masks: np.ndarray) -> np.ndarray:
+    """Each term's free-variable mask, bit i for x_i, from those of every earlier position."""
+    wrapped = np.tile(masks[layer.args], len(layer.unary))
+    f_masks = np.bitwise_or.reduce(masks[layer.f], axis=1)
+    return np.concatenate((1 << np.arange(layer.num_vars), wrapped, f_masks))
+
+
 def term_at(layers: Sequence[TermLayer], pos: int) -> Term:
     """The term at a position, built from its children's positions;
     ``layers`` holds the layers up to the term's."""

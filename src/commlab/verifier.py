@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -39,6 +38,7 @@ from .terms import (
     UPQRApp,
     Var,
     eval_poly,
+    layer_masks,
     term_at,
     term_layers,
     term_to_text,
@@ -123,17 +123,19 @@ def is_corner_violation(c: Cube) -> bool:
 
 
 def _corner_violation(
-    grid: SymbolicGrid, args: tuple[int, ...], m: int
+    grid: SymbolicGrid, args: tuple, m: int
 ) -> Optional[tuple[int, ...]]:
     """First assignment (domain indices p1,q1,...,pm,qm) where vertex 1
     equals all adjacent vertices but the cube is not constant, for the
-    f-rooted terms whose root arguments have the grid's id classes
-    ``args``.  The scan's line comparisons, d per code of the arguments'
+    f-rooted terms whose root arguments are the grid's (class, mask)
+    pairs ``args``.  Permuting the m blocks maps vertex 1 and its
+    neighbours onto themselves, so a term has a violation iff each image
+    of it has.  The scan's line comparisons, d per code of the arguments'
     broadcast shape, are held to the grid cap before the codes are built."""
-    shape = np.broadcast_shapes(*(grid.class_ids(cls).shape for cls in args))
-    cells = len(grid.domain) * math.prod(shape)
+    used = int(np.bitwise_or.reduce([mask for _, mask in args]))
+    cells = len(grid.domain) ** (1 + used.bit_count())
     check_budget("corner-lemma line comparisons", cells, errors.GRID_CELL_CAP, "cells")
-    return corner_violation_in(grid.eval_codes(args))
+    return corner_violation_in(grid.eval_codes(args, m))
 
 
 def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -190,7 +192,7 @@ def check_corner_lemma(
     report_params = {"n": params.n, "m": m, "domain_size": d, "max_depth": max_depth}
     layers = term_layers(m, max_depth, triple_pool, params)
     # a term over fewer than two blocks has no violation (corner_violation_in)
-    scanned, t, hit = grid.first_hit(layers, m, 2, _corner_violation)
+    scanned, t, hit = grid.first_hit(layers, m, 2, _corner_violation, m)
     counts = {"terms_scanned": scanned, "assignments_scanned": scanned * d ** (2 * m)}
     if t is None:
         return VerificationReport("corner_lemma", report_params, "pass", counts=counts)
@@ -209,9 +211,9 @@ def check_corner_lemma(
 
 def _u_powers(grid: SymbolicGrid, params: Params) -> list[np.ndarray]:
     """Ids of u^k applied to every domain element, for k = 0..2n+1."""
-    powers, cls = [], grid.var_class(0, 1)
+    powers, cls = [], grid.var_class()
     for _ in range(2 * params.n + 2):
-        powers.append(grid.class_ids(cls))
+        powers.append(grid.class_ids(cls, 1, 1))
         cls = grid.unary_class(UApp, cls)
     return powers
 
@@ -239,8 +241,8 @@ def check_term_lemma(
     """A two-variable term taking two distinct values inside the
     order-(2n+1) cycle's moving letters must act as a power of u on one of
     its variables.  Both tests read only the term's id array, so they run
-    once per id class of a layer's class array; the counts come from the
-    class array, and the fail record names the first failing term, built
+    once per distinct (class, mask) pair of a layer; the counts come from
+    those pairs, and the fail record names the first failing term, built
     from its position."""
     grid = SymbolicGrid(params, list(domain))
     d = len(domain)
@@ -259,25 +261,26 @@ def check_term_lemma(
     # the array lie in C, and it fails where no power of u matches the array
     verdicts: dict[int, tuple[bool, bool]] = {}
     layers: list[TermLayer] = []
-    classes = np.zeros(0, dtype=np.intp)
+    classes = masks = np.zeros(0, dtype=np.intp)
     premise_terms = 0
     for layer in term_layers(2, max_depth, triple_pool, params):
         layers.append(layer)
-        layer_classes = grid.layer_classes(layer, 2, classes)
-        classes = np.concatenate((classes, layer_classes))
-        distinct, inverse = np.unique(layer_classes, return_inverse=True)
-        for cls in distinct.tolist():
-            if cls not in verdicts:
-                ids = grid.class_ids(cls)
+        classes = np.concatenate((classes, grid.layer_classes(layer, classes, masks)))
+        masks = np.concatenate((masks, layer_masks(layer, masks)))
+        placed = 4 * classes[layer.start :] + masks[layer.start :]  # masks are 1 to 3
+        distinct, inverse = np.unique(placed, return_inverse=True)
+        for key in distinct.tolist():
+            if key not in verdicts:
+                ids = grid.class_ids(*divmod(key, 4), 2)
                 premise = np.count_nonzero(np.bincount(c_index(ids).ravel() + 1)[1:]) >= 2
                 fails = premise and _u_power_of(np.broadcast_to(ids, (d, d)), powers) is None
-                verdicts[cls] = premise, fails
-        premise, fails = np.array([verdicts[cls] for cls in distinct.tolist()], dtype=bool).T
+                verdicts[key] = premise, fails
+        premise, fails = np.array([verdicts[key] for key in distinct.tolist()], dtype=bool).T
         premise, fails = premise[inverse], fails[inverse]
         if fails.any():
             k = int(np.argmax(fails))
             t = term_at(layers, layer.start + k)
-            ids = np.broadcast_to(grid.class_ids(int(layer_classes[k])), (d, d))
+            ids = np.broadcast_to(grid.class_ids(*divmod(int(placed[k]), 4), 2), (d, d))
             in_c = c_index(ids) >= 0
             c_values = ids[in_c]
             # the first C cell, and the first after it that holds another value

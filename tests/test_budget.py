@@ -50,7 +50,7 @@ def _patched(name, run):
 
 
 def _corner_term(grid, t):
-    return _corner_violation(grid, root_args(grid, t, 2), 2)
+    return _corner_violation(grid, root_args(grid, t), 2)
 
 
 def _code_set_subpower(monkeypatch, cap):

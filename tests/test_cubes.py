@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import commlab.cubes as cubes_mod
 import commlab.verifier as verifier_mod
@@ -44,7 +46,9 @@ from commlab.terms import (
 )
 from commlab.verifier import (
     check_corner_lemma,
+    corner_violation_in,
     expected_top_cube,
+    is_corner_violation,
     search_control,
     search_np1_failure,
 )
@@ -127,8 +131,8 @@ def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
     over_blocks = [t for t in terms if len(free_vars(t)) >= blocks]
     firsts = {}
     for t in over_blocks:
-        firsts.setdefault(pattern_key(grid, t, 3), t)
-    assert decided == [root_args(grid, t, 3) for t in firsts.values()]
+        firsts.setdefault(pattern_key(grid, t), t)
+    assert decided == [root_args(grid, t) for t in firsts.values()]
     assert len(decided) < len(over_blocks) < len(terms)
 
 
@@ -144,7 +148,7 @@ def test_first_hit_reads_its_terms_lazily_and_counts_them(monkeypatch):
         raise AssertionError("sized the layer past the hit")
 
     def decide(grid, args, m):
-        return (1,) if args == root_args(grid, hit_term, m) else None
+        return (1,) if args == root_args(grid, hit_term) else None
 
     grid = SymbolicGrid(P2, ATOMS)
     assert grid.first_hit(layers(), 2, 2, decide) == (terms.index(hit_term) + 1, hit_term, (1,))
@@ -161,20 +165,21 @@ def test_first_hit_reads_its_terms_lazily_and_counts_them(monkeypatch):
     assert grid.first_hit(never, 2, 2, lambda grid, args, m: None) == (len(terms), None, None)
     # the last layer is never a layer of children, so no f-root's ids are
     # built: over depth 1 f is never evaluated, and over depth 2 only the
-    # f-nodes of layer 1 reach it, in one call
+    # f-nodes of layer 1 reach it, in one call, f(x0,x0) and f(x1,x1) as
+    # one node, as they differ only in their axis
     assert calls == []
     depth2 = list(term_layers(2, 2, POOL2, P2))
     scanned = sum(layer.size for layer in depth2)
     no_hit = SymbolicGrid(P2, ATOMS).first_hit(depth2, 2, 2, lambda grid, args, m: None)
     assert no_hit == (scanned, None, None)
-    assert [len(nodes) for nodes in calls] == [len(depth2[1].f)]
+    assert [len(nodes) for nodes in calls] == [len(depth2[1].f) - 1]
 
 
 def _recording(decide, calls):
-    # class ids are per grid, so a call is recorded by its label bytes
+    # class ids are per grid, so a call is recorded by its label bytes and masks
     def record(grid, args, m):
-        labels = (grid._labels_of(cls, pos)[0] for pos, cls in enumerate(args))
-        calls.append(tuple((lab.shape, lab.tobytes()) for lab in labels))
+        labels = ((grid._labels_of(cls, pos)[0], mask) for pos, (cls, mask) in enumerate(args))
+        calls.append(tuple((lab.shape, lab.tobytes(), mask) for lab, mask in labels))
         return decide(grid, args, m)
 
     return record
@@ -223,6 +228,136 @@ def test_first_hit_finds_the_control_witness_inside_layer_1():
     assert got[0] <= next(itertools.islice(term_layers(2, 2, POOL2, P2), 2, None)).start
 
 
+P3 = Params(3)
+P4 = Params(4)
+
+
+def _search_domain(params):
+    # np1's search domain: at n = 2 the verify-n2 bounds' 68 elements, at
+    # n = 3 and 4 the paper-verify defaults
+    return bounded_subuniverse(params, 0, 1 if params.n == 2 else 0)
+
+
+# (params, domain, m, depth): np1's and the control's searches for the
+# kernel, the corner lemma's for the corner decider, at the defaults and
+# over the n = 2 atoms at m = 2 and 3.  The corner decider takes m = 2 on
+# the 68-element verify-n2 domain, where three-block terms pass its cap.
+# np1 at n = 3 and 4 decides no key: no depth-1 term uses all n + 1 blocks.
+ORBIT_CASES = {
+    "kernel": {
+        "n2-atoms-m2": (P2, ATOMS, 2, 2),
+        "n2-atoms-m3": (P2, ATOMS, 3, 2),
+        "verify-n2-np1": (P2, _search_domain(P2), 3, 2),
+        "n3-np1": (P3, _search_domain(P3), 4, 1),
+        "n3-control": (P3, _search_domain(P3), 3, 1),
+        "n4-np1": (P4, _search_domain(P4), 5, 1),
+        "n4-control": (P4, _search_domain(P4), 4, 1),
+    },
+    "corner": {
+        "n2-atoms-m2": (P2, ATOMS, 2, 2),
+        "n2-atoms-m3": (P2, ATOMS, 3, 2),
+        "verify-n2-m2": (P2, _search_domain(P2), 2, 2),
+        "n3-defaults": (P3, P3.base_atoms(0), 3, 1),
+        "n4-defaults": (P4, P4.base_atoms(0), 4, 1),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "decider,case", [(k, c) for k, cases in ORBIT_CASES.items() for c in cases],
+    ids=[f"{k}-{c}" for k, cases in ORBIT_CASES.items() for c in cases],
+)
+def test_the_orbit_scan_matches_the_scan_with_no_symmetric_axes(decider, case):
+    # The witness kernel is symmetric in the leading m - 1 axes and the
+    # corner decider in all m: the scan that memoizes a no-hit key's whole
+    # orbit gives the same (scanned, term, hit) as the scan per key, and
+    # decides only keys that the scan per key decides.
+    params, domain, m, depth = ORBIT_CASES[decider][case]
+    if decider == "kernel":
+        decide, blocks, symmetric = cubes_mod._grid_term_has_witness, m, m - 1
+    else:
+        decide, blocks, symmetric = verifier_mod._corner_violation, 2, m
+    pool = default_triple_pool(params)
+    scans = {}
+    for axes in (0, symmetric):
+        calls = []
+        hit = SymbolicGrid(params, domain).first_hit(
+            term_layers(m, depth, pool, params), m, blocks, _recording(decide, calls), axes
+        )
+        scans[axes] = hit, calls
+    (orbit, orbit_calls), (plain, plain_calls) = scans[symmetric], scans[0]
+    assert orbit == plain
+    assert set(orbit_calls) <= set(plain_calls)
+    assert len(orbit_calls) <= len(plain_calls)
+
+
+@pytest.mark.parametrize(
+    "params,depth,per_key,per_orbit", [(P2, 2, 46, 23), (P3, 1, 24, 4), (P4, 1, 252, 14)],
+    ids=["n2", "n3", "n4"],
+)
+def test_the_corner_lemma_decides_one_key_per_orbit(monkeypatch, params, depth, per_key, per_orbit):
+    # At the defaults of n, over the atoms at m = n: the keys of the scan
+    # per key fall into these orbits, and the lemma decides one key each.
+    atoms, pool, n = params.base_atoms(0), default_triple_pool(params), params.n
+    plain = []
+    SymbolicGrid(params, atoms).first_hit(
+        term_layers(n, depth, pool, params), n, 2, _recording(verifier_mod._corner_violation, plain)
+    )
+    calls = []
+    decide = verifier_mod._corner_violation
+    monkeypatch.setattr(
+        verifier_mod, "_corner_violation", lambda g, args, m: calls.append(args) or decide(g, args, m)
+    )
+    assert check_corner_lemma(params, n, atoms, depth, pool).passed
+    assert (len(plain), len(calls)) == (per_key, per_orbit)
+
+
+def _cube_of(codes, hit):
+    # the cube of the codes at (p1, q1, ..., pm, qm), vertices in product order
+    pairs = zip(hit[::2], hit[1::2])
+    return Cube(codes.ndim, tuple(codes[v] for v in itertools.product(*pairs)))
+
+
+def _permuted(hit, perm):
+    # hit's pairs with pair k taken from pair perm[k], as np.transpose does axes
+    return tuple(x for k in perm for x in hit[2 * k : 2 * k + 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(2, 4), st.integers(2, 3)).flatmap(
+    lambda md: hnp.arrays(np.int64, (md[1],) * md[0], elements=st.integers(0, 2))
+), st.data())
+def test_permuting_the_leading_axes_keeps_the_witness_verdict(codes, data):
+    # m = 2 to 4 axes of 2 or 3 cells: the kernel's verdict does not move
+    # under a permutation of the leading m - 1 axes, and the permuted
+    # canonical witness is a witness of the permuted codes.
+    m = codes.ndim
+    perm = tuple(data.draw(st.permutations(range(m - 1)))) + (m - 1,)
+    moved = codes.transpose(perm)
+    hit = _fiber_witness(*_identity_factorization(codes))
+    moved_hit = _fiber_witness(*_identity_factorization(moved))
+    assert (hit is None) == (moved_hit is None)
+    if hit is not None:
+        assert is_tc_failure(_cube_of(moved, _permuted(hit, perm)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda m: hnp.arrays(np.int64, st.tuples(*[st.sampled_from((1, 3))] * m), elements=st.integers(0, 2))
+), st.data())
+def test_permuting_the_axes_keeps_the_corner_verdict(codes, data):
+    # Codes in broadcast shape, size 1 on an ignored block: the corner
+    # verdict does not move under any permutation of the axes, and the
+    # permuted first violation is a violation of the permuted codes.
+    perm = tuple(data.draw(st.permutations(range(codes.ndim))))
+    moved = codes.transpose(perm)
+    hit = corner_violation_in(codes)
+    moved_hit = corner_violation_in(moved)
+    assert (hit is None) == (moved_hit is None)
+    if hit is not None:
+        assert is_corner_violation(_cube_of(moved, _permuted(hit, perm)))
+
+
 def _oracle_record(term, blocks, cube, m):
     return {
         "term": term_to_text(term),
@@ -235,7 +370,6 @@ def _oracle_record(term, blocks, cube, m):
     }
 
 
-P3 = Params(3)
 # f(x0,x1,x2) has a witness only where every a(i,0) and b(i,0) is in the
 # domain: each matched edge must stay inside the base table, and p_i = q_i
 # collapses the critical edge onto a matched one.
@@ -290,14 +424,13 @@ def _agrees_with_the_oracle_scan(params, m, domain, t):
     hit = None
     if len(free_vars(t)) == m:
         grid = SymbolicGrid(params, list(domain))
-        hit = cubes_mod._grid_term_has_witness(grid, root_args(grid, t, m), m)
+        hit = cubes_mod._grid_term_has_witness(grid, root_args(grid, t), m)
     assert (hit is None) == (o_w is None)
     if hit is not None:
         assert cubes_mod._lex_rank(hit, len(domain)) + 1 == o_count
     return w is not None
 
 
-P4 = Params(4)
 N4_GENERATORS = [g(i, 0) for i in range(1, 5) for g in (AGen, BGen)]
 N3_TWO_POSITIONS = [AGen(1, 0), AGen(2, 0), BGen(1, 0), BGen(2, 0)]
 X = [Var(i) for i in range(4)]
@@ -328,7 +461,7 @@ def _scan_every_term(terms, m, domain, params):
     for i, t in enumerate(terms):
         if len(free_vars(t)) < m:
             continue
-        hit = cubes_mod._grid_term_has_witness(grid, root_args(grid, t, m), m)
+        hit = cubes_mod._grid_term_has_witness(grid, root_args(grid, t), m)
         if hit is not None:
             w = TCWitness(t, *located_cube(t, m, hit, domain, params, is_tc_failure, "witness"))
             rank = int(np.ravel_multi_index(hit, (len(domain),) * (2 * m)))
@@ -438,9 +571,10 @@ def test_a_shared_kernel_memo_gives_what_fresh_calls_give():
 
 
 def test_the_np1_kernel_runs_once_per_fiber_signature(monkeypatch):
-    # At the verify-n2 bounds the scans decide 61 pattern keys (60 in np1,
-    # 1 in the control search), whose fibers have only a few signatures:
-    # a repeated one is answered by the scan's memo, without _pair_bs.
+    # At the verify-n2 bounds the scans decide 31 pattern keys: np1's 60
+    # keys fall into 30 orbits under swapping x0 and x1, and the control
+    # search decides 1.  Their fibers have only a few signatures: a
+    # repeated one is answered by the scan's memo, without _pair_bs.
     calls = {"kernel": 0, "pair_bs": 0}
 
     def counted(name, fn):
@@ -456,7 +590,7 @@ def test_the_np1_kernel_runs_once_per_fiber_signature(monkeypatch):
     config = RunConfig(n=2, j_max=0, closure_depth=1, max_depth=2, include_timing=False)
     reports = run_paper_verify(config)
     assert all(report.passed for report in reports)
-    assert calls["kernel"] == 61
+    assert calls["kernel"] == 31
     assert calls["pair_bs"] <= 5
 
 
@@ -588,11 +722,11 @@ def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth, m):
     classes = {}
     for t in enumerate_terms(m, depth, default_triple_pool(params), params):
         if len(free_vars(t)) == m:
-            classes.setdefault(pattern_key(grid, t, m), t)
+            classes.setdefault(pattern_key(grid, t), t)
     assert classes
     for t in classes.values():
-        codes = np.broadcast_to(grid.eval_codes(root_args(grid, t, m)), (d,) * m)
-        fibers, cell_fiber = grid.fibers(root_args(grid, t, m), m)
+        codes = np.broadcast_to(grid.eval_codes(root_args(grid, t), m), (d,) * m)
+        fibers, cell_fiber = grid.fibers(root_args(grid, t), m)
         assert len(fibers) < d ** (m - 1)
         sig, partitions = _fiber_signatures(fibers, cell_fiber)
         expected_sig, expected_partitions = _sorted_signatures(codes)

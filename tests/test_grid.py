@@ -31,10 +31,11 @@ from commlab.terms import (
     default_triple_pool,
     eval_term,
     free_vars,
+    layer_masks,
     term_layers,
 )
 
-from gridscan import pattern_key, root_args, term_class, term_ids
+from gridscan import f_node, mask_of, pattern_key, root_args, term_class, term_ids
 from oracles import depth, enumerate_terms
 
 P2 = Params(2)
@@ -48,7 +49,11 @@ def _over_two_blocks(m):
 
 
 def _labels(grid, t, m):
-    return [grid._labels_of(cls, pos)[0] for pos, cls in enumerate(root_args(grid, t, m))]
+    # each argument's stored labels, placed on its axes of the m-axis grid
+    return [
+        grid.class_ids(grid._labels_of(cls, pos)[1], mask, m)
+        for pos, (cls, mask) in enumerate(root_args(grid, t))
+    ]
 
 
 class _IdValues:
@@ -115,13 +120,15 @@ def test_layer_class_arrays_match_the_per_term_classes(params, m, depth, layers_
     terms = list(enumerate_terms(m, depth, pool, params))
 
     def per_term():
-        return [term_class(grid, t, m) for t in terms]
+        return [term_class(grid, t) for t in terms]
 
     expected = None if layers_first else per_term()
-    classes = np.zeros(0, dtype=np.intp)
+    classes = masks = np.zeros(0, dtype=np.intp)
     for layer in term_layers(m, depth, pool, params):
-        classes = np.concatenate((classes, grid.layer_classes(layer, m, classes)))
+        classes = np.concatenate((classes, grid.layer_classes(layer, classes, masks)))
+        masks = np.concatenate((masks, layer_masks(layer, masks)))
     assert classes.tolist() == (expected or per_term())
+    assert masks.tolist() == [mask_of(t) for t in terms]
     # terms share classes, so the comparison is not one of fresh nodes only
     assert len(set(classes.tolist())) < len(terms)
     # each class array's memory is exactly its key's bytes, so none keeps
@@ -141,8 +148,9 @@ def test_layer_class_arrays_match_the_per_term_classes(params, m, depth, layers_
 
 def test_layer_classes_evaluate_each_distinct_node_once(monkeypatch):
     # The grid keeps no per-node memo: a layer runs each unary operation
-    # once per distinct class of its args, and f once per distinct tuple
-    # of child classes, and terms that share a node share its evaluation.
+    # once per distinct class of its args, and f once per distinct node,
+    # its children's classes and masks over the node's axes, and terms
+    # that share a node share its evaluation.
     unary, f_nodes = [], []
     unary_class, f_classes = SymbolicGrid.unary_class, SymbolicGrid._f_classes
 
@@ -157,18 +165,21 @@ def test_layer_classes_evaluate_each_distinct_node_once(monkeypatch):
     monkeypatch.setattr(SymbolicGrid, "unary_class", record_unary)
     monkeypatch.setattr(SymbolicGrid, "_f_classes", record_f)
     grid = SymbolicGrid(P2, ATOMS)
-    classes = np.zeros(0, dtype=np.intp)
+    classes = masks = np.zeros(0, dtype=np.intp)
     shared = 0
     for layer in term_layers(2, 2, POOL2, P2):
         unary.clear()
         f_nodes.clear()
         below = classes
-        classes = np.concatenate((classes, grid.layer_classes(layer, 2, below)))
+        classes = np.concatenate((classes, grid.layer_classes(layer, below, masks)))
         distinct = sorted(set(below[layer.args].tolist()))
         assert unary == [(op, c) for op in layer.unary for c in distinct]
-        tuples = {tuple(row) for row in below[layer.f].tolist()}
-        assert len(f_nodes) == len(tuples) and set(f_nodes) == tuples
-        shared += len(distinct) < layer.args.size or len(tuples) < len(layer.f)
+        nodes = {
+            f_node(list(zip(below[row].tolist(), masks[row].tolist()))) for row in layer.f
+        }
+        assert len(f_nodes) == len(nodes) and set(f_nodes) == nodes
+        shared += len(distinct) < layer.args.size or len(nodes) < len(layer.f)
+        masks = np.concatenate((masks, layer_masks(layer, masks)))
     assert shared
 
 
@@ -210,14 +221,16 @@ def test_memoized_ids_are_read_only():
     t = FApp((Var(0), Var(1)))
     ids = term_ids(grid, t, 3)
     assert ids.size < len(ATOMS) ** 3
-    assert term_ids(grid, t, 3) is ids
+    # a view of the one stored array, in broadcast shape
+    assert np.shares_memory(term_ids(grid, t, 3), ids)
     with pytest.raises(ValueError):
         ids[(0,) * ids.ndim] = 0
 
 
 def test_memo_holds_each_distinct_id_array_once():
     # Full-grid arrays are kept too, once per distinct content: terms with
-    # equal arrays get one class and one array object.
+    # equal arrays get one class, and each term's array is a view of its
+    # class's one stored array.
     grid = SymbolicGrid(P2, ATOMS)
     d = len(ATOMS)
     by_content = {}
@@ -226,9 +239,10 @@ def test_memo_holds_each_distinct_id_array_once():
     for t in sampled:
         ids = term_ids(grid, t, 2)
         full += ids.size == d**2
-        cls = by_content.setdefault((ids.shape, ids.tobytes()), term_class(grid, t, 2))
-        assert term_class(grid, t, 2) == cls
-        assert term_ids(grid, t, 2) is grid._arrays[cls]
+        cls = by_content.setdefault((ids.shape, ids.tobytes()), term_class(grid, t))
+        assert term_class(grid, t) == cls
+        stored = grid._arrays[cls]
+        assert np.shares_memory(ids, stored) and ids.size == stored.size
         assert not ids.flags.writeable
     assert full
     assert len(grid._arrays) == len({(a.shape, a.tobytes()) for a in grid._arrays})
@@ -258,7 +272,7 @@ def test_eval_codes_equality_pattern_survives_a_wide_intern_table():
     assert len(grid._elems) == 2**17 and (2**17) ** 4 >= 2**63
 
     t = FApp((UPQRApp(DConst(1), DConst(2), CConst(), Var(0)), Var(1), Var(2), Var(3)))
-    codes = np.broadcast_to(grid.eval_codes(root_args(grid, t, 4)), (2,) * 4).ravel()
+    codes = np.broadcast_to(grid.eval_codes(root_args(grid, t), 4), (2,) * 4).ravel()
     ids = np.broadcast_to(term_ids(grid, t, 4), (2,) * 4).ravel()
     assert len(set(ids.tolist())) == ids.size
     assert ((codes[:, None] == codes[None, :]) == (ids[:, None] == ids[None, :])).all()
@@ -274,7 +288,7 @@ def test_eval_codes_falls_back_when_the_label_pack_would_wrap():
     grid = SymbolicGrid(p4, domain)
     t = FApp((Var(0),) * 4)
     assert max(int(lab.max()) for lab in _labels(grid, t, 1)) == 2**17 - 1
-    codes = grid.eval_codes(root_args(grid, t, 1))
+    codes = grid.eval_codes(root_args(grid, t), 1)
     ids = term_ids(grid, t, 1)
     assert codes.shape == ids.shape == (len(domain),)
     assert np.unique(ids).size == ids.size
@@ -346,7 +360,7 @@ def test_memoized_labels_are_read_only():
     grid = SymbolicGrid(P2, ATOMS)
     t = FApp((UApp(Var(0)), FApp((Var(1), Var(2)))))
     labels = _labels(grid, t, 3)
-    assert all(a is b for a, b in zip(_labels(grid, t, 3), labels))
+    assert all(np.shares_memory(a, b) for a, b in zip(_labels(grid, t, 3), labels))
     for lab in labels:
         with pytest.raises(ValueError):
             lab[(0,) * lab.ndim] = 0
@@ -361,7 +375,7 @@ def test_pattern_key_splits_terms_as_the_label_bytes_do(m):
     def label_bytes(t):
         return tuple((lab.shape, lab.tobytes()) for lab in _labels(grid, t, m))
 
-    pairs = {(pattern_key(grid, t, m), label_bytes(t)) for t in _over_two_blocks(m)}
+    pairs = {(pattern_key(grid, t), label_bytes(t)) for t in _over_two_blocks(m)}
     assert len({key for key, _ in pairs}) == len({old for _, old in pairs}) == len(pairs)
 
 
@@ -378,7 +392,7 @@ def test_eval_codes_equality_is_value_equality():
     grid = SymbolicGrid(P2, ATOMS)
     full = (len(ATOMS),) * 2
     for t in _over_two_blocks(2):
-        codes = np.broadcast_to(grid.eval_codes(root_args(grid, t, 2)), full)
+        codes = np.broadcast_to(grid.eval_codes(root_args(grid, t), 2), full)
         ids = np.broadcast_to(term_ids(grid, t, 2), full)
         assert _first_occurrence_relabel(codes) == _first_occurrence_relabel(ids)
 
@@ -396,7 +410,7 @@ def test_eval_codes_match_the_term_evaluator_on_f0s_rows(n):
         assert grid._f_ids(key).tolist() == [grid.intern(f0_value(row, p))]
     t = FApp(tuple(Var(i) for i in range(n)))
     cells = list(itertools.product(range(2 * n), repeat=n))
-    codes = np.broadcast_to(grid.eval_codes(root_args(grid, t, n)), (2 * n,) * n).ravel().tolist()
+    codes = np.broadcast_to(grid.eval_codes(root_args(grid, t), n), (2 * n,) * n).ravel().tolist()
     code_of = {}
     for code, value in zip(codes, _term_values(t, p, gens, cells), strict=True):
         assert code_of.setdefault(value, code) == code  # equal values, equal codes
@@ -452,9 +466,9 @@ def test_equal_pattern_keys_give_equal_equality_patterns(m):
     grid = SymbolicGrid(P2, ATOMS)
     classes = {}
     for t in _over_two_blocks(m):
-        codes = grid.eval_codes(root_args(grid, t, m))
+        codes = grid.eval_codes(root_args(grid, t), m)
         pattern = (codes.shape, _first_occurrence_relabel(codes))
-        classes.setdefault(pattern_key(grid, t, m), []).append(pattern)
+        classes.setdefault(pattern_key(grid, t), []).append(pattern)
     for patterns in classes.values():
         assert all(p == patterns[0] for p in patterns[1:])
     # the key merges terms, so the check above compares something

@@ -48,7 +48,7 @@ from commlab.verifier import (
     verify_top_commutator,
 )
 
-from gridscan import pattern_key, root_args, term_class, term_ids
+from gridscan import pattern_key, renamed, root_args, term_class, term_ids
 from oracles import corner_violation_brute, count_terms, enumerate_terms, is_power_of_u_on
 
 P2 = Params(2)
@@ -86,21 +86,26 @@ def test_corner_lemma_passes():
 
 
 def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
-    # Flag one equality class, that of the last term over two blocks; the
-    # check reports its first member with the counts of a scan that visits
-    # every term.  The term evaluator is made to confirm the flagged hit:
+    # Flag one orbit of equality classes: that of the last term over two
+    # blocks and that of its image with x0 and x1 swapped, as the corner
+    # condition is symmetric in its axes.  The check reports the orbit's
+    # first member with the counts of a scan that visits every term.  The term evaluator is made to confirm the flagged hit:
     # vertex 1 equals both neighbours, vertex 4 differs.
     grid = SymbolicGrid(P2, ATOMS)
     terms = list(enumerate_terms(2, 2, POOL2, P2))
     over_two = [(i, t) for i, t in enumerate(terms) if len(free_vars(t)) >= 2]
-    target = grid.eval_codes(root_args(grid, over_two[-1][1], 2))
+    target = over_two[-1][1]
+    orbit = [grid.eval_codes(root_args(grid, renamed(target, p)), 2) for p in ((0, 1), (1, 0))]
     hit = (1, 2, 3, 4)
 
     def flag(codes):
-        return hit if codes.shape == target.shape and (codes == target).all() else None
+        flagged = any(codes.shape == c.shape and (codes == c).all() for c in orbit)
+        return hit if flagged else None
 
     monkeypatch.setattr(verifier_mod, "corner_violation_in", flag)
-    i = next(i for i, t in over_two if flag(grid.eval_codes(root_args(grid, t, 2))) is not None)
+    i = next(i for i, t in over_two if flag(grid.eval_codes(root_args(grid, t), 2)) is not None)
+    # it has the class of the image, not of the target itself
+    assert pattern_key(grid, terms[i]) == pattern_key(grid, renamed(target, (1, 0)))
     blocks = BlockAssignment.from_indices(hit, ATOMS)
     cube = Cube(2, (DConst(1), DConst(1), DConst(1), DConst(2)))
     monkeypatch.setattr(cubes_mod, "term_cube", lambda t, b, m, p: cube)
@@ -121,9 +126,12 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
         "terms_scanned": i + 1,
         "assignments_scanned": (i + 1) * len(ATOMS) ** 4,
     }
-    # one call per class met up to the hit, fewer than the terms scanned
-    keys = {pattern_key(grid, t, 2) for j, t in over_two if j <= i}
-    assert len(calls) == len(keys) < i + 1
+    # one call per orbit of classes met up to the hit, fewer than the
+    # classes, which are fewer than the terms scanned
+    met = [t for j, t in over_two if j <= i]
+    keys = {pattern_key(grid, t) for t in met}
+    orbits = {frozenset(pattern_key(grid, renamed(t, p)) for p in ((0, 1), (1, 0))) for t in met}
+    assert len(calls) == len(orbits) < len(keys) < i + 1
 
 
 def test_corner_lemma_skips_terms_over_fewer_than_two_blocks(monkeypatch):
@@ -133,7 +141,7 @@ def test_corner_lemma_skips_terms_over_fewer_than_two_blocks(monkeypatch):
     monkeypatch.setattr(
         verifier_mod, "_corner_violation",
         lambda g, args, m: calls.append(
-            np.broadcast_shapes(*(g.class_ids(cls).shape for cls in args))
+            np.broadcast_shapes(*(g.class_ids(cls, mask, m).shape for cls, mask in args))
         ) or decide(g, args, m),
     )
     rep = check_corner_lemma(P2, 2, ATOMS, 2, POOL2)
@@ -236,7 +244,7 @@ def test_corner_scan_above_the_grid_cap_raises_before_it_builds(monkeypatch):
     monkeypatch.setattr(SymbolicGrid, "eval_codes", lambda *args: built.append(args))
     monkeypatch.setattr(errors, "GRID_CELL_CAP", len(ATOMS) ** 3 - 1)
     with pytest.raises(BudgetExceededError, match=f"needs {len(ATOMS) ** 3} cells"):
-        verifier_mod._corner_violation(grid, root_args(grid, t, 2), 2)
+        verifier_mod._corner_violation(grid, root_args(grid, t), 2)
     assert built == []
 
 
@@ -264,7 +272,7 @@ def test_corner_cap_from_the_argument_shapes_is_d_to_the_free_variables_plus_one
     terms = [t for t in enumerate_terms(m, 2, POOL2, P2) if len(free_vars(t)) >= 2]
     for t in terms:
         with pytest.raises(_Sized):
-            verifier_mod._corner_violation(grid, root_args(grid, t, m), m)
+            verifier_mod._corner_violation(grid, root_args(grid, t), m)
     assert sizes == [d ** (len(free_vars(t)) + 1) for t in terms]
 
 
@@ -294,7 +302,7 @@ def test_term_lemma_power_of_u_agrees_with_the_oracle():
             premise_terms += 1
             assert expected is not None
         verdict = (premise, expected is not None)
-        assert per_class.setdefault(term_class(grid, t, 2), verdict) == verdict
+        assert per_class.setdefault(term_class(grid, t), verdict) == verdict
     rep = check_term_lemma(P2, ATOMS, 2, POOL2)
     assert rep.passed
     assert premise_terms == rep.counts["premise_terms"] == 6
