@@ -51,9 +51,10 @@ Two output modes:
 The class of an f-argument's pattern labels is memoized per (class,
 position), and the last-axis row classes per placed label class.
 ``first_hit`` scans layers by pattern keys, each argument's label class
-and mask, decides a key once per orbit under the axes its decider is
-symmetric in, and builds a ``Term`` only for the hit.  Interning only
-appends, so ids stay valid.
+and mask, hands its decider the key alone, decides a key once per orbit
+under the axes its decider is symmetric in (every image of a
+``terms.term_layers`` term is found in the store), and builds a ``Term``
+only for the hit.  Interning only appends, so ids stay valid.
 """
 
 from __future__ import annotations
@@ -232,13 +233,13 @@ class SymbolicGrid:
                     classes[node] = self._array_class(ids)
         return [classes[node] for node in nodes]
 
-    def _array_class(self, arr: np.ndarray, new: bool = True) -> Optional[int]:
-        """The class of an array, keyed by its dtype, shape and bytes (None
-        if not stored and not ``new``); a new class keeps a read-only view of
-        the key's bytes, so no array is held twice or keeps its batch."""
+    def _array_class(self, arr: np.ndarray) -> int:
+        """The class of an array, keyed by its dtype, shape and bytes; a new
+        class keeps a read-only view of the key's bytes, so no array is held
+        twice or keeps its batch."""
         key = (arr.dtype, arr.shape, arr.tobytes())
         cls = self._array_classes.get(key)
-        if cls is None and new:
+        if cls is None:
             cls = self._array_classes[key] = len(self._arrays)
             self._arrays.append(np.frombuffer(key[2], dtype=arr.dtype).reshape(arr.shape))
         return cls
@@ -284,24 +285,22 @@ class SymbolicGrid:
         self._elems.extend([None] * new.size)
         return ids[number][inverse]
 
-    def eval_codes(self, args: tuple[tuple[int, int], ...], m: int) -> np.ndarray:
-        """Equality codes over the m-axis grid of the f-root whose
-        arguments are the (class, mask) pairs ``args``, in their broadcast
-        shape: code equality iff value equality.
+    def eval_codes(self, key: tuple[tuple[int, int], ...], m: int) -> np.ndarray:
+        """Equality codes over the m-axis grid of the f-roots whose pattern
+        key is ``key``, each argument's (label class, mask), in their
+        broadcast shape: code equality iff value equality.
 
         Off f0's domain f is injective on argument tuples, and a d-value
         depends only on which arguments are the a/b generators of their
         position.  So the codes depend on each argument's labels alone: its
         ids, renumbered by first occurrence with the position's a and b ids
         pinned to 0 and 1."""
-        key = [(self._labels_of(c, pos)[1], mask) for pos, (c, mask) in enumerate(args)]
         return _codes([self.class_ids(lab, mask, m) for lab, mask in key], self._f0_codes)
 
-    def _labels_of(self, cls: int, pos: int) -> tuple[np.ndarray, int]:
-        """The read-only pinned labels of an id class as an f-argument at a
-        position, and their class, memoized per (id class, pos)."""
-        key = (cls, pos)
-        label_cls = self._labels.get(key)
+    def _labels_of(self, cls: int, pos: int) -> int:
+        """The class of an id class's pinned labels as an f-argument at a
+        position, memoized per (id class, pos)."""
+        label_cls = self._labels.get((cls, pos))
         if label_cls is None:
             ids = self._arrays[cls]
             pinned = [self._a_ids[pos], self._b_ids[pos]]
@@ -311,11 +310,11 @@ class SymbolicGrid:
             relabel = np.empty(uniq.size, dtype=np.min_scalar_type(uniq.size - 1))
             relabel[np.argsort(first)] = np.arange(uniq.size)
             labels = relabel[inverse[2:]].reshape(ids.shape)
-            label_cls = self._labels[key] = self._array_class(labels)
-        return self._arrays[label_cls], label_cls
+            label_cls = self._labels[cls, pos] = self._array_class(labels)
+        return label_cls
 
-    def fibers(self, args: tuple[tuple[int, int], ...], m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct fibers along the last axis of ``eval_codes(args, m)``
+    def fibers(self, key: tuple[tuple[int, int], ...], m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct fibers along the last axis of ``eval_codes(key, m)``
         over the m-axis grid, as a (k, d) array, and for each cell of the
         first m - 1 axes, in full shape, the index of its fiber.
 
@@ -325,7 +324,7 @@ class SymbolicGrid:
         tuple of its arguments' row classes, and only the distinct fibers
         are built, from the classes' reduced rows."""
         d = len(self.domain)
-        rows = [self._rows_of(cls, pos, mask, m) for pos, (cls, mask) in enumerate(args)]
+        rows = [self._rows_of(lab, mask, m) for lab, mask in key]
         classes, cell_fiber = _distinct_tuples([row_class for _, row_class in rows])
         fibers = _codes([reduced[c] for (reduced, _), c in zip(rows, classes)], self._f0_codes)
         return (
@@ -333,10 +332,9 @@ class SymbolicGrid:
             np.broadcast_to(cell_fiber, (d,) * (m - 1)),
         )
 
-    def _rows_of(self, cls: int, pos: int, mask: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """``_row_classes`` of an id class's labels at an f-argument
-        position, placed by mask over the m-axis grid, memoized."""
-        label_cls = self._labels_of(cls, pos)[1]
+    def _rows_of(self, label_cls: int, mask: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_row_classes`` of a label class placed by mask over the m-axis
+        grid, memoized."""
         rows = self._rows.get((label_cls, mask, m))
         if rows is None:
             rows = self._rows[label_cls, mask, m] = _row_classes(self.class_ids(label_cls, mask, m))
@@ -347,7 +345,7 @@ class SymbolicGrid:
         symmetric: int = 0,
     ) -> tuple[int, Optional[terms.Term], Optional[tuple]]:
         """(scanned, term, hit) for the first term of the layers whose hit
-        ``decide(self, args, m)`` is not None, or (scanned, None, None).
+        ``decide(self, key, m)`` is not None, or (scanned, None, None).
 
         The layers are read one at a time and the scan stops at its hit, so
         ``scanned`` is the hit's position + 1, or every term of the layers,
@@ -358,15 +356,16 @@ class SymbolicGrid:
         Terms with fewer than ``blocks`` >= 2 free variables are skipped.
         Every term is over x0..x(m-1), so the witness search passes m (the
         terms that use all blocks) and the corner lemma 2; either way the
-        terms that reach ``decide`` are f-rooted, wrappers stripped, and
-        ``args`` is the root's (class, mask) pairs.  ``decide`` must depend
-        on the pattern key only, each argument's label class and mask (the
-        witness kernel reads ``fibers``, the corner lemma ``eval_codes``),
-        so it runs once per key, on the key's first term.  If no permutation
-        of the leading ``symmetric`` axes changes whether it hits, a key
-        with no hit puts the keys of its images into the no-hit memo too,
-        so it runs once per orbit; the hit and the counts stay the same.
-        The hit's term is the only ``Term`` the scan builds."""
+        terms that reach ``decide`` are f-rooted, wrappers stripped.  It
+        receives the root's pattern key, each argument's label class and
+        mask (the witness kernel reads it through ``fibers``, the corner
+        lemma through ``eval_codes``), so it runs once per key, on the key's
+        first term.  If no permutation of the leading ``symmetric`` axes
+        changes whether it hits, a key with no hit puts the keys of its
+        images into the no-hit memo too, so it runs once per orbit; in
+        ``terms.term_layers`` every image's argument classes are already in
+        the store.  The hit and the counts stay the same.  The hit's term
+        is the only ``Term`` the scan builds."""
         seen: list[terms.TermLayer] = []
         classes = masks = np.zeros(0, dtype=np.intp)
         no_hit: set[tuple] = set()
@@ -392,7 +391,7 @@ class SymbolicGrid:
                 key = next(orbit)
                 if key in no_hit:
                     continue
-                hit = decide(self, args, m)
+                hit = decide(self, key, m)
                 if hit is not None:
                     pos = f_start + int(roots[i])
                     return pos + 1, terms.term_at(seen, pos), hit
@@ -400,20 +399,18 @@ class SymbolicGrid:
         return masks.size, None, None
 
     def _orbit(self, args: tuple[tuple[int, int], ...], m: int, symmetric: int) -> Iterable[tuple]:
-        """The pattern keys of the arguments' images under the permutations
-        of the leading ``symmetric`` axes, their own first.  An argument
-        whose axes are reordered is looked up transposed; if absent, no key."""
+        """The pattern keys of the (class, mask) arguments' images under the
+        permutations of the leading ``symmetric`` axes, their own first.  An
+        argument whose axes are reordered is looked up transposed: in
+        ``terms.term_layers`` that is a renamed lower-layer term, stored."""
         for perm in itertools.permutations(range(symmetric)):
             key = []
             for pos, (cls, mask) in enumerate(args):
                 axes = [perm[j] if j < symmetric else j for j in range(m) if mask >> j & 1]
                 if axes != sorted(axes):
-                    cls = self._array_class(self._arrays[cls].transpose(np.argsort(axes)), False)
-                    if cls is None:
-                        break
-                key.append((self._labels_of(cls, pos)[1], sum(1 << a for a in axes)))
-            else:
-                yield tuple(key)
+                    cls = self._array_class(self._arrays[cls].transpose(np.argsort(axes)))
+                key.append((self._labels_of(cls, pos), sum(1 << a for a in axes)))
+            yield tuple(key)
 
 
 def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:

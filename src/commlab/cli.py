@@ -43,8 +43,9 @@ class RunConfig:
     include_timing: bool = True
 
     def resolve(self) -> "RunConfig":
-        # the n = 2 defaults run in about 0.6 s on 2 vCPUs, process start
-        # included; larger n falls back to the atom set
+        # n = 2 closes the generation 0 and 1 atoms once under f and scans
+        # to depth 2; at n = 3 those bounds pass the nfequal and term caps,
+        # so larger n takes the atoms and depth 1
         if self.j_max is None:
             self.j_max = 1 if self.n == 2 else 0
         if self.closure_depth is None:

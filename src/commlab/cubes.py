@@ -96,14 +96,14 @@ class SearchStats:
 
 
 def _grid_term_has_witness(
-    grid: SymbolicGrid, args: tuple, m: int, no_witness: Optional[set] = None
+    grid: SymbolicGrid, key: tuple, m: int, no_witness: Optional[set] = None
 ) -> Optional[tuple[int, ...]]:
     """Canonically first witness assignment, as domain indices
-    (p1, q1, ..., pm, qm), of the f-rooted terms whose root arguments are
-    the grid's (class, mask) pairs ``args``, or None when they have none;
-    ``no_witness`` is ``_fiber_witness``'s memo.  Permuting the first m - 1
-    blocks fixes their all-q corner: a term has a witness iff its image has."""
-    return _fiber_witness(*grid.fibers(args, m), no_witness)
+    (p1, q1, ..., pm, qm), of the f-rooted terms whose pattern key is
+    ``key``, or None when they have none; ``no_witness`` is
+    ``_fiber_witness``'s memo.  Permuting the first m - 1 blocks fixes
+    their all-q corner: a term has a witness iff its image has."""
+    return _fiber_witness(*grid.fibers(key, m), no_witness)
 
 
 def _first_index(mask: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -279,7 +279,7 @@ def _scan_terms(
     grid = SymbolicGrid(params, domain)
     no_witness: set = set()  # the kernel's memo, for this scan only
     scanned, t, hit = grid.first_hit(
-        layers, m, m, lambda grid, args, m: _grid_term_has_witness(grid, args, m, no_witness), m - 1
+        layers, m, m, lambda grid, key, m: _grid_term_has_witness(grid, key, m, no_witness), m - 1
     )
     space = len(domain) ** (2 * m)
     if t is None:

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from . import elements, errors
-from .elements import Element, Params, sort_key, validate_triple
+from .elements import Element, Params, validate_triple
 from .errors import check_budget
 
 
@@ -111,11 +111,8 @@ def default_triple_pool(params: Params) -> list[tuple[Element, Element, Element]
     check_budget("triple pool", size * (size - 1) * (size - 2), errors.DEFAULT_TERM_CAP, "triples")
     pool_elems = [elements.DConst(k) for k in range(1, params.d_count + 1)]
     pool_elems.append(elements.CConst())
-    triples = []
-    for p, q, r in itertools.permutations(pool_elems, 3):
-        triples.append((p, q, r))
-    triples.sort(key=lambda t: tuple(sort_key(e) for e in t))
-    return triples
+    # the elements are in sort_key order, so their permutations are too
+    return list(itertools.permutations(pool_elems, 3))
 
 
 @dataclass(frozen=True)

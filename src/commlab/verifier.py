@@ -123,19 +123,19 @@ def is_corner_violation(c: Cube) -> bool:
 
 
 def _corner_violation(
-    grid: SymbolicGrid, args: tuple, m: int
+    grid: SymbolicGrid, key: tuple, m: int
 ) -> Optional[tuple[int, ...]]:
     """First assignment (domain indices p1,q1,...,pm,qm) where vertex 1
     equals all adjacent vertices but the cube is not constant, for the
-    f-rooted terms whose root arguments are the grid's (class, mask)
-    pairs ``args``.  Permuting the m blocks maps vertex 1 and its
-    neighbours onto themselves, so a term has a violation iff each image
-    of it has.  The scan's line comparisons, d per code of the arguments'
-    broadcast shape, are held to the grid cap before the codes are built."""
-    used = int(np.bitwise_or.reduce([mask for _, mask in args]))
+    f-rooted terms whose pattern key is ``key``.  Permuting the m blocks
+    maps vertex 1 and its neighbours onto themselves, so a term has a
+    violation iff each image of it has.  The scan's line comparisons, d
+    per code of the arguments' broadcast shape, are held to the grid cap
+    before the codes are built."""
+    used = int(np.bitwise_or.reduce([mask for _, mask in key]))
     cells = len(grid.domain) ** (1 + used.bit_count())
     check_budget("corner-lemma line comparisons", cells, errors.GRID_CELL_CAP, "cells")
-    return corner_violation_in(grid.eval_codes(args, m))
+    return corner_violation_in(grid.eval_codes(key, m))
 
 
 def corner_violation_in(codes: np.ndarray) -> Optional[tuple[int, ...]]:

@@ -1,11 +1,11 @@
 """Per-term references for the grid's class-level scans.
 
-The grid scans term layers as arrays of compact id classes, hands each
-pattern key's arguments, (class, variable mask) pairs, to its decider and
-builds a ``Term`` only for the hit.  These helpers build a term's class
-one node at a time, and scan a stream of built terms, such as the
-reference ``oracles.enumerate_terms``, one term at a time, so the tests
-can compare the two scans.
+The grid scans term layers as arrays of compact id classes, hands its
+decider each pattern key, the (label class, variable mask) pairs of an
+f-root's arguments, and builds a ``Term`` only for the hit.  These
+helpers build a term's class one node at a time, and scan a stream of
+built terms, such as the reference ``oracles.enumerate_terms``, one term
+at a time, so the tests can compare the two scans.
 ``subterm_layers`` puts one term's subterms in layers of one node each: a
 unary node is a layer with one operation in ``unary`` over one position in
 ``args``, an f-node a layer with one row in ``f``.
@@ -76,26 +76,20 @@ def term_ids(grid, t, m):
     return grid.class_ids(term_class(grid, t), mask_of(t), m)
 
 
-def root_args(grid, t):
-    """The (class, mask) pairs of the arguments of t's root, injective
-    wrappers stripped: what the class-level scan passes a decider."""
-    while isinstance(t, (UApp, UPQRApp)):
-        t = t.arg
-    return tuple((term_class(grid, a), mask_of(a)) for a in t.args)
-
-
 def pattern_key(grid, t):
     """The (label class, mask) pairs of the arguments of t's root,
-    wrappers stripped: the key the class-level scan groups f-rooted terms
-    by."""
+    injective wrappers stripped: the key the class-level scan groups
+    f-rooted terms by and passes its decider."""
+    while isinstance(t, (UApp, UPQRApp)):
+        t = t.arg
     return tuple(
-        (grid._labels_of(cls, pos)[1], mask) for pos, (cls, mask) in enumerate(root_args(grid, t))
+        (grid._labels_of(term_class(grid, a), pos), mask_of(a)) for pos, a in enumerate(t.args)
     )
 
 
 def first_hit_per_term(grid, terms, m, blocks, decide):
     """``SymbolicGrid.first_hit`` one term at a time: (scanned, term, hit)
-    for the first term whose hit ``decide(grid, root_args(grid, t), m)``
+    for the first term whose hit ``decide(grid, pattern_key(grid, t), m)``
     is not None, or (scanned, None, None).  Terms over fewer than
     ``blocks`` variables are skipped, and ``decide`` runs once per pattern
     key."""
@@ -107,7 +101,7 @@ def first_hit_per_term(grid, terms, m, blocks, decide):
         key = pattern_key(grid, t)
         if key in no_hit:
             continue
-        hit = decide(grid, root_args(grid, t), m)
+        hit = decide(grid, key, m)
         if hit is not None:
             return scanned, t, hit
         no_hit.add(key)

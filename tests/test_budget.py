@@ -23,7 +23,7 @@ from commlab.verifier import (
     corner_violation_in,
 )
 
-from gridscan import root_args, term_ids
+from gridscan import pattern_key, term_ids
 
 P2 = Params(2)
 POOL2 = default_triple_pool(P2)
@@ -50,7 +50,7 @@ def _patched(name, run):
 
 
 def _corner_term(grid, t):
-    return _corner_violation(grid, root_args(grid, t), 2)
+    return _corner_violation(grid, pattern_key(grid, t), 2)
 
 
 def _code_set_subpower(monkeypatch, cap):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -53,7 +54,7 @@ from commlab.verifier import (
     search_np1_failure,
 )
 
-from gridscan import first_hit_per_term, pattern_key, root_args, subterm_layers
+from gridscan import first_hit_per_term, pattern_key, subterm_layers
 from oracles import enumerate_terms, scan_terms_naive
 
 P2 = Params(2)
@@ -116,13 +117,13 @@ def test_is_tc_failure_cases():
 @pytest.mark.parametrize("blocks", [2, 3])
 def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
     # Only terms with at least ``blocks`` free variables reach decide, the
-    # root argument classes of the first of each pattern key, and the count
+    # pattern key of the first term that has it, and the count
     # is of every term of the layers, skipped ones included.
     terms = list(enumerate_terms(3, 2, POOL2, P2))
     decided = []
 
-    def decide(grid, args, m):
-        decided.append(args)
+    def decide(grid, key, m):
+        decided.append(key)
 
     grid = SymbolicGrid(P2, ATOMS)
     assert grid.first_hit(term_layers(3, 2, POOL2, P2), 3, blocks, decide) == (
@@ -132,7 +133,7 @@ def test_first_hit_skips_terms_over_fewer_than_blocks_variables(blocks):
     firsts = {}
     for t in over_blocks:
         firsts.setdefault(pattern_key(grid, t), t)
-    assert decided == [root_args(grid, t) for t in firsts.values()]
+    assert decided == list(firsts)
     assert len(decided) < len(over_blocks) < len(terms)
 
 
@@ -147,8 +148,8 @@ def test_first_hit_reads_its_terms_lazily_and_counts_them(monkeypatch):
         yield from itertools.islice(term_layers(2, 2, POOL2, P2), 2)
         raise AssertionError("sized the layer past the hit")
 
-    def decide(grid, args, m):
-        return (1,) if args == root_args(grid, hit_term) else None
+    def decide(grid, key, m):
+        return (1,) if key == pattern_key(grid, hit_term) else None
 
     grid = SymbolicGrid(P2, ATOMS)
     assert grid.first_hit(layers(), 2, 2, decide) == (terms.index(hit_term) + 1, hit_term, (1,))
@@ -162,7 +163,7 @@ def test_first_hit_reads_its_terms_lazily_and_counts_them(monkeypatch):
     monkeypatch.setattr(SymbolicGrid, "_f_classes", recording)
     grid = SymbolicGrid(P2, ATOMS)
     never = term_layers(2, 1, POOL2, P2)
-    assert grid.first_hit(never, 2, 2, lambda grid, args, m: None) == (len(terms), None, None)
+    assert grid.first_hit(never, 2, 2, lambda grid, key, m: None) == (len(terms), None, None)
     # the last layer is never a layer of children, so no f-root's ids are
     # built: over depth 1 f is never evaluated, and over depth 2 only the
     # f-nodes of layer 1 reach it, in one call, f(x0,x0) and f(x1,x1) as
@@ -170,17 +171,17 @@ def test_first_hit_reads_its_terms_lazily_and_counts_them(monkeypatch):
     assert calls == []
     depth2 = list(term_layers(2, 2, POOL2, P2))
     scanned = sum(layer.size for layer in depth2)
-    no_hit = SymbolicGrid(P2, ATOMS).first_hit(depth2, 2, 2, lambda grid, args, m: None)
+    no_hit = SymbolicGrid(P2, ATOMS).first_hit(depth2, 2, 2, lambda grid, key, m: None)
     assert no_hit == (scanned, None, None)
     assert [len(nodes) for nodes in calls] == [len(depth2[1].f) - 1]
 
 
 def _recording(decide, calls):
     # class ids are per grid, so a call is recorded by its label bytes and masks
-    def record(grid, args, m):
-        labels = ((grid._labels_of(cls, pos)[0], mask) for pos, (cls, mask) in enumerate(args))
+    def record(grid, key, m):
+        labels = ((grid._arrays[lab], mask) for lab, mask in key)
         calls.append(tuple((lab.shape, lab.tobytes(), mask) for lab, mask in labels))
-        return decide(grid, args, m)
+        return decide(grid, key, m)
 
     return record
 
@@ -306,10 +307,88 @@ def test_the_corner_lemma_decides_one_key_per_orbit(monkeypatch, params, depth, 
     calls = []
     decide = verifier_mod._corner_violation
     monkeypatch.setattr(
-        verifier_mod, "_corner_violation", lambda g, args, m: calls.append(args) or decide(g, args, m)
+        verifier_mod, "_corner_violation", lambda g, key, m: calls.append(key) or decide(g, key, m)
     )
     assert check_corner_lemma(params, n, atoms, depth, pool).passed
     assert (len(plain), len(calls)) == (per_key, per_orbit)
+
+
+def _record_orbit_lookups(monkeypatch):
+    # whether each array that _orbit looks up was in the store already
+    stored = []
+    array_class = SymbolicGrid._array_class
+
+    def recording(grid, arr):
+        if sys._getframe(1).f_code.co_name == "_orbit":
+            stored.append((arr.dtype, arr.shape, arr.tobytes()) in grid._array_classes)
+        return array_class(grid, arr)
+
+    monkeypatch.setattr(SymbolicGrid, "_array_class", recording)
+    return stored
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_orbit_image_of_a_term_layer_is_in_the_store(monkeypatch, n):
+    # term_layers holds every variable renaming of its terms, so each
+    # transposed argument the orbit looks up is a lower-layer term whose
+    # class is already stored: np1, the control search and the corner
+    # lemma at the defaults of n add no class through an orbit lookup.  At
+    # n = 3 and 4 the default depth is 1, where every f-root's arguments
+    # are variables, one axis each, so no image is transposed at all.
+    found = _record_orbit_lookups(monkeypatch)
+    config = RunConfig(n=n).resolve()
+    params = Params(n)
+    pool, atoms = default_triple_pool(params), params.base_atoms(0)
+    domain = bounded_subuniverse(params, config.j_max, config.closure_depth)
+    assert search_np1_failure(params, domain, config.max_depth, 1, pool).passed
+    assert search_control(params, domain, config.max_depth, 1, pool).passed
+    assert check_corner_lemma(params, n, atoms, min(config.max_depth, 2), pool).passed
+    assert all(found)
+    assert bool(found) == (n == 2)
+
+
+# t1 = f(f(u(x0), x1), x0) and its renaming t2 = f(f(u(x1), x0), x1) under
+# f(t1, t2): the stream of its subterms holds f(u(x0), x1) but, when t1's
+# orbit is looked up, not yet its transpose f(u(x1), x0).
+_T1 = FApp((FApp((UApp(Var(0)), Var(1))), Var(0)))
+_T2 = FApp((FApp((UApp(Var(1)), Var(0))), Var(1)))
+_NO_RENAMINGS = FApp((_T1, _T2))
+
+
+@pytest.mark.parametrize("flags_the_root", [False, True], ids=["corner", "flags-the-root"])
+def test_an_orbit_image_missing_from_the_store_is_stored(monkeypatch, flags_the_root):
+    # In a layer stream that lacks some renaming, the orbit scan stores
+    # the missing image's class and memoizes its key: later terms with
+    # that key are not decided, and the scan still gives the (scanned,
+    # term, hit) of the scan with no symmetric axes.  The deciders are
+    # symmetric in both axes: the corner decider, and one that flags the
+    # codes of the root's orbit.
+    layers, stream = subterm_layers(_NO_RENAMINGS, 2)
+    decide = verifier_mod._corner_violation
+    if flags_the_root:
+        grid = SymbolicGrid(P2, ATOMS)
+        root = grid.eval_codes(pattern_key(grid, _NO_RENAMINGS), 2)
+
+        def decide(grid, key, m):
+            codes = grid.eval_codes(key, m)
+            image = any(np.array_equal(codes, root.transpose(p)) for p in ((0, 1), (1, 0)))
+            return (0, 1, 2, 3) if image else None
+
+    found = _record_orbit_lookups(monkeypatch)
+    scans = {}
+    for axes in (0, 2):
+        calls = []
+        hit = SymbolicGrid(P2, ATOMS).first_hit(layers, 2, 2, _recording(decide, calls), axes)
+        scans[axes] = hit, calls
+    (orbit, orbit_calls), (plain, plain_calls) = scans[2], scans[0]
+    assert orbit == plain
+    assert (orbit[1] == _NO_RENAMINGS) == flags_the_root
+    if not flags_the_root:
+        assert orbit == (len(stream), None, None)
+    assert not all(found)
+    # f(u(x1), x0) and t2 have the keys of images of earlier terms
+    assert set(orbit_calls) < set(plain_calls)
+    assert len(orbit_calls) == len(plain_calls) - 2
 
 
 def _cube_of(codes, hit):
@@ -424,7 +503,7 @@ def _agrees_with_the_oracle_scan(params, m, domain, t):
     hit = None
     if len(free_vars(t)) == m:
         grid = SymbolicGrid(params, list(domain))
-        hit = cubes_mod._grid_term_has_witness(grid, root_args(grid, t), m)
+        hit = cubes_mod._grid_term_has_witness(grid, pattern_key(grid, t), m)
     assert (hit is None) == (o_w is None)
     if hit is not None:
         assert cubes_mod._lex_rank(hit, len(domain)) + 1 == o_count
@@ -461,7 +540,7 @@ def _scan_every_term(terms, m, domain, params):
     for i, t in enumerate(terms):
         if len(free_vars(t)) < m:
             continue
-        hit = cubes_mod._grid_term_has_witness(grid, root_args(grid, t), m)
+        hit = cubes_mod._grid_term_has_witness(grid, pattern_key(grid, t), m)
         if hit is not None:
             w = TCWitness(t, *located_cube(t, m, hit, domain, params, is_tc_failure, "witness"))
             rank = int(np.ravel_multi_index(hit, (len(domain),) * (2 * m)))
@@ -485,7 +564,7 @@ def test_cached_scan_matches_the_per_term_kernel(monkeypatch, m, domain, has_wit
     monkeypatch.setattr(
         cubes_mod,
         "_grid_term_has_witness",
-        lambda grid, args, m, *memo: calls.append(args) or kernel(grid, args, m, *memo),
+        lambda grid, key, m, *memo: calls.append(key) or kernel(grid, key, m, *memo),
     )
     w, stats = _scan_terms(term_layers(m, 2, POOL2, P2), m, list(domain), P2)
     record = None if w is None else w.to_record()
@@ -725,8 +804,8 @@ def test_factorized_fibers_match_a_sort_over_every_fiber(n, domain, depth, m):
             classes.setdefault(pattern_key(grid, t), t)
     assert classes
     for t in classes.values():
-        codes = np.broadcast_to(grid.eval_codes(root_args(grid, t), m), (d,) * m)
-        fibers, cell_fiber = grid.fibers(root_args(grid, t), m)
+        codes = np.broadcast_to(grid.eval_codes(pattern_key(grid, t), m), (d,) * m)
+        fibers, cell_fiber = grid.fibers(pattern_key(grid, t), m)
         assert len(fibers) < d ** (m - 1)
         sig, partitions = _fiber_signatures(fibers, cell_fiber)
         expected_sig, expected_partitions = _sorted_signatures(codes)
@@ -741,7 +820,7 @@ def test_scan_chunk_rejects_a_located_non_witness(monkeypatch):
     # p1 = q1 gives the cube two equal halves, which never fail the term
     # condition: the located cube is rechecked before it is reported.
     monkeypatch.setattr(
-        cubes_mod, "_grid_term_has_witness", lambda grid, args, m, *memo: (0, 0, 0, 1)
+        cubes_mod, "_grid_term_has_witness", lambda grid, key, m, *memo: (0, 0, 0, 1)
     )
     with pytest.raises(CommlabError, match="rejects"):
         _scan_terms(term_layers(2, 1, POOL2, P2), 2, [DConst(1), DConst(2)], P2)

@@ -35,7 +35,7 @@ from commlab.terms import (
     term_layers,
 )
 
-from gridscan import f_node, mask_of, pattern_key, root_args, term_class, term_ids
+from gridscan import f_node, mask_of, pattern_key, term_class, term_ids
 from oracles import depth, enumerate_terms
 
 P2 = Params(2)
@@ -50,10 +50,7 @@ def _over_two_blocks(m):
 
 def _labels(grid, t, m):
     # each argument's stored labels, placed on its axes of the m-axis grid
-    return [
-        grid.class_ids(grid._labels_of(cls, pos)[1], mask, m)
-        for pos, (cls, mask) in enumerate(root_args(grid, t))
-    ]
+    return [grid.class_ids(lab, mask, m) for lab, mask in pattern_key(grid, t)]
 
 
 class _IdValues:
@@ -272,7 +269,7 @@ def test_eval_codes_equality_pattern_survives_a_wide_intern_table():
     assert len(grid._elems) == 2**17 and (2**17) ** 4 >= 2**63
 
     t = FApp((UPQRApp(DConst(1), DConst(2), CConst(), Var(0)), Var(1), Var(2), Var(3)))
-    codes = np.broadcast_to(grid.eval_codes(root_args(grid, t), 4), (2,) * 4).ravel()
+    codes = np.broadcast_to(grid.eval_codes(pattern_key(grid, t), 4), (2,) * 4).ravel()
     ids = np.broadcast_to(term_ids(grid, t, 4), (2,) * 4).ravel()
     assert len(set(ids.tolist())) == ids.size
     assert ((codes[:, None] == codes[None, :]) == (ids[:, None] == ids[None, :])).all()
@@ -288,7 +285,7 @@ def test_eval_codes_falls_back_when_the_label_pack_would_wrap():
     grid = SymbolicGrid(p4, domain)
     t = FApp((Var(0),) * 4)
     assert max(int(lab.max()) for lab in _labels(grid, t, 1)) == 2**17 - 1
-    codes = grid.eval_codes(root_args(grid, t), 1)
+    codes = grid.eval_codes(pattern_key(grid, t), 1)
     ids = term_ids(grid, t, 1)
     assert codes.shape == ids.shape == (len(domain),)
     assert np.unique(ids).size == ids.size
@@ -392,7 +389,7 @@ def test_eval_codes_equality_is_value_equality():
     grid = SymbolicGrid(P2, ATOMS)
     full = (len(ATOMS),) * 2
     for t in _over_two_blocks(2):
-        codes = np.broadcast_to(grid.eval_codes(root_args(grid, t), 2), full)
+        codes = np.broadcast_to(grid.eval_codes(pattern_key(grid, t), 2), full)
         ids = np.broadcast_to(term_ids(grid, t, 2), full)
         assert _first_occurrence_relabel(codes) == _first_occurrence_relabel(ids)
 
@@ -410,7 +407,7 @@ def test_eval_codes_match_the_term_evaluator_on_f0s_rows(n):
         assert grid._f_ids(key).tolist() == [grid.intern(f0_value(row, p))]
     t = FApp(tuple(Var(i) for i in range(n)))
     cells = list(itertools.product(range(2 * n), repeat=n))
-    codes = np.broadcast_to(grid.eval_codes(root_args(grid, t), n), (2 * n,) * n).ravel().tolist()
+    codes = np.broadcast_to(grid.eval_codes(pattern_key(grid, t), n), (2 * n,) * n).ravel().tolist()
     code_of = {}
     for code, value in zip(codes, _term_values(t, p, gens, cells), strict=True):
         assert code_of.setdefault(value, code) == code  # equal values, equal codes
@@ -466,7 +463,7 @@ def test_equal_pattern_keys_give_equal_equality_patterns(m):
     grid = SymbolicGrid(P2, ATOMS)
     classes = {}
     for t in _over_two_blocks(m):
-        codes = grid.eval_codes(root_args(grid, t), m)
+        codes = grid.eval_codes(pattern_key(grid, t), m)
         pattern = (codes.shape, _first_occurrence_relabel(codes))
         classes.setdefault(pattern_key(grid, t), []).append(pattern)
     for patterns in classes.values():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from commlab import errors
-from commlab.elements import AGen, BGen, CConst, DConst, Params, Tagged
+from commlab.elements import AGen, BGen, CConst, DConst, Params, Tagged, sort_key, validate_triple
 from commlab.errors import BudgetExceededError, InvalidTripleError, ParseError
 from commlab.terms import (
     Const,
@@ -70,6 +70,12 @@ def test_default_triple_pool():
     assert len(set(pool)) == 24
     pool3 = default_triple_pool(Params(3))
     assert len(pool3) == 6 * 5 * 4
+    for n in (2, 3, 4):
+        pool = default_triple_pool(Params(n))
+        keys = [tuple(map(sort_key, t)) for t in pool]
+        assert keys == sorted(keys)
+        for t in pool:
+            validate_triple(*t)
 
 
 def test_enumeration_matches_closed_form_count():

@@ -48,7 +48,7 @@ from commlab.verifier import (
     verify_top_commutator,
 )
 
-from gridscan import pattern_key, renamed, root_args, term_class, term_ids
+from gridscan import pattern_key, renamed, term_class, term_ids
 from oracles import corner_violation_brute, count_terms, enumerate_terms, is_power_of_u_on
 
 P2 = Params(2)
@@ -95,7 +95,7 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
     terms = list(enumerate_terms(2, 2, POOL2, P2))
     over_two = [(i, t) for i, t in enumerate(terms) if len(free_vars(t)) >= 2]
     target = over_two[-1][1]
-    orbit = [grid.eval_codes(root_args(grid, renamed(target, p)), 2) for p in ((0, 1), (1, 0))]
+    orbit = [grid.eval_codes(pattern_key(grid, renamed(target, p)), 2) for p in ((0, 1), (1, 0))]
     hit = (1, 2, 3, 4)
 
     def flag(codes):
@@ -103,7 +103,7 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
         return hit if flagged else None
 
     monkeypatch.setattr(verifier_mod, "corner_violation_in", flag)
-    i = next(i for i, t in over_two if flag(grid.eval_codes(root_args(grid, t), 2)) is not None)
+    i = next(i for i, t in over_two if flag(grid.eval_codes(pattern_key(grid, t), 2)) is not None)
     # it has the class of the image, not of the target itself
     assert pattern_key(grid, terms[i]) == pattern_key(grid, renamed(target, (1, 0)))
     blocks = BlockAssignment.from_indices(hit, ATOMS)
@@ -113,7 +113,7 @@ def test_corner_lemma_fail_record_matches_a_per_term_scan(monkeypatch):
     decide = verifier_mod._corner_violation
     monkeypatch.setattr(
         verifier_mod, "_corner_violation",
-        lambda g, args, m: calls.append(args) or decide(g, args, m),
+        lambda g, key, m: calls.append(key) or decide(g, key, m),
     )
     rep = check_corner_lemma(P2, 2, ATOMS, 2, POOL2)
     assert rep.outcome == "fail"
@@ -140,9 +140,9 @@ def test_corner_lemma_skips_terms_over_fewer_than_two_blocks(monkeypatch):
     # a decided key's arguments span both axes: its terms are over two blocks
     monkeypatch.setattr(
         verifier_mod, "_corner_violation",
-        lambda g, args, m: calls.append(
-            np.broadcast_shapes(*(g.class_ids(cls, mask, m).shape for cls, mask in args))
-        ) or decide(g, args, m),
+        lambda g, key, m: calls.append(
+            np.broadcast_shapes(*(g.class_ids(lab, mask, m).shape for lab, mask in key))
+        ) or decide(g, key, m),
     )
     rep = check_corner_lemma(P2, 2, ATOMS, 2, POOL2)
     assert rep.passed
@@ -244,7 +244,7 @@ def test_corner_scan_above_the_grid_cap_raises_before_it_builds(monkeypatch):
     monkeypatch.setattr(SymbolicGrid, "eval_codes", lambda *args: built.append(args))
     monkeypatch.setattr(errors, "GRID_CELL_CAP", len(ATOMS) ** 3 - 1)
     with pytest.raises(BudgetExceededError, match=f"needs {len(ATOMS) ** 3} cells"):
-        verifier_mod._corner_violation(grid, root_args(grid, t), 2)
+        verifier_mod._corner_violation(grid, pattern_key(grid, t), 2)
     assert built == []
 
 
@@ -272,7 +272,7 @@ def test_corner_cap_from_the_argument_shapes_is_d_to_the_free_variables_plus_one
     terms = [t for t in enumerate_terms(m, 2, POOL2, P2) if len(free_vars(t)) >= 2]
     for t in terms:
         with pytest.raises(_Sized):
-            verifier_mod._corner_violation(grid, root_args(grid, t), m)
+            verifier_mod._corner_violation(grid, pattern_key(grid, t), m)
     assert sizes == [d ** (len(free_vars(t)) + 1) for t in terms]
 
 
