@@ -16,14 +16,14 @@ only, so term values over a whole assignment grid become numpy gathers.
   new tuples are merged in with one insert.  Past the pack's range (n = 4
   from 2^15 ids) the keys are kept as rows, numbered with each batch by a
   row unique.
-- Atoms are interned through a dict.  ``Tagged`` values from outside (the
-  domain's elements or a triple coordinate) intern their arguments and go
-  through f's table together, one batch per tag, so ids are equal exactly
-  when the values are.
+- Ids come from one counter.  Atoms are interned through a dict.
+  ``Tagged`` values from outside (the domain's elements or a triple
+  coordinate) intern their arguments and go through f's table together,
+  one batch per tag, so ids are equal exactly when the values are.
 - u fixes every f-value, and u_pqr cycles the ids of its triple and shifts
   the generators, so each unary map is an int array over the ids, the
   identity but on atoms and the triple, and applying it is one gather.
-  Growing a map visits the new atoms only.
+  Growing a map maps the atoms, read from the atom dict, among its new ids.
 
 The grid evaluates a term layer (``terms.term_layers``) at once, as an
 array of id classes, one per term, each over its term's variables' axes
@@ -59,7 +59,6 @@ only for the hit.  Interning only appends, so ids stay valid.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from typing import Callable, Iterable, Optional
@@ -76,8 +75,7 @@ class SymbolicGrid:
         self.params = params
         self.domain = list(domain)
         self._atoms: dict[Element, int] = {}
-        self._elems: list[Optional[Element]] = []  # atoms; None for an f-value
-        self._atom_ids: list[int] = []  # ascending
+        self._size = 0  # the ids given out, to atoms and f-values
         self._unary_maps: dict[object, np.ndarray] = {}
         self._shift = np.zeros(0, dtype=np.int64)  # the generator shift on the atoms
         self._arrays: list[np.ndarray] = []
@@ -85,15 +83,16 @@ class SymbolicGrid:
         self._labels: dict[tuple[int, int], int] = {}
         self._rows: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         n = params.n
-        self._a_ids = [self.intern(elements.AGen(i, 0)) for i in range(1, n + 1)]
-        self._b_ids = [self.intern(elements.BGen(i, 0)) for i in range(1, n + 1)]
+        gens = [(elements.AGen(i, 0), elements.BGen(i, 0)) for i in range(1, n + 1)]
+        self._a_ids = [self.intern(a) for a, _ in gens]
+        self._b_ids = [self.intern(b) for _, b in gens]
         # f's base table: the d id of each row, and its code -d.k indexed
         # by the row's b-bits, first position most significant
         rows = list(itertools.product(*zip(self._a_ids, self._b_ids)))
         self._f_vals = np.empty(2**n, dtype=np.int64)
         self._f0_codes = np.empty(2**n, dtype=np.int64)
-        for bits, key in enumerate(rows):
-            d = elements.f0_value([self._elems[i] for i in key], params)
+        for bits, row in enumerate(itertools.product(*gens)):
+            d = elements.f0_value(row, params)
             self._f_vals[bits] = self.intern(d)
             self._f0_codes[bits] = -d.k
         # f's table: the argument-id tuples in lexicographic order, packed
@@ -111,9 +110,8 @@ class SymbolicGrid:
             return self._intern_all([e])[0]
         i = self._atoms.get(e)
         if i is None:
-            i = self._atoms[e] = len(self._elems)
-            self._elems.append(e)
-            self._atom_ids.append(i)
+            i = self._atoms[e] = self._size
+            self._size += 1
         return i
 
     def _intern_all(self, values: list[Element]) -> list[int]:
@@ -168,9 +166,9 @@ class SymbolicGrid:
         if table.size >= size:
             return table
         grown = np.arange(table.size, size, dtype=np.int64)
-        atoms = self._atom_ids
-        for i in atoms[bisect.bisect_left(atoms, table.size) : bisect.bisect_left(atoms, size)]:
-            grown[i - table.size] = self.intern(on_atom(self._elems[i]))
+        for e, i in list(self._atoms.items()):  # on_atom's values may be new atoms
+            if table.size <= i < size:
+                grown[i - table.size] = self.intern(on_atom(e))
         return np.concatenate((table, grown))
 
     def class_ids(self, cls: int, mask: int, m: int) -> np.ndarray:
@@ -258,7 +256,7 @@ class SymbolicGrid:
         instead, and numbered together with the tuples by one row unique,
         so no key wraps."""
         tuples, inverse = _distinct_tuples(children)
-        size = len(self._elems)
+        size = self._size
         if self._f_keys.ndim == 1 and max(int(t.max()) for t in tuples) < self._f_base:
             keys = _pack_ids(tuples, self._f_base)
             at = np.searchsorted(self._f_keys, keys)
@@ -270,7 +268,7 @@ class SymbolicGrid:
                 ids[new] = fresh
                 self._f_keys = np.insert(self._f_keys, at[new], keys[new])
                 self._f_vals = np.insert(self._f_vals, at[new], fresh)
-                self._elems.extend([None] * fresh.size)
+                self._size += fresh.size
             return ids[inverse]
         table = self._f_keys
         if table.ndim == 1:
@@ -282,7 +280,7 @@ class SymbolicGrid:
         new = number[ids[number] < 0]  # ascending, as the tuples are in order
         ids[new] = np.arange(size, size + new.size)
         self._f_keys, self._f_vals = distinct, ids
-        self._elems.extend([None] * new.size)
+        self._size += new.size
         return ids[number][inverse]
 
     def eval_codes(self, key: tuple[tuple[int, int], ...], m: int) -> np.ndarray:

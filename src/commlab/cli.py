@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -110,6 +109,8 @@ def run_paper_verify(config: RunConfig):
     ]
     if config.jobs == 1:
         return [_call(check) for check in checks]
+    from concurrent.futures import ProcessPoolExecutor  # a --jobs 1 run never loads it
+
     with ProcessPoolExecutor(max_workers=min(config.jobs, len(checks))) as workers:
         return list(workers.map(_call, checks))
 

@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -553,7 +555,7 @@ def test_the_runner_sets_millis_and_a_direct_call_does_not(monkeypatch):
 
 
 def test_paper_verify_starts_no_more_workers_than_checks(monkeypatch):
-    import commlab.cli as cli_mod
+    import concurrent.futures
 
     started = []
 
@@ -572,7 +574,7 @@ def test_paper_verify_starts_no_more_workers_than_checks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
     bounds = dict(n=2, j_max=0, closure_depth=0, max_depth=1)
     reports = run_paper_verify(RunConfig(jobs=64, **bounds))
     assert started == [7]
@@ -581,6 +583,17 @@ def test_paper_verify_starts_no_more_workers_than_checks(monkeypatch):
     assert [r.to_json_line(include_timing=False) for r in reports] == [
         r.to_json_line(include_timing=False) for r in sequential
     ]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a --jobs run above 1 needs the pool, so start-up skips its import
+    import commlab
+
+    src = pathlib.Path(commlab.__file__).parents[1]
+    script = "import sys, commlab.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+    assert out.stdout.decode().split() == ["False"]
 
 
 def test_a_budget_hit_in_a_worker_exits_2_as_in_a_sequential_run(capsys):

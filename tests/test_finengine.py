@@ -433,6 +433,16 @@ def test_higher_commutator_dim3_matches_oracle_on_named_algebras():
         assert eng.blocks == orc.blocks
 
 
+def test_higher_commutator_dim3_matches_oracle_on_every_small_two_element_algebra():
+    # all 64 two-element algebras with one binary and one unary operation
+    for binary in itertools.product(range(2), repeat=4):
+        for unary in itertools.product(range(2), repeat=2):
+            alg = FiniteAlgebra.from_tables(2, [("f", 2, list(binary)), ("u", 1, list(unary))])
+            orc = oracle_higher_commutator(alg, 3, block_vars=1)
+            assert orc is not None
+            assert higher_commutator(alg, [full(alg)] * 3).blocks == orc.blocks
+
+
 def test_commutator_is_least_tc_congruence():
     # delta satisfies the relativized term condition iff the commutator
     # refines delta; checked against the full congruence lattice

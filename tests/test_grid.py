@@ -196,13 +196,14 @@ def test_unary_maps_are_gathers_from_id_arrays(monkeypatch):
     (grid,) = grids
     assert grid._unary_maps.keys() == {UApp, *POOL2}
     f_values = 0
+    atoms = {i: e for e, i in grid._atoms.items()}
     for op, table in grid._unary_maps.items():
         if op is UApp:
             image = {}
         else:
             image = dict(zip(op, op[1:] + op[:1]))
         for i, mapped in enumerate(table.tolist()):
-            atom = grid._elems[i]
+            atom = atoms.get(i)
             if atom is None:
                 f_values += 1
                 assert mapped == i
@@ -266,7 +267,7 @@ def test_eval_codes_equality_pattern_survives_a_wide_intern_table():
     intern_at(1000, AGen(1, 2))
     intern_at(1000 + 2**13, AGen(2, 2))
     intern_at(2**17)
-    assert len(grid._elems) == 2**17 and (2**17) ** 4 >= 2**63
+    assert grid._size == 2**17 and (2**17) ** 4 >= 2**63
 
     t = FApp((UPQRApp(DConst(1), DConst(2), CConst(), Var(0)), Var(1), Var(2), Var(3)))
     codes = np.broadcast_to(grid.eval_codes(pattern_key(grid, t), 4), (2,) * 4).ravel()
@@ -440,19 +441,19 @@ def test_f_table_gives_the_ids_of_a_dict_model(batches):
         tuple(grid.intern(e) for e in row): grid.intern(f0_value(row, p4))
         for row in itertools.product(*zip(gens[:4], gens[4:]))
     }
-    size = len(grid._elems)
+    size = grid._size
     for batch in batches:
         for key in sorted(set(batch) - model.keys()):
             model[key] = size
             size += 1
         ids = grid._f_ids([np.array(col, dtype=np.int64) for col in zip(*batch)])
         assert ids.tolist() == [model[key] for key in batch]
-        assert len(grid._elems) == size
+        assert grid._size == size
     # and the table holds what the model holds, every key read back at once
     keys = list(model)
     ids = grid._f_ids([np.array(col, dtype=np.int64) for col in zip(*keys)])
     assert ids.tolist() == [model[key] for key in keys]
-    assert len(grid._elems) == size
+    assert grid._size == size
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -510,6 +510,16 @@ def test_chain_roundtrips_refuse_a_domain_without_a_distinct_pair(monkeypatch):
     assert calls == []
 
 
+def test_chain_roundtrips_draw_from_the_distinct_elements():
+    # 1,000 copies of d(1) beside d(2) and c are three distinct elements:
+    # the same draws, and the same record, as the three alone
+    crowded = [DConst(1)] * 1000 + [DConst(2), CConst()]
+    rep = run_chain_roundtrips(P2, crowded, count=50, seed=5)
+    alone = run_chain_roundtrips(P2, [DConst(1), DConst(2), CConst()], count=50, seed=5)
+    assert rep.counts["verified"] == 50
+    assert rep.to_record(include_timing=False) == alone.to_record(include_timing=False)
+
+
 def _counting_verify_chain(monkeypatch):
     calls = []
 
