@@ -14,8 +14,9 @@ only, so term values over a whole assignment grid become numpy gathers.
   lexicographic order, each packed into one int64 key, and the id of each
   value.  A batch of tuples is looked up with one binary search, and its
   new tuples are merged in with one insert.  Past the pack's range (n = 4
-  from 2^15 ids) the keys are kept as rows, numbered with each batch by a
-  row unique.
+  from 2^15 ids) the table is re-keyed once by ``_row_keys``, each tuple's
+  big-endian bytes, which sort like the tuples, and the same search and
+  insert go on.
 - Ids come from one counter.  Atoms are interned through a dict.
   ``Tagged`` values from outside (the domain's elements or a triple
   coordinate) intern their arguments and go through f's table together,
@@ -96,9 +97,9 @@ class SymbolicGrid:
             self._f_vals[bits] = self.intern(d)
             self._f0_codes[bits] = -d.k
         # f's table: the argument-id tuples in lexicographic order, packed
-        # into one int64 key each while every id is below the base, and the
-        # id of each value.  f0's rows seed it, already in order, as each
-        # a(i,0) has a smaller id than b(i,0).
+        # into one int64 key each while every id is below the base (keyed by
+        # ``_row_keys`` after), and the id of each value.  f0's rows seed
+        # it, already in order, as each a(i,0) has a smaller id than b(i,0).
         self._f_base = 2 ** (63 // n)
         self._f_keys = _pack_ids(list(np.array(rows, dtype=np.int64).T), self._f_base)
         self._domain_ids = np.array(self._intern_all(self.domain), dtype=np.int64)
@@ -245,43 +246,33 @@ class SymbolicGrid:
     def _f_ids(self, children: list[np.ndarray]) -> np.ndarray:
         """f over the children's id arrays, in their broadcast shape.
 
-        The distinct argument tuples, in lexicographic order, are packed
-        into one int64 key each and looked up in f's table with one binary
-        search.  f0's rows are in the table from the start, so a tuple not
-        yet in it lies off f0 and takes a fresh id: the new tuples get
-        consecutive ids, in their order, and are merged into the sorted
-        table in one step.
+        The distinct argument tuples, in lexicographic order, are keyed and
+        looked up in f's table with one binary search.  f0's rows are in the
+        table from the start, so a tuple not yet in it lies off f0 and takes
+        a fresh id: the new tuples get consecutive ids, in their order, and
+        are merged into the sorted table in one step.
 
-        Once an id reaches the pack's base, the table is kept as rows
-        instead, and numbered together with the tuples by one row unique,
-        so no key wraps."""
+        The keys are ``_pack_ids`` int64 keys while every id is below the
+        pack's base.  The first id past it re-keys the table once, by
+        ``_row_keys``, so no key wraps."""
         tuples, inverse = _distinct_tuples(children)
-        size = self._size
-        if self._f_keys.ndim == 1 and max(int(t.max()) for t in tuples) < self._f_base:
+        if self._f_keys.dtype == np.int64 and max(int(t.max()) for t in tuples) >= self._f_base:
+            self._f_keys = _row_keys(_unpack_ids(self._f_keys, self._f_base, len(tuples)))
+        if self._f_keys.dtype == np.int64:
             keys = _pack_ids(tuples, self._f_base)
-            at = np.searchsorted(self._f_keys, keys)
-            last = np.minimum(at, self._f_keys.size - 1)
-            ids = self._f_vals[last]
-            new = self._f_keys[last] != keys
-            if new.any():
-                fresh = np.arange(size, size + np.count_nonzero(new))
-                ids[new] = fresh
-                self._f_keys = np.insert(self._f_keys, at[new], keys[new])
-                self._f_vals = np.insert(self._f_vals, at[new], fresh)
-                self._size += fresh.size
-            return ids[inverse]
-        table = self._f_keys
-        if table.ndim == 1:
-            table = _unpack_ids(table, self._f_base, len(tuples))
-        distinct, number = _unique_rows(np.concatenate((table, np.stack(tuples, axis=1))))
-        ids = np.full(len(distinct), -1, dtype=np.int64)
-        ids[number[: len(table)]] = self._f_vals
-        number = number[len(table) :]
-        new = number[ids[number] < 0]  # ascending, as the tuples are in order
-        ids[new] = np.arange(size, size + new.size)
-        self._f_keys, self._f_vals = distinct, ids
-        self._size += new.size
-        return ids[number][inverse]
+        else:
+            keys = _row_keys(np.stack(tuples, axis=1))
+        at = np.searchsorted(self._f_keys, keys)
+        last = np.minimum(at, self._f_keys.size - 1)
+        ids = self._f_vals[last]
+        new = self._f_keys[last] != keys
+        if new.any():
+            fresh = np.arange(self._size, self._size + np.count_nonzero(new))
+            ids[new] = fresh
+            self._f_keys = np.insert(self._f_keys, at[new], keys[new])
+            self._f_vals = np.insert(self._f_vals, at[new], fresh)
+            self._size += fresh.size
+        return ids[inverse]
 
     def eval_codes(self, key: tuple[tuple[int, int], ...], m: int) -> np.ndarray:
         """Equality codes over the m-axis grid of the f-roots whose pattern
@@ -516,32 +507,27 @@ def _row_classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The row unique of a 2-D integer or bool array, with its inverse, as
     numpy returns them: the distinct rows in lexicographic order, and the
-    1-D index of each row among them.
-
-    Numpy's row unique compares rows field by field.  Here each row is one
-    opaque key, its bytes, read as one unsigned integer when they fit in 8
-    (numpy sorts those far faster than bytes), and one sort of the keys
-    finds the distinct rows.  Key order is not numeric order, so only the
-    distinct rows are then sorted by value."""
+    1-D index of each row among them, by one sort of the rows' keys."""
     k, w = rows.shape
     if k == 0 or w == 0:  # no key of zero width: no rows, or all rows equal
         return rows[: min(k, 1)], np.zeros(k, dtype=np.intp)
-    rows = np.ascontiguousarray(rows)
-    width = rows.itemsize * w
-    if width <= 8:
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of a 2-D integer or bool array, ordered like the
+    rows: the row's big-endian bytes, with the sign bit of each signed
+    entry flipped, read as one uint64 when they fit in 8 (numpy sorts those
+    far faster than bytes) and as one void key otherwise."""
+    k, w = rows.shape
+    size = rows.itemsize
+    unsigned = rows.view(f"u{size}")
+    if rows.dtype.kind == "i":
+        unsigned = unsigned ^ np.array(1 << 8 * size - 1, dtype=unsigned.dtype)
+    data = np.ascontiguousarray(unsigned, dtype=f">u{size}").view(np.uint8).reshape(k, size * w)
+    if size * w <= 8:
         keys = np.zeros((k, 8), dtype=np.uint8)
-        keys[:, :width] = rows.view(np.uint8)
-        keys = keys.view(np.uint64)
-    else:
-        keys = rows.view(np.dtype((np.void, width)))
-    order = keys.ravel().argsort()
-    srt = rows[order]
-    new = np.ones(k, dtype=bool)
-    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    distinct = srt[new]
-    by_value = np.lexsort(distinct.T[::-1])
-    rank = np.empty_like(by_value)
-    rank[by_value] = np.arange(by_value.size)
-    inverse = np.empty(k, dtype=np.intp)
-    inverse[order] = rank[np.cumsum(new) - 1]
-    return distinct[by_value], inverse
+        keys[:, : size * w] = data
+        return keys.view(">u8").ravel().astype(np.uint64)
+    return data.view(np.dtype((np.void, size * w))).ravel()

@@ -28,7 +28,7 @@ from .cubes import (
     term_cube,
 )
 from .elements import Element, Params, element_to_text, sort_key
-from .errors import BudgetExceededError, check_budget
+from .errors import BudgetExceededError, CommlabError, check_budget
 from .finengine import UnionFind
 from .terms import (
     FApp,
@@ -38,6 +38,7 @@ from .terms import (
     UPQRApp,
     Var,
     eval_poly,
+    eval_term,
     layer_masks,
     term_at,
     term_layers,
@@ -243,12 +244,15 @@ def check_term_lemma(
     its variables.  Both tests read only the term's id array, so they run
     once per distinct (class, mask) pair of a layer; the counts come from
     those pairs, and the fail record names the first failing term, built
-    from its position."""
+    from its position, and two of its cells, re-evaluated with the term
+    evaluator: values it does not find distinct and in C are an error,
+    never a silent verdict."""
     grid = SymbolicGrid(params, list(domain))
     d = len(domain)
     n = params.n
     report_params = {"n": n, "domain_size": d, "max_depth": max_depth, "num_vars": 2}
-    c_ids = [grid.intern(gen(i, 0)) for i in range(1, n + 1) for gen in (el.AGen, el.BGen)]
+    c = [gen(i, 0) for i in range(1, n + 1) for gen in (el.AGen, el.BGen)]
+    c_ids = [grid.intern(e) for e in c]
     c_table = np.full(max(c_ids) + 2, -1)
     c_table[c_ids] = np.arange(len(c_ids))
 
@@ -286,17 +290,22 @@ def check_term_lemma(
             # the first C cell, and the first after it that holds another value
             cells = np.argwhere(in_c)  # in C order, as c_values
             second = int(np.argmax(c_values != c_values[0]))
-
-            def cell_assignment(cell):
-                return {f"x{i}": element_to_text(domain[int(cell[i])]) for i in range(2)}
+            pair = [{i: domain[int(cells[j][i])] for i in range(2)} for j in (0, second)]
+            values = [eval_term(t, a, params) for a in pair]
+            if values[0] == values[1] or not set(values) <= set(c):
+                raise CommlabError(
+                    f"grid located a term lemma failure for {term_to_text(t)} that the "
+                    "term evaluator rejects"
+                )
+            texts = [{f"x{i}": element_to_text(e) for i, e in a.items()} for a in pair]
             return VerificationReport(
                 "term_lemma",
                 report_params,
                 "fail",
                 counterexample={
                     "term": term_to_text(t),
-                    "assignment_a": cell_assignment(cells[0]),
-                    "assignment_b": cell_assignment(cells[second]),
+                    "assignment_a": texts[0],
+                    "assignment_b": texts[1],
                 },
                 counts={
                     "terms_scanned": layer.start + k + 1,

@@ -456,6 +456,30 @@ def test_f_table_gives_the_ids_of_a_dict_model(batches):
     assert grid._size == size
 
 
+def test_f_table_past_its_pack_base_sorts_only_the_batch(monkeypatch):
+    # At n = 4 the pack's base is 2**15.  Once an id passes it, a batch is
+    # looked up in the re-keyed table by binary search: no row unique made
+    # inside the call sees the table's rows, only the batch's own.
+    grid = SymbolicGrid(Params(4), [AGen(1, j) for j in range(1, 41)])
+    k = 10**6
+    while grid._size < 2**15 + 10:
+        grid.intern(DConst(k))
+        k += 1
+    batch = np.random.default_rng(0).integers(0, grid._size, size=(4, 2000))
+    batch[:, 0] = 2**15  # one tuple past the base for certain
+    seen = []
+    unique_rows = _grid._unique_rows
+
+    def counted(rows):
+        seen.append(rows.shape[0])
+        return unique_rows(rows)
+
+    monkeypatch.setattr(_grid, "_unique_rows", counted)
+    grid._f_ids(list(batch))
+    assert grid._f_keys.dtype.kind == "V"  # re-keyed past the base
+    assert max(seen, default=0) <= batch.shape[1]
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_equal_pattern_keys_give_equal_equality_patterns(m):
     # Every term over two or more blocks, not only those that use all
@@ -624,6 +648,28 @@ def test_unique_rows_is_numpys_row_unique(rows, transposed):
 )
 def test_unique_rows_edge_shapes(rows):
     _assert_numpy_row_unique(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(_ROW_ENTRIES)).flatmap(
+        lambda dtype: hnp.arrays(
+            dtype,
+            st.tuples(st.integers(0, 12), st.integers(1, 12)),
+            elements=_ROW_ENTRIES[dtype],
+        )
+    ),
+    st.booleans(),
+)
+def test_row_keys_sort_like_the_rows(rows, transposed):
+    # A stable sort of the keys is a lexicographic sort of the rows, for
+    # keys of at most 8 bytes (one uint64) and of more (void keys).
+    rows = rows.T if transposed and rows.shape[0] else rows
+    keys = _grid._row_keys(rows)
+    assert keys.shape == (rows.shape[0],)
+    wide = rows.itemsize * rows.shape[1] > 8
+    assert keys.dtype.kind == ("V" if wide else "u")
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
 
 
 @settings(max_examples=100, deadline=None)

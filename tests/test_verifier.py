@@ -360,6 +360,24 @@ def test_term_lemma_fail_record_at_a_later_term(monkeypatch):
     assert rep.counts == {"terms_scanned": 4, "premise_terms": 4}
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[AGen(1, 0), AGen(1, 0)], [CConst(), DConst(1)], [AGen(1, 0), CConst()]],
+    ids=["equal", "outside-c", "one-outside-c"],
+)
+def test_term_lemma_rejects_a_fail_record_the_term_evaluator_does_not_confirm(
+    monkeypatch, values
+):
+    # The fail record comes from grid ids alone.  Where the term evaluator
+    # gives its two cells equal values, or a value outside C, the check
+    # raises instead of reporting a failure.
+    monkeypatch.setattr(verifier_mod, "_u_power_of", lambda ids, powers: None)
+    given = iter(values)
+    monkeypatch.setattr(verifier_mod, "eval_term", lambda t, a, params: next(given))
+    with pytest.raises(CommlabError, match="term lemma failure for x0 that the term evaluator"):
+        check_term_lemma(P2, ATOMS, 1, POOL2)
+
+
 def _term_lemma_per_term(params, domain, depth, pool, power_of):
     # The term lemma one term at a time: (failing term, terms_scanned,
     # premise_terms), the term None where every term passes.
