@@ -373,7 +373,7 @@ class SymbolicGrid:
             # each tuple of child classes and masks, in canonical order
             rows = layer.f[roots]
             children = np.stack((classes[rows], masks[rows]), axis=2).reshape(len(rows), -1)
-            _, first = np.unique(_unique_rows(children)[1], return_index=True)
+            _, first = np.unique(_row_keys(children), return_index=True)
             for i in np.sort(first).tolist():
                 args = tuple(map(tuple, children[i].reshape(-1, 2).tolist()))
                 orbit = self._orbit(args, m, symmetric)
@@ -454,9 +454,9 @@ def _distinct_tuples(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], np.nda
         tuples = np.unravel_index(distinct, (base,) * len(arrays))
         return list(tuples), rank[code].reshape(shape)
     _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    at = np.unravel_index(first, shape)
+    at = np.unravel_index(first, shape) if shape else ()
     inverse = inverse.astype(np.min_scalar_type(first.size - 1), copy=False)
-    return [np.broadcast_to(a, shape)[at] for a in arrays], inverse.reshape(shape)
+    return [np.atleast_1d(np.broadcast_to(a, shape)[at]) for a in arrays], inverse.reshape(shape)
 
 
 def _codes(labels: list[np.ndarray], f0_codes: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import errors
-from ._grid import SymbolicGrid, _first_occurrence, _unique_rows
+from ._grid import SymbolicGrid, _distinct_tuples, _first_occurrence, _unique_rows
 from .elements import Element, Params, element_to_text
 from .errors import BudgetExceededError, CommlabError, check_budget
 from .terms import Term, TermLayer, eval_term, term_layers, term_to_text
@@ -226,12 +226,7 @@ def _fiber_witness(
         p = int(np.argmax(related.any(axis=1)[row_of]))
         q = int(np.argmax(related[row_of[p]][row_of]))
         hit += [p, q]
-        # int64 first: a narrow signature dtype would wrap
-        pairs, sig = np.unique(
-            sig[p].astype(np.int64) * a_of.shape[1] + sig[q], return_inverse=True
-        )
-        sp, sq = divmod(pairs, a_of.shape[1])
-        sig = sig.astype(np.min_scalar_type(pairs.size - 1)).reshape(rows.shape[1:])
+        (sp, sq), sig = _distinct_tuples([sig[p], sig[q]])
         a_of, b_of = a_of[:, sp] & a_of[:, sq], a_of[:, sp] & b_of[:, sq]
 
     def equal(cell: tuple[int, ...]) -> np.ndarray:

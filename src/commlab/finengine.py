@@ -182,26 +182,18 @@ class _CubeBitmap:
         self.seen = np.zeros(s**nverts, dtype=bool)
         self.new = np.zeros_like(self.seen)
         self.count = 0
-        # upper bound on the cubes in `new`; recounted when it passes a cap
-        self.pending = 0
 
     def add(self, cubes: np.ndarray) -> None:
         codes = (cubes @ self.weights).ravel()
-        codes = codes[~self.seen[codes]]
-        self.new[codes] = True
-        self.pending += codes.size
-        if self.count + self.pending > min(self.cap, errors.GRID_CELL_CAP // self.nverts):
-            self.pending = int(np.count_nonzero(self.new))
-            n = self.count + self.pending
-            check_budget("cube subpower", n, self.cap, "cubes")
-            check_budget("cube subpower", n * self.nverts, errors.GRID_CELL_CAP, "cells")
+        self.new[codes[~self.seen[codes]]] = True
 
     def take_new(self) -> np.ndarray:
         fresh = np.flatnonzero(self.new)
+        self.count += fresh.size
+        check_budget("cube subpower", self.count, self.cap, "cubes")
+        check_budget("cube subpower", self.count * self.nverts, errors.GRID_CELL_CAP, "cells")
         self.seen[fresh] = True
         self.new[fresh] = False
-        self.count += fresh.size
-        self.pending = 0
         return fresh[:, None] // self.weights % self.s
 
 
@@ -293,10 +285,10 @@ def cube_subpower(
     (n, 2**m) intp array, its rows sorted once into ascending order.  Closed
     semi-naively: each round applies every operation only to the argument
     tuples that hold a cube found in the round before, and stops early
-    once it holds every cube of the power.  Raises
-    BudgetExceededError once it holds more than cap cubes or more than
-    errors.GRID_CELL_CAP cells (cubes times 2**m), and before it builds the
-    generators if they alone, counted with repeats, pass the cell cap."""
+    once it holds every cube of the power.  Raises BudgetExceededError by
+    the end of the round that passes cap cubes or errors.GRID_CELL_CAP
+    cells (cubes times 2**m), and before it builds the generators if they
+    alone, counted with repeats, pass the cell cap."""
     m = len(alphas)
     if m < 1:
         raise ValueError("need at least one congruence")

@@ -146,7 +146,8 @@ def term_layers(
     x0..x{num_vars-1} and depth <= max_depth, layer by layer: by depth, then
     constructor order Var < UApp < UPQRApp < FApp, then children.  Every
     layer is sized before it is built, so a cap that the next layer would
-    pass raises without allocating it."""
+    pass raises without allocating it; that count bounds the total**n f
+    index rows too, as each layer holds f over every earlier term."""
     if num_vars < 1:
         raise ValueError("need at least one variable")
     if max_depth < 0:
@@ -177,24 +178,10 @@ def term_layers(
 
 def _f_children(n: int, size: int, low: int) -> np.ndarray:
     """The n-tuples over range(size) with an entry >= low, in product
-    order, as an (N, n) array: built from the last position, the tuples
-    with such an entry, and all tuples, one position longer each round."""
-    heads = np.arange(size, dtype=np.intp)
-    some = np.zeros((0, 0), dtype=np.intp)
-    every = np.zeros((1, 0), dtype=np.intp)
-    for k in range(n):
-        some = np.concatenate((_prefixed(heads[:low], some), _prefixed(heads[low:], every)))
-        if k < n - 1:
-            every = _prefixed(heads, every)
-    return some
-
-
-def _prefixed(heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each head followed by each row, heads slowest."""
-    out = np.empty((heads.size, len(rows), rows.shape[1] + 1), dtype=np.intp)
-    out[:, :, 0] = heads[:, None]
-    out[:, :, 1:] = rows
-    return out.reshape(-1, rows.shape[1] + 1)
+    order, as an (N, n) array: all size**n index rows, built whole, less
+    the low**n with no such entry (``term_layers`` bounds the build)."""
+    rows = np.indices((size,) * n, dtype=np.intp).reshape(n, -1).T
+    return rows[rows.max(axis=1) >= low]
 
 
 def layer_masks(layer: TermLayer, masks: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import elements as el
 from . import errors
-from ._grid import SymbolicGrid
+from ._grid import SymbolicGrid, _distinct_tuples
 from .cubes import (
     BlockAssignment,
     Cube,
@@ -261,9 +261,9 @@ def check_term_lemma(
         return c_table[np.minimum(ids, c_table.size - 1)]
 
     powers = _u_powers(grid, params)
-    # class -> (premise, fails): the premise is that two distinct values of
-    # the array lie in C, and it fails where no power of u matches the array
-    verdicts: dict[int, tuple[bool, bool]] = {}
+    # (class, mask) -> (premise, fails): the premise is that two distinct values
+    # of the array lie in C, and it fails where no power of u matches the array
+    verdicts: dict[tuple[int, int], tuple[bool, bool]] = {}
     layers: list[TermLayer] = []
     classes = masks = np.zeros(0, dtype=np.intp)
     premise_terms = 0
@@ -271,20 +271,20 @@ def check_term_lemma(
         layers.append(layer)
         classes = np.concatenate((classes, grid.layer_classes(layer, classes, masks)))
         masks = np.concatenate((masks, layer_masks(layer, masks)))
-        placed = 4 * classes[layer.start :] + masks[layer.start :]  # masks are 1 to 3
-        distinct, inverse = np.unique(placed, return_inverse=True)
-        for key in distinct.tolist():
+        (cls, msk), inverse = _distinct_tuples([classes[layer.start :], masks[layer.start :]])
+        placed = list(zip(cls.tolist(), msk.tolist()))
+        for key in placed:
             if key not in verdicts:
-                ids = grid.class_ids(*divmod(key, 4), 2)
+                ids = grid.class_ids(*key, 2)
                 premise = np.count_nonzero(np.bincount(c_index(ids).ravel() + 1)[1:]) >= 2
                 fails = premise and _u_power_of(np.broadcast_to(ids, (d, d)), powers) is None
                 verdicts[key] = premise, fails
-        premise, fails = np.array([verdicts[key] for key in distinct.tolist()], dtype=bool).T
+        premise, fails = np.array([verdicts[key] for key in placed], dtype=bool).T
         premise, fails = premise[inverse], fails[inverse]
         if fails.any():
             k = int(np.argmax(fails))
             t = term_at(layers, layer.start + k)
-            ids = np.broadcast_to(grid.class_ids(*divmod(int(placed[k]), 4), 2), (d, d))
+            ids = np.broadcast_to(grid.class_ids(*placed[inverse[k]], 2), (d, d))
             in_c = c_index(ids) >= 0
             c_values = ids[in_c]
             # the first C cell, and the first after it that holds another value

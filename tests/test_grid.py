@@ -430,10 +430,11 @@ def test_eval_codes_match_the_term_evaluator_on_f0s_rows(n):
     min_size=1, max_size=5,
 ))
 def test_f_table_gives_the_ids_of_a_dict_model(batches):
-    # At n = 4 the pack's base is 2**15, so keys with an id from 2**15 on
-    # take the fallback, and every later batch with them.  The model is a
-    # dict seeded with f0's rows that gives each batch's distinct new keys
-    # consecutive fresh ids in lexicographic order.
+    # At n = 4 the pack's base is 2**15, so the first batch with an id from
+    # 2**15 on re-keys f's table once by ``_row_keys``, and every later
+    # batch is looked up by those keys.  The model is a dict seeded with
+    # f0's rows that gives each batch's distinct new keys consecutive fresh
+    # ids in lexicographic order.
     p4 = Params(4)
     gens = [AGen(i, 0) for i in range(1, 5)] + [BGen(i, 0) for i in range(1, 5)]
     grid = SymbolicGrid(p4, gens)
@@ -675,7 +676,7 @@ def test_row_keys_sort_like_the_rows(rows, transposed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3).flatmap(
     lambda n: st.tuples(*[
-        hnp.arrays(np.int64, st.sampled_from([(1, 1), (4, 1), (1, 5), (4, 5)]),
+        hnp.arrays(np.int64, st.sampled_from([(), (1, 1), (4, 1), (1, 5), (4, 5)]),
                    elements=st.integers(0, 9))
         for _ in range(n)
     ])
@@ -683,6 +684,8 @@ def test_row_keys_sort_like_the_rows(rows, transposed):
 def test_distinct_tuples_match_a_row_unique_of_every_cell(arrays):
     # Small grids over labels up to 9 take both ways: counted where the
     # codes span no more values than there are cells, sorted otherwise.
+    # 0-d arrays (one cell, as the kernel's last signature pair) give 1-D
+    # tuples too.
     full = np.broadcast_arrays(*arrays)
     expected, expected_inverse = np.unique(
         np.stack([a.ravel() for a in full], axis=1), axis=0, return_inverse=True
